@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .boundary import classify, positivity_criterion
 from .model import (CONVENTION_NOTE, DiffusionModel, model_from_json,
                     reduce_unit_diffusion, scale_speed)
@@ -32,7 +33,8 @@ __all__ = ["main"]
 
 
 def _env_settings() -> dict:
-    return {"qsdlab_threads": os.environ.get("QSDLAB_THREADS", "")}
+    return {"qsdlab": __version__, "numpy": np.__version__,
+            "scipy": scipy.__version__}
 
 
 def _emit_json(doc: dict, out: str | None) -> None:

@@ -4,6 +4,11 @@ Improper/singular quadrature with explicit divergence certification, cached
 antiderivatives, the first-order phase system (u, rho*u') for the
 Sturm-Liouville generator, and bracketed root finding.
 
+The phase system is propagated by two-point Gauss 4th-order Magnus cell maps
+(Iserles & Norsett 1999).  Its matrix is traceless, so each cell map is a
+closed-form 2x2 exponential of determinant 1; the cells of a chunk are
+evaluated in array calls and composed by a prefix scan.
+
 Verdict logic for improper integrals is centralized in LevelAccumulator so
 that every caller (including the boundary-classification integrals, which use
 their own log-space inner quadrature) shares identical Finite/Divergent rules:
@@ -49,7 +54,8 @@ class BracketError(QsdlabError):
 
 
 class StepUnderflowError(QsdlabError):
-    """ODE step size underflowed near a singularity."""
+    """The phase-system integration met a non-finite coefficient or state
+    (overflow, or a singularity inside the integration range)."""
 
     def __init__(self, message, last_point=None, last_state=None):
         super().__init__(message)
@@ -502,49 +508,143 @@ class OdeTrajectory:
         return (float(u), float(w))
 
 
+# Per-cell bound on |change of log rho| and on sqrt(2|lam - kappa|) * h.
+# 0.05 already misses a 1e-9 relative QSD normalization, so keep it small.
+MAGNUS_CELL_BOUND = 0.02
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+
+def _cell_counts(scale_speed, kappa, lam: float,
+                 segs: np.ndarray) -> np.ndarray:
+    """Cells per sample interval of the chunks `segs` (one row per chunk),
+    enough to keep both bounded quantities at or below MAGNUS_CELL_BOUND.
+
+    The change of log rho is estimated as twice the larger of its changes
+    over the two halves of the interval, |lam - kappa| by its largest value
+    at the ends and the midpoint."""
+    pilot = np.empty((segs.shape[0], 2 * segs.shape[1] - 1))
+    pilot[:, 0::2] = segs
+    pilot[:, 1::2] = 0.5 * (segs[:, :-1] + segs[:, 1:])
+    log_rho = np.asarray(scale_speed.log_speed(pilot.ravel()),
+                         dtype=float).reshape(pilot.shape)
+    halves = np.abs(np.diff(log_rho, axis=1))
+    swing = 2.0 * np.maximum(halves[:, 0::2], halves[:, 1::2])
+    kap = (np.asarray(kappa(pilot.ravel()), dtype=float).reshape(pilot.shape)
+           if kappa is not None else 0.0)
+    gap = np.broadcast_to(np.abs(lam - kap), pilot.shape)
+    gap = np.maximum(np.maximum(gap[:, :-1:2], gap[:, 1::2]), gap[:, 2::2])
+    turn = np.sqrt(2.0 * gap) * np.abs(np.diff(segs, axis=1))
+    cells = np.maximum(swing, turn) / MAGNUS_CELL_BOUND
+    if not np.all(np.isfinite(cells)):
+        bad = np.flatnonzero(~np.isfinite(cells))[0]
+        x_bad = float(segs[:, :-1].ravel()[bad])
+        raise StepUnderflowError(
+            f"integration failed near x = {x_bad:.6g}: non-finite speed "
+            f"density or killing rate", last_point=x_bad)
+    return np.maximum(1, np.ceil(cells)).astype(np.int64)
+
+
+def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
+                  h: np.ndarray) -> np.ndarray:
+    """Fourth-order Magnus maps of the cells [left, left + h], shape (n, 2, 2).
+
+    With A = [[0, b], [c, 0]], b = 1/rho and c = -2(lam - kappa) rho sampled
+    at the two Gauss points, Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]
+    = [[p, q], [r, -p]].  Omega^2 = (p^2 + qr) I, so exp(Omega) = C I + S
+    Omega with C, S = cosh s, sinh(s)/s (or cos s, sin(s)/s) of
+    s = sqrt|p^2 + qr|, and det exp(Omega) = C^2 - S^2 (p^2 + qr) = 1.
+    """
+    nodes = np.concatenate([left + g * h for g in _GAUSS_NODES])
+    rho = scale_speed.speed_density(nodes)
+    inv_rho = scale_speed.scale_density(nodes)
+    kap = np.asarray(kappa(nodes), dtype=float) if kappa is not None else 0.0
+    c = -2.0 * (lam - kap) * rho
+    n = len(left)
+    b1, b2, c1, c2 = inv_rho[:n], inv_rho[n:], c[:n], c[n:]
+    p = (math.sqrt(3.0) / 12.0) * h * h * (b2 * c1 - b1 * c2)
+    q = 0.5 * h * (b1 + b2)
+    r = 0.5 * h * (c1 + c2)
+    d = p * p + q * r
+    s = np.sqrt(np.abs(d))
+    hyper = d >= 0.0
+    tiny = s < 1e-4
+    cos_part = np.where(hyper, np.cosh(s), np.cos(s))
+    # series 1 + d/6 + O(d^2) where sinh(s)/s or sin(s)/s would divide by ~0
+    sin_part = np.where(tiny, 1.0 + d / 6.0,
+                        np.where(hyper, np.sinh(s), np.sin(s))
+                        / np.where(tiny, 1.0, s))
+    maps = np.empty((n, 2, 2))
+    maps[:, 0, 0] = cos_part + sin_part * p
+    maps[:, 0, 1] = sin_part * q
+    maps[:, 1, 0] = sin_part * r
+    maps[:, 1, 1] = cos_part - sin_part * p
+    return maps
+
+
 def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
                         x_to: float, init: Sequence[float],
-                        n_samples: int = 400, rtol: float = 1e-10,
-                        atol: float = 1e-10, n_chunks: int = 32,
+                        n_samples: int = 400, n_chunks: int = 32,
                         rescale_at: float = 1e100) -> OdeTrajectory:
     """Integrate u' = w/rho, w' = -2(lam - kappa)*rho*u from x_from to x_to.
 
     `model` supplies the killing rate (may be None); `scale_speed` supplies
-    rho.  Integration is chunked with positive renormalization whenever the
-    state grows past `rescale_at`, so eigenvalue miss functions keep valid
-    signs even when the non-decaying mode grows like exp(several hundred).
+    rho (speed_density), 1/rho (scale_density) and log rho (log_speed).
+    The output grid is n_chunks linspace chunks of n_samples // n_chunks + 1
+    points.  Each sample interval is split into equal cells, as many as it
+    takes to keep both the change of log rho and sqrt(2|lam - kappa|) * h at
+    or below MAGNUS_CELL_BOUND per cell.  Each cell is advanced by the
+    two-point Gauss 4th-order Magnus map.  The system matrix is traceless, so
+    every cell map is a closed-form exponential of determinant 1, and the
+    Wronskian of two solutions is conserved to rounding.  The cells of a
+    chunk are evaluated in one array call each and composed by a prefix scan.
+
+    The state is renormalized by a positive factor between chunks whenever
+    it grows past `rescale_at`, so eigenvalue miss functions keep valid signs
+    even when the non-decaying mode grows like exp(several hundred).
     """
     kappa = getattr(model, "killing", None) if model is not None else None
-    rho = scale_speed.speed_density
-
-    def rhs(x, y):
-        r = rho(x)
-        k = kappa(x) if kappa is not None else 0.0
-        return (y[1] / r, -2.0 * (lam - k) * r * y[0])
-
+    lam = float(lam)
     forward = x_to > x_from
     edges = np.linspace(x_from, x_to, n_chunks + 1)
+    per_chunk = max(2, n_samples // n_chunks + 1)
+    segs = np.stack([np.linspace(edges[i], edges[i + 1], per_chunk)
+                     for i in range(n_chunks)])
+    n_cells = _cell_counts(scale_speed, kappa, lam, segs)
     state = np.array(init, dtype=float)
     log_scale = 0.0
     grids, vals, logs = [], [], []
 
     for i in range(n_chunks):
-        seg = np.linspace(edges[i], edges[i + 1],
-                          max(2, n_samples // n_chunks + 1))
-        sol = _sint.solve_ivp(rhs, (edges[i], edges[i + 1]), state,
-                              method="RK45", t_eval=seg, rtol=rtol, atol=atol,
-                              dense_output=False)
-        if not sol.success or not np.all(np.isfinite(sol.y)):
+        seg, counts = segs[i], n_cells[i]
+        ends = np.cumsum(counts)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        h = (np.diff(seg) / counts)[owner]
+        left = seg[owner] + (np.arange(ends[-1]) - (ends - counts)[owner]) * h
+        chunk_vals = np.empty((per_chunk, 2))
+        chunk_vals[0] = state
+        # overflow surfaces as a non-finite state and is raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Hillis-Steele scan: prefix[j] maps the chunk start to the
+            # right end of cell j
+            prefix = _magnus_cells(scale_speed, kappa, lam, left, h)
+            shift = 1
+            while shift < len(prefix):
+                prefix = np.concatenate(
+                    (prefix[:shift], prefix[shift:] @ prefix[:-shift]))
+                shift *= 2
+            chunk_vals[1:] = prefix[ends - 1] @ state
+        finite = np.all(np.isfinite(chunk_vals), axis=1)
+        if not np.all(finite):
+            last = int(np.argmin(finite)) - 1
             raise StepUnderflowError(
-                f"integration failed near x = {sol.t[-1] if len(sol.t) else edges[i]:.6g}: "
-                f"{sol.message}",
-                last_point=float(sol.t[-1]) if len(sol.t) else edges[i],
-                last_state=tuple(state))
+                f"integration failed near x = {seg[last]:.6g}: state "
+                f"overflowed", last_point=float(seg[last]),
+                last_state=tuple(chunk_vals[last]))
         keep = slice(None) if i == 0 else slice(1, None)
-        grids.append(sol.t[keep])
-        vals.append(sol.y.T[keep])
-        logs.append(np.full(len(sol.t[keep]), log_scale))
-        state = sol.y[:, -1].copy()
+        grids.append(seg[keep])
+        vals.append(chunk_vals[keep])
+        logs.append(np.full(len(seg[keep]), log_scale))
+        state = chunk_vals[-1].copy()
         peak = float(np.max(np.abs(state)))
         if peak > rescale_at:
             state /= peak

@@ -6,8 +6,7 @@ root shooting against a sealed right truncation with Richardson
 extrapolation, cross-validates against an independent finite-element
 discretization, handles the killed-on-the-line regime through the
 Schrodinger form, and assembles quasistationary densities, Doob transforms
-of the conditioned process, heat-kernel expansions, and closed-form Bessel
-kernels.
+of the conditioned process, and heat-kernel expansions.
 
 Eigenfunction conventions: L2(rho)-normalized, lowest one nonnegative.  The
 stored drift is the SDE drift mu (see model.CONVENTION_NOTE).
@@ -28,16 +27,12 @@ from .numerics import (IndeterminateIntegralError, OdeTrajectory, QsdlabError,
                        TabulatedAntiderivative, brent_root,
                        cumulative_parabolic, improper_integral,
                        integrate_sl_system)
-from .kernels import (bessel_kernel, bessel_kernel_plus,  # noqa: F401  (re-export)
-                      bessel_transition_lebesgue, log_iv)
 
 __all__ = [
     "ClassificationMismatchError", "USolution", "PhiSolution",
     "SpectralResult", "QsdDensity", "DoobResult", "HeatKernelValue",
     "build_u", "build_phi", "eigen_shoot", "eigen_fd_oracle",
     "eigen_schrodinger", "qsd_density", "doob_h_transform", "heat_kernel",
-    "log_iv", "bessel_kernel", "bessel_kernel_plus",
-    "bessel_transition_lebesgue",
 ]
 
 
@@ -127,15 +122,13 @@ class QsdDensity:
     support: tuple
     grid: np.ndarray
     tail_mass: float
+    cum: np.ndarray = field(repr=False)   # normalized mass of [grid[0], grid[i]]
 
     def bin_masses(self, edges) -> np.ndarray:
         edges = np.asarray(edges, dtype=float)
-        cum = np.interp(edges, self.grid, self._cum, left=0.0,
-                        right=self._cum[-1])
+        cum = np.interp(edges, self.grid, self.cum, left=0.0,
+                        right=self.cum[-1])
         return np.diff(cum)
-
-    # filled in by qsd_density (frozen dataclass: set via __dict__)
-    _cum: np.ndarray = field(default=None, repr=False)
 
 
 class DoobResult(NamedTuple):
@@ -244,6 +237,7 @@ class _UBuilder:
                 raise ClassificationMismatchError(
                     f"contraction radius collapsed below {self.delta0 * 0.5 ** 60:.3g} "
                     f"at lam = {lam}; left endpoint unsuitable for the construction")
+        self._last_level = lv
         grid, rho, inv_rho = lv["grid"], lv["rho"], lv["inv_rho"]
         delta = lv["delta"]
         # rho u' = 2 lam * int_x^delta u rho  -- exact for the fixed point
@@ -285,9 +279,8 @@ class _UBuilder:
     def phi(self, lam: float, x_to: Optional[float] = None,
             n_samples: int = 600) -> PhiSolution:
         us = self.build(lam, x_to=None)
-        grid = us.core_grid
-        inv_rho = self._levels_by_delta(us.delta)["inv_rho"]
-        rho = self._levels_by_delta(us.delta)["rho"]
+        lv = self._last_level              # the level build() settled on
+        grid, rho, inv_rho = us.core_grid, lv["rho"], lv["inv_rho"]
         integ = inv_rho / us.core_u ** 2
         # sub-cutoff mass of the scale integral from a local power fit
         tail0 = 0.0
@@ -322,12 +315,6 @@ class _UBuilder:
                                 final_log_scale=final_ls)
         return PhiSolution(lam=lam, samples=samples, l1_mass_near_0=l1,
                            delta=us.delta)
-
-    def _levels_by_delta(self, delta: float) -> dict:
-        for lv in self._levels.values():
-            if lv["delta"] == delta:
-                return lv
-        raise KeyError(delta)
 
 
 def build_u(model: DiffusionModel, lam: float,
@@ -810,16 +797,13 @@ def qsd_density(spectral: SpectralResult, ss: ScaleSpeed) -> QsdDensity:
             f"1e-6 of the total; widen the truncation")
     z = z0 + tail
     dens_vals = g / z
-    cum_norm = cum / z
 
     def density(x):
         return np.interp(x, grid, dens_vals, left=0.0, right=0.0)
 
-    out = QsdDensity(density=density, Z=z,
-                     support=(float(grid[0]), float(grid[-1])), grid=grid,
-                     tail_mass=tail / z)
-    object.__setattr__(out, "_cum", cum_norm)
-    return out
+    return QsdDensity(density=density, Z=z,
+                      support=(float(grid[0]), float(grid[-1])), grid=grid,
+                      tail_mass=tail / z, cum=cum / z)
 
 
 def doob_h_transform(model: DiffusionModel) -> DoobResult:

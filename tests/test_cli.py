@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
+import qsdlab
 from qsdlab.cli import main
 from qsdlab.model import CONVENTION_NOTE, reduce_unit_diffusion
 from qsdlab.zoo import zoo_build
@@ -48,6 +50,10 @@ def test_classify_report(capsys):
     assert cls["absorption_certain"] is True
     assert doc["convention"] == CONVENTION_NOTE
     assert doc["settings"]["tol"] == 1e-9
+    versions = {"qsdlab": qsdlab.__version__, "numpy": np.__version__,
+                "scipy": scipy.__version__}
+    assert (versions.items() <= doc["settings"].items()
+            and "qsdlab_threads" not in doc["settings"])
     assert doc["model"]["params"] == {"nu": -1.5}
     assert doc["model"]["domain"] == [0.0, "inf"]
     assert doc["reduced"] is False

@@ -12,6 +12,7 @@ from qsdlab.model import DiffusionModel, ScalarField, scale_speed
 from qsdlab.numerics import (
     BracketError,
     IndeterminateIntegralError,
+    StepUnderflowError,
     TabulatedAntiderivative,
     brent_root,
     cumulative_parabolic,
@@ -19,6 +20,7 @@ from qsdlab.numerics import (
     improper_integral,
     integrate_sl_system,
 )
+from qsdlab.zoo import zoo_build
 
 
 # ---------------------------------------------------------------- improper
@@ -152,30 +154,64 @@ def test_brent_root_requires_sign_change():
 
 # ---------------------------------------------------------------- SL ODE
 
-def _driftless():
+def _driftless(killing=None):
     return DiffusionModel(drift=ScalarField.constant(0.0),
+                          killing=(None if killing is None
+                                   else ScalarField.constant(killing)),
                           domain=(0.0, math.inf), x_ref=1.0,
                           name="driftless")
 
 
 def test_sl_integration_against_trig():
-    # drift 0 => speed density 1, so the pair ODE is u'' = -2 lam u.
-    # Launch (1, 0) at x=1: u = cos(k(x-1)), w = u' = -k sin(k(x-1)).
-    m = _driftless()
-    ss = scale_speed(m)
-    lam = 2.0
-    k = math.sqrt(2 * lam)
-    traj = integrate_sl_system(m, ss, lam, 1.0, 6.0, (1.0, 0.0),
+    # drift 0 => speed density 1, so the pair ODE is u'' = -2 (lam - c) u
+    # with constant killing c.  Launch (1, 0) at x=1: for g = lam - c > 0,
+    # u = cos(k(x-1)), w = u' = -k sin(k(x-1)) with k = sqrt(2g); for g < 0,
+    # u = cosh(k(x-1)), w = k sinh(k(x-1)) with k = sqrt(-2g).  lam = 50
+    # (k = 10, 16 zeros on (1, 6)) makes the oscillation, not the sample
+    # spacing, set the cell size.
+    for lam, c in ((2.0, None), (3.0, 0.75), (0.5, 2.5), (50.0, None)):
+        m = _driftless(c)
+        ss = scale_speed(m)
+        g = lam - (c or 0.0)
+        k = math.sqrt(2 * abs(g))
+        if g > 0:
+            u_of = lambda s: np.cos(k * s)
+            w_of = lambda s: -k * np.sin(k * s)
+            zeros = math.floor(5 * k / math.pi + 0.5)
+        else:
+            u_of = lambda s: np.cosh(k * s)
+            w_of = lambda s: k * np.sinh(k * s)
+            zeros = 0
+        traj = integrate_sl_system(m, ss, lam, 1.0, 6.0, (1.0, 0.0),
+                                   n_samples=900)
+        s = traj.grid - 1.0
+        scale = np.exp(traj.log_scale)
+        tol = 1e-8 * np.maximum(1.0, np.abs(u_of(s)))
+        assert np.all(np.abs(traj.u * scale - u_of(s)) < tol), (lam, c)
+        assert np.all(np.abs(traj.w * scale - w_of(s)) < tol), (lam, c)
+        # cos(k(x-1)) has floor(5k/pi + 1/2) interior zeros on (1, 6)
+        assert traj.sign_changes(0) == zeros, (lam, c)
+        u6, w6 = traj.final
+        assert u6 * math.exp(traj.final_log_scale) == pytest.approx(
+            float(u_of(5.0)), abs=1e-8 * max(1.0, abs(float(u_of(5.0)))))
+
+    # bessel nu = -3/2 has rho = x^-2 and the solution u = cos(kx) + kx sin(kx),
+    # rho u' = k^2 cos(kx) / x.  With rho varying, the cell maps no longer
+    # commute and are no longer exact, so at lam = 50 the sqrt(2 lam) * h
+    # part of the cell rule decides the accuracy (dropping it costs ~2e-6).
+    m = zoo_build("bessel", {"nu": -1.5})
+    k = 10.0
+    traj = integrate_sl_system(m, scale_speed(m), 0.5 * k * k, 1.0, 6.0,
+                               (math.cos(k) + k * math.sin(k), k * k * math.cos(k)),
                                n_samples=900)
-    s = traj.grid - 1.0
+    x = traj.grid
     scale = np.exp(traj.log_scale)
-    assert np.max(np.abs(traj.u * scale - np.cos(k * s))) < 1e-8
-    assert np.max(np.abs(traj.w * scale + k * np.sin(k * s))) < 1e-8
-    # cos(k(x-1)) has floor(5k/pi) = 3 interior zeros on (1, 6)
-    assert traj.sign_changes(0) == 3
-    u6, w6 = traj.final
-    assert u6 * math.exp(traj.final_log_scale) == pytest.approx(
-        math.cos(5 * k), abs=1e-8)
+    u_true = np.cos(k * x) + k * x * np.sin(k * x)
+    w_true = k * k * np.cos(k * x) / x
+    assert np.all(np.abs(traj.u * scale - u_true)
+                  < 1e-7 * np.maximum(1.0, np.abs(u_true)))
+    assert np.all(np.abs(traj.w * scale - w_true)
+                  < 1e-7 * np.maximum(1.0, np.abs(w_true)))
 
 
 def test_sl_rescaling_keeps_true_values():
@@ -197,6 +233,12 @@ def test_sl_rescaling_keeps_true_values():
     # reconstructed solution reaches e^{2*179} ~ 1e155
     assert np.max(np.abs(traj.values)) < 1e110
     assert traj.final_log_scale > 100.0
+    # growth beyond double range inside one chunk cannot be rescaled away:
+    # u'' = 4e7 u grows by e^988 over a chunk of (1, 6)
+    m = _driftless()
+    with pytest.raises(StepUnderflowError):
+        integrate_sl_system(m, scale_speed(m), -2e7, 1.0, 6.0, (1.0, 0.0),
+                            n_samples=64)
 
 
 def test_sl_grid_monotone_guard():
