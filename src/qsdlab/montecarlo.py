@@ -12,8 +12,11 @@ and a blow-up guard.  Two operating modes:
   conditioned-on-survival law with every particle alive (O(1/n) bias).
 
 All random draws go through one counter-based generator keyed from the
-config seed, and every step draws normals for the full ensemble, so runs
-are bit-reproducible for a given (model, config).
+config seed, so runs are bit-reproducible for a given (model, config).  The
+state is compacted to live particles and each step draws normals (and
+bridge uniforms) for those only: a plain run gets cheaper as its particles
+die, while a resampling run, whose ensemble stays full, draws exactly what
+a full-ensemble loop would and gives the same bits.
 """
 
 from __future__ import annotations
@@ -89,7 +92,12 @@ class EnsembleResult:
 def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
                  record_times: Optional[Sequence[float]] = None,
                  keep_snapshots: bool = True) -> EnsembleResult:
-    """Simulate n killed/absorbed paths of dX = mu dt + dW up to t_max."""
+    """Simulate n killed/absorbed paths of dX = mu dt + dW up to t_max.
+
+    The state arrays hold live particles only; slot i carries particle
+    ids[i].  A plain run compresses dead slots away, which keeps the slots in
+    id order; a resampling run refills each dead slot from a survivor, so
+    there every slot stays live and ids[i] == i."""
     if not model.unit_diffusion:
         raise QsdlabError("run_ensemble needs sigma == 1; reduce first")
     l, r = model.domain
@@ -102,13 +110,19 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
     x = np.full(n, float(x0)) if np.ndim(x0) == 0 else np.asarray(x0, float).copy()
     if len(x) != n:
         raise QsdlabError(f"x0 has {len(x)} entries for n = {n}")
+    if not np.all(np.isfinite(x)):
+        raise QsdlabError("initial positions must be finite")
     if (fin_l and np.any(x <= l)) or (fin_r and np.any(x >= r)):
         raise QsdlabError("initial positions must be interior")
-    alive = np.ones(n, dtype=bool)
+    ids = np.arange(n)
     death = np.full(n, np.inf)
-    clock = np.zeros(n)
+    clock = np.zeros(n) if kappa is not None else None
     thresh = rng.standard_exponential(n) if kappa is not None else None
     kap_x = np.asarray(kappa(x), float) if kappa is not None else None
+    # killing is evaluated at endpoint-clipped positions: a proposal past a
+    # finite end is absorbed, but kappa may be undefined there
+    lo_c = l + 1e-12 * (1.0 + abs(l)) if fin_l else -np.inf
+    hi_c = r - 1e-12 * (1.0 + abs(r)) if fin_r else np.inf
     n_absorbed = n_killed = n_blown = 0
 
     n_steps = int(round(config.t_max / dt))
@@ -120,85 +134,98 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
     rec_ptr = 0
     use_bridge = config.bridge and (fin_l or fin_r)
 
+    def record_through(step):
+        # once everyone has died, x is empty and later records read 0
+        nonlocal rec_ptr
+        while rec_ptr < len(rec_steps) and rec_steps[rec_ptr] <= step:
+            times.append(rec_steps[rec_ptr] * dt)
+            counts.append(len(x))
+            snaps.append(x.copy() if keep_snapshots else None)
+            rec_ptr += 1
+
     for s in range(1, n_steps + 1):
-        z = rng.standard_normal(n)
-        u_bridge = rng.random(n) if use_bridge else None
-        idx = np.nonzero(alive)[0]
-        if len(idx) == 0:
-            break
-        xa = x[idx]
-        prop = xa + np.asarray(model.drift(xa), float) * dt + sqrt_dt * z[idx]
+        m = len(x)
+        z = rng.standard_normal(m)
+        u = rng.random(m) if use_bridge else None
+        prop = x + np.asarray(model.drift(x), float) * dt + sqrt_dt * z
 
-        hit = np.zeros(len(idx), dtype=bool)
-        if fin_l:
-            hit |= prop <= l
-            if use_bridge:
-                safe = ~hit
-                p_hit = np.zeros(len(idx))
-                p_hit[safe] = np.exp(-2.0 * (xa[safe] - l) * (prop[safe] - l) / dt)
-                hit |= u_bridge[idx] < p_hit
-        if fin_r:
-            hit_r = prop >= r
-            if use_bridge:
-                safe = ~hit & ~hit_r
-                p_hit = np.zeros(len(idx))
-                p_hit[safe] = np.exp(-2.0 * (r - xa[safe]) * (r - prop[safe]) / dt)
-                hit_r |= u_bridge[idx] < p_hit
-            hit |= hit_r
+        hit = None
+        if fin_l or fin_r:
+            hit = np.zeros(m, dtype=bool)
+            # Brownian-bridge crossing probabilities; where the proposal is
+            # already past the end the exponent is positive and may overflow,
+            # but those particles are hit anyway
+            with np.errstate(over="ignore"):
+                if fin_l:
+                    hit |= prop <= l
+                    if use_bridge:
+                        hit |= u < np.exp(-2.0 * (x - l) * (prop - l) / dt)
+                if fin_r:
+                    hit |= prop >= r
+                    if use_bridge:
+                        hit |= u < np.exp(-2.0 * (r - x) * (r - prop) / dt)
 
+        dead = np.abs(prop) > config.blow_up
+        if hit is not None:
+            dead |= hit
         if kappa is not None:
-            prop_in = prop
-            if fin_l or fin_r:
-                lo_c = l + 1e-12 * (1.0 + abs(l)) if fin_l else -np.inf
-                hi_c = r - 1e-12 * (1.0 + abs(r)) if fin_r else np.inf
-                prop_in = np.clip(prop, lo_c, hi_c)
+            prop_in = np.clip(prop, lo_c, hi_c) if fin_l or fin_r else prop
             kap_new = np.asarray(kappa(prop_in), float)
-            clock[idx] += 0.5 * dt * (kap_x[idx] + kap_new)
-            kap_x[idx] = kap_new
-            killed = (clock[idx] > thresh[idx]) & ~hit
-        else:
-            killed = np.zeros(len(idx), dtype=bool)
+            clock += 0.5 * dt * (kap_x + kap_new)
+            kap_x = kap_new
+            dead |= clock > thresh
 
-        blown = (np.abs(prop) > config.blow_up) & ~hit & ~killed
-        dead = hit | killed | blown
-        n_absorbed += int(np.sum(hit))
-        n_killed += int(np.sum(killed))
-        n_blown += int(np.sum(blown))
+        # a death counts as absorbed before killed before blown up
+        slots = np.flatnonzero(dead)
+        n_dead = len(slots)
+        if n_dead:
+            absorbed = (hit[slots] if hit is not None
+                        else np.zeros(n_dead, dtype=bool))
+            n_hit = int(np.count_nonzero(absorbed))
+            n_kill = (int(np.count_nonzero((clock[slots] > thresh[slots])
+                                           & ~absorbed))
+                      if kappa is not None else 0)
+            n_absorbed += n_hit
+            n_killed += n_kill
+            n_blown += n_dead - n_hit - n_kill
 
         if config.resample:
-            live_local = ~dead
-            n_dead = int(np.sum(dead))
             if n_dead:
-                if not np.any(live_local):
+                if n_dead == m:
                     raise QsdlabError(
                         f"entire ensemble died in one step at t = {s * dt:.4g}; "
                         "dt too coarse for this killing rate")
-                donors = rng.integers(0, int(np.sum(live_local)), size=n_dead)
-                prop[dead] = prop[live_local][donors]
+                # donor k is the k-th live slot: k plus the number of dead
+                # slots before it, i.e. of dead j with slots[j] - j <= k
+                donors = rng.integers(0, m - n_dead, size=n_dead)
+                src = donors + np.searchsorted(slots - np.arange(n_dead),
+                                               donors, side="right")
+                prop[slots] = prop[src]
                 if kappa is not None:
                     # exponential thresholds are memoryless: reset the clock
                     # and redraw, which leaves the residual law unchanged
-                    clock[idx[dead]] = 0.0
-                    thresh[idx[dead]] = rng.standard_exponential(n_dead)
-                    kap_x[idx[dead]] = kap_x[idx[live_local]][donors]
-            x[idx] = prop
+                    clock[slots] = 0.0
+                    thresh[slots] = rng.standard_exponential(n_dead)
+                    kap_x[slots] = kap_x[src]
+            x = prop
+        elif n_dead:
+            death[ids[slots]] = s * dt
+            keep = ~dead
+            x, ids = prop[keep], ids[keep]
+            if kappa is not None:
+                clock, thresh, kap_x = clock[keep], thresh[keep], kap_x[keep]
         else:
-            if np.any(dead):
-                death[idx[dead]] = s * dt
-                alive[idx[dead]] = False
-                prop[dead] = model.x_ref        # park the dead
-            x[idx] = prop
+            x = prop
 
-        while rec_ptr < len(rec_steps) and rec_steps[rec_ptr] == s:
-            times.append(s * dt)
-            counts.append(int(np.sum(alive)))
-            snaps.append(x[alive].copy() if keep_snapshots else None)
-            rec_ptr += 1
+        record_through(s)
+        if len(x) == 0:
+            break
+    record_through(n_steps)
 
     return EnsembleResult(model_name=model.name, config=config,
                           times=np.asarray(times),
                           n_alive=np.asarray(counts, dtype=int),
-                          snapshots=snaps, final_positions=x[alive].copy(),
+                          snapshots=snaps, final_positions=x.copy(),
                           death_times=death, n_absorbed=n_absorbed,
                           n_killed=n_killed, n_blown=n_blown)
 

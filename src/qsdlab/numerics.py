@@ -511,6 +511,10 @@ class OdeTrajectory:
 # Per-cell bound on |change of log rho| and on sqrt(2|lam - kappa|) * h.
 # 0.05 already misses a 1e-9 relative QSD normalization, so keep it small.
 MAGNUS_CELL_BOUND = 0.02
+# The output grid is SL_CHUNKS linspace chunks; between chunks the state is
+# divided by its largest entry once that entry passes SL_RESCALE_AT.
+SL_CHUNKS = 32
+SL_RESCALE_AT = 1e100
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
@@ -583,13 +587,12 @@ def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
 
 def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
                         x_to: float, init: Sequence[float],
-                        n_samples: int = 400, n_chunks: int = 32,
-                        rescale_at: float = 1e100) -> OdeTrajectory:
+                        n_samples: int = 400) -> OdeTrajectory:
     """Integrate u' = w/rho, w' = -2(lam - kappa)*rho*u from x_from to x_to.
 
     `model` supplies the killing rate (may be None); `scale_speed` supplies
     rho (speed_density), 1/rho (scale_density) and log rho (log_speed).
-    The output grid is n_chunks linspace chunks of n_samples // n_chunks + 1
+    The output grid is SL_CHUNKS linspace chunks of n_samples // SL_CHUNKS + 1
     points.  Each sample interval is split into equal cells, as many as it
     takes to keep both the change of log rho and sqrt(2|lam - kappa|) * h at
     or below MAGNUS_CELL_BOUND per cell.  Each cell is advanced by the
@@ -599,22 +602,22 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
     chunk are evaluated in one array call each and composed by a prefix scan.
 
     The state is renormalized by a positive factor between chunks whenever
-    it grows past `rescale_at`, so eigenvalue miss functions keep valid signs
+    it grows past SL_RESCALE_AT, so eigenvalue miss functions keep valid signs
     even when the non-decaying mode grows like exp(several hundred).
     """
     kappa = getattr(model, "killing", None) if model is not None else None
     lam = float(lam)
     forward = x_to > x_from
-    edges = np.linspace(x_from, x_to, n_chunks + 1)
-    per_chunk = max(2, n_samples // n_chunks + 1)
+    edges = np.linspace(x_from, x_to, SL_CHUNKS + 1)
+    per_chunk = max(2, n_samples // SL_CHUNKS + 1)
     segs = np.stack([np.linspace(edges[i], edges[i + 1], per_chunk)
-                     for i in range(n_chunks)])
+                     for i in range(SL_CHUNKS)])
     n_cells = _cell_counts(scale_speed, kappa, lam, segs)
     state = np.array(init, dtype=float)
     log_scale = 0.0
     grids, vals, logs = [], [], []
 
-    for i in range(n_chunks):
+    for i in range(SL_CHUNKS):
         seg, counts = segs[i], n_cells[i]
         ends = np.cumsum(counts)
         owner = np.repeat(np.arange(len(counts)), counts)
@@ -646,7 +649,7 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
         logs.append(np.full(len(seg[keep]), log_scale))
         state = chunk_vals[-1].copy()
         peak = float(np.max(np.abs(state)))
-        if peak > rescale_at:
+        if peak > SL_RESCALE_AT:
             state /= peak
             log_scale += math.log(peak)
 

@@ -159,11 +159,11 @@ def test_simulate_is_deterministic(tmp_path, capsys):
     assert h1.read_bytes() == h2.read_bytes()
 
     res = d1["result"]
-    assert res["n_survivors"] == 168
-    assert res["n_absorbed"] == 232
+    assert res["n_survivors"] == 169
+    assert res["n_absorbed"] == 231
     assert res["n_killed"] == 0
     assert res["recorded_times"] == [0.25, 0.5]
-    assert res["n_alive"] == [307, 168]
+    assert res["n_alive"] == [309, 169]
     assert d1["settings"]["x0"] == 1.0        # defaulted to x_ref
 
 
@@ -242,6 +242,18 @@ def test_numerical_failure_exits_3_with_diagnostic(tmp_path, capsys):
     assert saved["error"] == "QsdlabError"
     assert "whole line" in saved["message"]
     assert "settings" in saved
+
+
+def test_non_finite_x0_exits_3(tmp_path, capsys):
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "simulate", "--zoo",
+               "logistic_X_killed", *LOGISTIC, "--x0", "nan", "--n", "50",
+               "--dt", "0.01", "--t-max", "0.1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert json.loads(diag.read_text())["message"] == (
+        "initial positions must be finite")
 
 
 def test_unknown_zoo_name_exits_3(tmp_path, capsys):

@@ -108,6 +108,65 @@ def test_resampling_keeps_the_ensemble_full():
     assert np.all(np.isinf(res.death_times))     # nobody permanently dies
 
 
+# Values recorded from the full-ensemble loop that drew normals for every
+# particle; a resampling run keeps all n particles alive, so compacting the
+# state to live particles must leave its random stream and outputs unchanged.
+@pytest.mark.parametrize("name,params,x0,cfg,fingerprint", [
+    ("logistic_X_killed", {"mu": 1.0, "c": 1.0, "sigma": 1.0}, 0.0,
+     SimConfig(dt=5e-3, n=2000, t_max=1.0, seed=3, resample=True),
+     (-342.4734737892075, -245.73180532558393,
+      [0.5262246464748452, -0.22968292469770768, -0.06113700593352772,
+       0.5469831413046035, -1.2485575765847263], 2635, 0)),
+    ("bessel", {"nu": -1.5}, 1.0,
+     SimConfig(dt=1e-3, n=2000, t_max=0.5, seed=4, bridge=True,
+               resample=True),
+     (2128.14848376009, 1860.9262685986573,
+      [0.6185036765874224, 1.7383094049927772, 1.3961328361764382,
+       1.4564959996767661, 1.0111416847264123], 0, 1630)),
+])
+def test_resampling_stream_fingerprint(name, params, x0, cfg, fingerprint):
+    res = run_ensemble(zoo_build(name, params), x0, cfg,
+                       record_times=[cfg.t_max / 2])
+    total, snap_total, head, n_killed, n_absorbed = fingerprint
+    assert math.fsum(res.final_positions) == total
+    assert math.fsum(res.snapshots[0]) == snap_total
+    assert res.final_positions[:5].tolist() == head
+    assert (res.n_killed, res.n_absorbed, res.n_blown) == (n_killed,
+                                                            n_absorbed, 0)
+
+
+def test_plain_compaction_keeps_particle_ids():
+    # even ids start at staggered distances from the absorbing end under a
+    # strong inward pull, so they die over several steps and slots stop
+    # matching ids; odd ids start far apart and far away, so each survivor
+    # stays near its own start and the order can be read off
+    pull = DiffusionModel(drift=ScalarField.from_expression("-10/x"),
+                          domain=(0.0, math.inf), x_ref=1.0, name="pull")
+    n = 40
+    x0 = np.where(np.arange(n) % 2 == 0, np.geomspace(0.01, 0.5, n),
+                  20.0 * (np.arange(n) + 1))
+    res = run_ensemble(pull, x0, SimConfig(dt=1e-3, n=n, t_max=0.1, seed=8),
+                       record_times=[0.05])
+    even = np.arange(n) % 2 == 0
+    assert np.all(np.isfinite(res.death_times[even]))
+    assert len(np.unique(res.death_times[even])) > 3
+    assert np.all(np.isinf(res.death_times[~even]))
+    assert res.n_absorbed == n // 2
+    assert np.all(np.abs(res.final_positions - x0[~even]) < 3.0)
+    assert np.all(np.abs(res.snapshots[0] - x0[~even]) < 3.0)
+
+
+def test_records_after_extinction_read_zero():
+    # from 0.05 the nu = -1.5 Bessel process is absorbed long before t = 1
+    res = run_ensemble(zoo_build("bessel", {"nu": -1.5}), 0.05,
+                       SimConfig(dt=1e-3, n=200, t_max=3.0, seed=1),
+                       record_times=[1.0, 2.0, 3.0])
+    assert res.n_survivors == 0
+    assert res.times.tolist() == [1.0, 2.0, 3.0]
+    assert res.n_alive.tolist() == [0, 0, 0]
+    assert [len(s) for s in res.snapshots] == [0, 0, 0]
+
+
 def test_blow_up_is_counted_not_crashed():
     m = DiffusionModel(drift=ScalarField.from_expression("x^3"),
                        domain=(-math.inf, math.inf), x_ref=0.0, name="cubic")
@@ -125,6 +184,11 @@ def test_run_guards():
         run_ensemble(bm, 0.0, SimConfig(dt=1e-3, n=10, t_max=0.1))  # on edge
     with pytest.raises(QsdlabError):
         run_ensemble(bm, np.ones(7), SimConfig(dt=1e-3, n=10, t_max=0.1))
+    # NaN fails every death test and would otherwise survive forever
+    line = zoo_build("logistic_X_killed", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
+    for bad in (math.nan, math.inf, np.r_[np.zeros(9), math.nan]):
+        with pytest.raises(QsdlabError, match="finite"):
+            run_ensemble(line, bad, SimConfig(dt=1e-3, n=10, t_max=0.1))
 
 
 # ------------------------------------------------------------- rate fit
