@@ -5,7 +5,8 @@ numeric setting (seed, dt, truncations, tolerances) echoed back, and the
 drift-sign convention note embedded.  CSV output uses '.' decimals, LF line
 endings and %.17g floats.  Exit codes: 0 success, 2 usage error (argparse),
 3 numerical failure -- in which case a diagnostic.json is written with the
-error and whatever partial evidence exists.
+error, the settings and the partial report: every field the command had
+filled in before the failing stage.
 """
 
 from __future__ import annotations
@@ -134,33 +135,31 @@ def _spectral(model: DiffusionModel, args):
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
+# Each handler fills the report dict it is handed, stage by stage, so that
+# on a QsdlabError `main` can save what was already found.
 
-def _cmd_zoo(args) -> dict:
-    return {"models": {name: {"params": _jsonable(entry.params),
-                              "doc": entry.doc} for name, entry in ZOO.items()}}
+def _cmd_zoo(args, doc: dict) -> None:
+    doc["models"] = {name: {"params": _jsonable(entry.params),
+                            "doc": entry.doc} for name, entry in ZOO.items()}
 
 
-def _cmd_classify(args) -> dict:
+def _cmd_classify(args, doc: dict) -> None:
     model = _load_model(args)
     red, _, red_info = _reduced(model)
-    result = classify(red, tol=args.tol)
-    doc = {"model": _model_report(model), "convention": CONVENTION_NOTE,
-           "classification": _jsonable(result.to_json()),
-           "settings": {"tol": args.tol, **_env_settings()}}
-    doc.update(red_info)
-    return doc
+    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
+               settings={"tol": args.tol, **_env_settings()}, **red_info)
+    doc["classification"] = _jsonable(classify(red, tol=args.tol).to_json())
 
 
-def _cmd_spectrum(args) -> dict:
+def _cmd_spectrum(args, doc: dict) -> None:
     model = _load_model(args)
     red, _, red_info = _reduced(model)
+    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
+               **red_info)
     spec = _spectral(red, args)
-    doc = {"model": _model_report(model), "convention": CONVENTION_NOTE,
-           "spectrum": _jsonable(spec.to_json()),
-           "gap": _jsonable(spec.gap),
-           "settings": {"method": spec.method, "k": len(spec.eigenvalues),
-                        **_env_settings()}}
-    doc.update(red_info)
+    doc.update(spectrum=_jsonable(spec.to_json()), gap=_jsonable(spec.gap),
+               settings={"method": spec.method, "k": len(spec.eigenvalues),
+                         **_env_settings()})
     if args.oracle and spec.method != "fd":
         trunc = spec.truncation
         tr = trunc[-1] if spec.method == "shoot" else tuple(trunc)
@@ -172,30 +171,27 @@ def _cmd_spectrum(args) -> dict:
         doc["oracle"] = {"eigenvalues": _jsonable(oracle.eigenvalues),
                          "max_difference": diff,
                          "agrees_rel": diff <= 1e-4 * (1.0 + abs(spec.lambda0))}
-    return doc
 
 
-def _cmd_qsd(args) -> dict:
+def _cmd_qsd(args, doc: dict) -> None:
     model = _load_model(args)
     red, _, red_info = _reduced(model)
+    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
+               **red_info)
     spec = _spectral(red, args)
+    doc.update(lambda0=_jsonable(spec.lambda0),
+               settings={"method": spec.method, "points": args.points,
+                         **_env_settings()})
     dens = qsd_density(spec, scale_speed(red))
     xs = np.linspace(dens.support[0], dens.support[1], args.points)
     ys = dens.density(xs)
-    doc = {"model": _model_report(model), "convention": CONVENTION_NOTE,
-           "lambda0": _jsonable(spec.lambda0),
-           "Z": dens.Z, "support": list(dens.support),
-           "tail_mass": dens.tail_mass,
-           "settings": {"method": spec.method, "points": args.points,
-                        **_env_settings()}}
-    doc.update(red_info)
+    doc.update(Z=dens.Z, support=list(dens.support), tail_mass=dens.tail_mass)
     if args.csv:
         _write_csv(args.csv, ["x", "density"], zip(xs, ys))
         doc["csv"] = args.csv
     else:
         doc["x"] = _jsonable(xs)
         doc["density"] = _jsonable(ys)
-    return doc
 
 
 def _sim_config(args) -> SimConfig:
@@ -204,22 +200,27 @@ def _sim_config(args) -> SimConfig:
                      resample=getattr(args, "resample", False))
 
 
-def _cmd_simulate(args) -> dict:
+def _start(args, red: DiffusionModel, tr) -> float:
+    """The start position in the reduced coordinate: `--x0` (given in the
+    original coordinate) mapped through the reduction, else `red.x_ref`."""
+    if args.x0 is None:
+        return float(red.x_ref)
+    if tr is not None:
+        return float(tr.forward(np.asarray(args.x0)))
+    return float(args.x0)
+
+
+def _cmd_simulate(args, doc: dict) -> None:
     model = _load_model(args)
     red, tr, red_info = _reduced(model)
-    if args.x0 is None:
-        x0 = float(red.x_ref)
-    elif tr is not None:
-        x0 = float(tr.forward(np.asarray(args.x0)))
-    else:
-        x0 = float(args.x0)
+    x0 = _start(args, red, tr)
     cfg = _sim_config(args)
+    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
+               settings={"x0": x0, **cfg.to_json(), **_env_settings()},
+               **red_info)
     record = [float(t) for t in args.record] if args.record else [cfg.t_max]
     res = run_ensemble(red, x0, cfg, record_times=record)
-    doc = {"model": _model_report(model), "convention": CONVENTION_NOTE,
-           "result": _jsonable(res.to_json()),
-           "settings": {"x0": x0, **cfg.to_json(), **_env_settings()}}
-    doc.update(red_info)
+    doc["result"] = _jsonable(res.to_json())
     if args.fit_survival:
         curve = survival_curve(res)
         doc["survival"] = _jsonable(curve.to_json())
@@ -235,20 +236,24 @@ def _cmd_simulate(args) -> dict:
         _write_csv(args.csv_hist, ["bin_lo", "bin_hi", "mass"],
                    zip(edges[:-1], edges[1:], masses))
         doc["csv_hist"] = args.csv_hist
-    return doc
 
 
-def _cmd_compare(args) -> dict:
-    """Cross-validate spectral predictions against killed-path sampling."""
+def _cmd_compare(args, doc: dict) -> None:
+    """Cross-validate spectral predictions against killed-path sampling.
+
+    Two ensembles share the seed: the dichotomy probe's resampled run, whose
+    t_max positions are the conditioned sample histogrammed against the
+    spectral QSD for `tv_distance`, and a plain run for the survival fit."""
     model = _load_model(args)
-    red, _, red_info = _reduced(model)
+    red, tr, red_info = _reduced(model)
+    x0 = _start(args, red, tr)
     l, rr = red.domain
     killed_line = red.killing is not None and math.isinf(l) and math.isinf(rr)
-    doc = {"model": _model_report(model), "convention": CONVENTION_NOTE,
-           "classification": _jsonable(classify(red).to_json()),
-           "settings": {"dt": args.dt, "n": args.n, "t_max": args.t_max,
-                        "seed": args.seed, **_env_settings()}}
-    doc.update(red_info)
+    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
+               settings={"x0": x0, "dt": args.dt, "n": args.n,
+                         "t_max": args.t_max, "seed": args.seed,
+                         **_env_settings()}, **red_info)
+    doc["classification"] = _jsonable(classify(red).to_json())
 
     degraded = False
     if not killed_line:
@@ -260,7 +265,6 @@ def _cmd_compare(args) -> dict:
             doc["positivity"] = {"error": str(exc)}
             degraded = True
 
-    x0 = args.x0 if args.x0 is not None else float(red.x_ref)
     cfg = _sim_config(args)
     probe = dichotomy_probe(red, x0, cfg)
     doc["dichotomy"] = _jsonable(probe.to_json())
@@ -268,15 +272,13 @@ def _cmd_compare(args) -> dict:
     if degraded or probe.verdict == "Escapes":
         doc["mode"] = "dichotomy-only"
         doc["tv_distance"] = None
-        return doc
+        return
 
     spec = _spectral(red, args)
     doc["spectrum"] = _jsonable(spec.to_json())
     doc["gap"] = _jsonable(spec.gap)
 
-    plain = SimConfig(dt=cfg.dt, n=cfg.n, t_max=cfg.t_max, seed=cfg.seed,
-                      bridge=cfg.bridge, resample=False)
-    res = run_ensemble(red, x0, plain)
+    res = run_ensemble(red, x0, cfg)          # plain: compare has no --resample
     try:
         curve = survival_curve(res)
         doc["survival"] = _jsonable(curve.to_json())
@@ -286,17 +288,13 @@ def _cmd_compare(args) -> dict:
         doc["survival"] = {"error": str(exc)}
 
     dens = qsd_density(spec, scale_speed(red))
-    cond = SimConfig(dt=cfg.dt, n=cfg.n, t_max=cfg.t_max, seed=cfg.seed + 1,
-                     bridge=cfg.bridge, resample=True)
-    res2 = run_ensemble(red, x0, cond)
-    lo = max(dens.support[0], float(np.quantile(res2.final_positions, 1e-4)))
-    hi = min(dens.support[1], float(np.quantile(res2.final_positions, 1 - 1e-4)))
+    sample = probe.final_positions
+    lo = max(dens.support[0], float(np.quantile(sample, 1e-4)))
+    hi = min(dens.support[1], float(np.quantile(sample, 1 - 1e-4)))
     edges = np.linspace(lo, hi, args.bins + 1)
-    tv = tv_distance(histogram_masses(res2.final_positions, edges),
-                     dens.bin_masses(edges))
-    doc["tv_distance"] = tv
+    doc["tv_distance"] = tv_distance(histogram_masses(sample, edges),
+                                     dens.bin_masses(edges))
     doc["mode"] = "full"
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +385,13 @@ _HANDLERS = {"zoo": _cmd_zoo, "classify": _cmd_classify,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # argparse already exits with code 2 on usage errors
-    handler = _HANDLERS[args.command]
+    doc: dict = {}
     try:
-        doc = handler(args)
+        _HANDLERS[args.command](args, doc)
     except QsdlabError as exc:
         diag = {"command": args.command, "error": type(exc).__name__,
-                "message": str(exc), "settings": _env_settings()}
+                "message": str(exc), "settings": _env_settings(),
+                "partial": doc}
         try:
             with open(args.diagnostic, "w", newline="\n") as fh:
                 json.dump(diag, fh, indent=2, sort_keys=True)

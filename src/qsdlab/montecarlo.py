@@ -349,6 +349,7 @@ class DichotomyVerdict:
     in_window: np.ndarray        # fraction of the ensemble inside the window
     tv_steps: np.ndarray         # TV between consecutive rung histograms
     window: tuple
+    final_positions: np.ndarray  # the conditioned ensemble at t_max
 
     def to_json(self):
         return {"verdict": self.verdict,
@@ -368,7 +369,9 @@ def dichotomy_probe(model: DiffusionModel, x0, config: SimConfig,
     One resampled run records the conditioned ensemble at t_max / 2^j; the
     histograms over a window fitted to the first rung either stabilize in
     total variation ("Converges"), or the in-window mass decays monotonically
-    to nearly zero ("Escapes"); anything else is "Undecided"."""
+    to nearly zero ("Escapes"); anything else is "Undecided".  The verdict
+    also keeps that run's final positions, a sample of the conditioned law
+    at t_max, outside its JSON form."""
     cfg = SimConfig(dt=config.dt, n=config.n, t_max=config.t_max,
                     seed=config.seed, bridge=config.bridge, resample=True,
                     blow_up=config.blow_up)
@@ -400,4 +403,5 @@ def dichotomy_probe(model: DiffusionModel, x0, config: SimConfig,
         verdict = "Undecided"
     return DichotomyVerdict(verdict=verdict, times=res.times,
                             in_window=in_window, tv_steps=tvs,
-                            window=(float(edges[0]), float(edges[-1])))
+                            window=(float(edges[0]), float(edges[-1])),
+                            final_positions=res.final_positions)

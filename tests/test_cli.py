@@ -12,8 +12,13 @@ import pytest
 import scipy
 
 import qsdlab
+import qsdlab.cli
+import qsdlab.montecarlo
 from qsdlab.cli import main
-from qsdlab.model import CONVENTION_NOTE, reduce_unit_diffusion
+from qsdlab.model import CONVENTION_NOTE, reduce_unit_diffusion, scale_speed
+from qsdlab.montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
+                               tv_distance)
+from qsdlab.spectral import eigen_schrodinger, qsd_density
 from qsdlab.zoo import zoo_build
 
 LOGISTIC = ["--param", "mu=1", "--param", "c=1", "--param", "sigma=1"]
@@ -227,6 +232,54 @@ def test_compare_full_mode_on_killed_logistic(capsys):
     assert 0.0 < doc["tv_distance"] < 0.1
 
 
+def test_compare_takes_the_tv_sample_from_the_probe(monkeypatch, capsys):
+    modes = []
+
+    def counting(run):
+        def wrapped(model, x0, config, *args, **kwargs):
+            modes.append(config.resample)
+            return run(model, x0, config, *args, **kwargs)
+        return wrapped
+    for mod in (qsdlab.montecarlo, qsdlab.cli):
+        monkeypatch.setattr(mod, "run_ensemble", counting(mod.run_ensemble))
+    rc, doc = run_cli(capsys, ["compare", "--zoo", "logistic_X_killed",
+                               *LOGISTIC, "--n", "3000", "--dt", "0.01",
+                               "--t-max", "4", "--seed", "5", "--bins", "30"])
+    assert rc == 0
+    assert doc["mode"] == "full"
+    assert sorted(modes) == [False, True]     # the probe and the plain run
+
+    m = zoo_build("logistic_X_killed", {"mu": 1, "c": 1, "sigma": 1})
+    pos = dichotomy_probe(m, 0.0, SimConfig(dt=0.01, n=3000, t_max=4.0,
+                                            seed=5)).final_positions
+    dens = qsd_density(eigen_schrodinger(m, K=2, grid_size=6000),
+                       scale_speed(m))
+    lo = max(dens.support[0], float(np.quantile(pos, 1e-4)))
+    hi = min(dens.support[1], float(np.quantile(pos, 1 - 1e-4)))
+    edges = np.linspace(lo, hi, 31)
+    assert doc["tv_distance"] == tv_distance(histogram_masses(pos, edges),
+                                             dens.bin_masses(edges))
+
+
+def test_compare_maps_x0_into_the_reduced_coordinate(monkeypatch, capsys):
+    starts = []
+
+    def spy(model, x0, config, **kwargs):
+        starts.append(x0)
+        return dichotomy_probe(model, x0, config, **kwargs)
+    monkeypatch.setattr(qsdlab.cli, "dichotomy_probe", spy)
+    rc, doc = run_cli(capsys, ["compare", "--zoo", "population_N",
+                               "--param", "mu=1", "--param", "c=1",
+                               "--param", "sigma=1", "--param", "gamma=1",
+                               "--x0", "2", "--n", "300", "--dt", "0.01",
+                               "--t-max", "1", "--seed", "3"])
+    assert rc == 0
+    m = zoo_build("population_N", {"mu": 1, "c": 1, "sigma": 1, "gamma": 1})
+    _, tr = reduce_unit_diffusion(m)
+    assert starts == [pytest.approx(float(tr.forward(2.0)), rel=1e-12)]
+    assert doc["settings"]["x0"] == starts[0]
+
+
 # ------------------------------------------------------------- failure modes
 
 def test_numerical_failure_exits_3_with_diagnostic(tmp_path, capsys):
@@ -242,6 +295,23 @@ def test_numerical_failure_exits_3_with_diagnostic(tmp_path, capsys):
     assert saved["error"] == "QsdlabError"
     assert "whole line" in saved["message"]
     assert "settings" in saved
+    assert saved["partial"]["model"]["name"] == "bessel"
+    assert "spectrum" not in saved["partial"]
+
+
+def test_compare_failure_keeps_the_partial_report(tmp_path, capsys):
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "compare", "--zoo", "logistic_N",
+               *LOGISTIC, "--n", "500", "--dt", "0.01", "--t-max", "2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    saved = json.loads(diag.read_text())
+    assert "tail mass" in saved["message"]
+    partial = saved["partial"]
+    assert partial["dichotomy"]["verdict"] in {"Converges", "Undecided"}
+    assert {"classification", "spectrum", "settings"} <= set(partial)
+    assert "tv_distance" not in partial       # qsd_density was the failing stage
 
 
 def test_non_finite_x0_exits_3(tmp_path, capsys):

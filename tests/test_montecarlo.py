@@ -274,3 +274,9 @@ def test_dichotomy_convergence_for_killed_logistic():
     doc = v.to_json()
     assert doc["verdict"] == "Converges"
     assert len(doc["tv_steps"]) == len(doc["times"]) - 1
+    # the probe keeps its t_max ensemble, outside the report: it is the
+    # conditioned sample a resampling run with the same config gives
+    assert set(doc) == {"verdict", "times", "in_window", "tv_steps", "window"}
+    alone = run_ensemble(m, 0.0, SimConfig(dt=5e-3, n=6000, t_max=8.0,
+                                           seed=11, resample=True))
+    assert np.array_equal(v.final_positions, alone.final_positions)
