@@ -515,6 +515,11 @@ MAGNUS_CELL_BOUND = 0.02
 # divided by its largest entry once that entry passes SL_RESCALE_AT.
 SL_CHUNKS = 32
 SL_RESCALE_AT = 1e100
+# Cells, identity padding included, composed in one scan.  A shot of a few
+# thousand cells is one scan; beyond this, runs of chunks are scanned in
+# turn, so memory stays bounded and an overflow still stops the shot before
+# the cells of later chunks are built.
+SL_SCAN_CELLS = 1 << 16
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
@@ -585,6 +590,38 @@ def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
     return maps
 
 
+def _chunk_maps(scale_speed, kappa, lam: float, segs: np.ndarray,
+                n_cells: np.ndarray) -> np.ndarray:
+    """Transfer maps from the start of each chunk (row of `segs`) to its
+    sample points, shape (rows, samples - 1, 2, 2).
+
+    All cells are evaluated in one array call and composed by one
+    Hillis-Steele scan over a stack with one row per chunk, padded with
+    identity maps after the chunk's real cells; the padding comes after every
+    real cell, so each real prefix is formed from the same products in the
+    same order as a scan of its chunk alone."""
+    # interval k of the flattened rows owns n_cells.flat[k] equal cells
+    # starting at segs[:, :-1].flat[k]
+    counts = n_cells.ravel()
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    h = (np.diff(segs, axis=1).ravel() / counts)[owner]
+    left = (segs[:, :-1].ravel()[owner]
+            + (np.arange(ends[-1]) - (ends - counts)[owner]) * h)
+    chunk_ends = np.cumsum(n_cells, axis=1)
+    real = np.arange(chunk_ends[:, -1].max()) < chunk_ends[:, -1:]
+    prefix = np.zeros(real.shape + (2, 2))
+    prefix[..., 0, 0] = prefix[..., 1, 1] = 1.0
+    prefix[real] = _magnus_cells(scale_speed, kappa, lam, left, h)
+    # prefix[i, j] maps the start of chunk i to the right end of its cell j
+    shift = 1
+    while shift < prefix.shape[1]:
+        prefix = np.concatenate(
+            (prefix[:, :shift], prefix[:, shift:] @ prefix[:, :-shift]), axis=1)
+        shift *= 2
+    return prefix[np.arange(len(segs))[:, None], chunk_ends - 1]
+
+
 def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
                         x_to: float, init: Sequence[float],
                         n_samples: int = 400) -> OdeTrajectory:
@@ -598,8 +635,11 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
     or below MAGNUS_CELL_BOUND per cell.  Each cell is advanced by the
     two-point Gauss 4th-order Magnus map.  The system matrix is traceless, so
     every cell map is a closed-form exponential of determinant 1, and the
-    Wronskian of two solutions is conserved to rounding.  The cells of a
-    chunk are evaluated in one array call each and composed by a prefix scan.
+    Wronskian of two solutions is conserved to rounding.  The cells are
+    evaluated in one array call and composed by one segmented prefix scan
+    (`_chunk_maps`) per run of chunks whose padded stack fits SL_SCAN_CELLS,
+    which is the whole shot unless the cells run into the hundred
+    thousands; only the chunk-start states are carried from chunk to chunk.
 
     The state is renormalized by a positive factor between chunks whenever
     it grows past SL_RESCALE_AT, so eigenvalue miss functions keep valid signs
@@ -610,52 +650,52 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
     forward = x_to > x_from
     edges = np.linspace(x_from, x_to, SL_CHUNKS + 1)
     per_chunk = max(2, n_samples // SL_CHUNKS + 1)
-    segs = np.stack([np.linspace(edges[i], edges[i + 1], per_chunk)
-                     for i in range(SL_CHUNKS)])
+    segs = np.linspace(edges[:-1], edges[1:], per_chunk, axis=1)
     n_cells = _cell_counts(scale_speed, kappa, lam, segs)
+    chunk_cells = n_cells.sum(axis=1).tolist()
+    vals = np.empty((SL_CHUNKS, per_chunk, 2))
+    logs = np.empty(SL_CHUNKS)
     state = np.array(init, dtype=float)
     log_scale = 0.0
-    grids, vals, logs = [], [], []
-
-    for i in range(SL_CHUNKS):
-        seg, counts = segs[i], n_cells[i]
-        ends = np.cumsum(counts)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        h = (np.diff(seg) / counts)[owner]
-        left = seg[owner] + (np.arange(ends[-1]) - (ends - counts)[owner]) * h
-        chunk_vals = np.empty((per_chunk, 2))
-        chunk_vals[0] = state
+    start = 0
+    while start < SL_CHUNKS:
+        # the longest run of chunks (one at least) whose padded stack fits
+        # SL_SCAN_CELLS
+        stop, widest = start + 1, chunk_cells[start]
+        while stop < SL_CHUNKS:
+            widest = max(widest, chunk_cells[stop])
+            if (stop + 1 - start) * widest > SL_SCAN_CELLS:
+                break
+            stop += 1
         # overflow surfaces as a non-finite state and is raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            # Hillis-Steele scan: prefix[j] maps the chunk start to the
-            # right end of cell j
-            prefix = _magnus_cells(scale_speed, kappa, lam, left, h)
-            shift = 1
-            while shift < len(prefix):
-                prefix = np.concatenate(
-                    (prefix[:shift], prefix[shift:] @ prefix[:-shift]))
-                shift *= 2
-            chunk_vals[1:] = prefix[ends - 1] @ state
-        finite = np.all(np.isfinite(chunk_vals), axis=1)
+            maps = _chunk_maps(scale_speed, kappa, lam, segs[start:stop],
+                               n_cells[start:stop])
+            # the chunk-start states are sequential: each is the previous
+            # chunk's end, divided by its largest entry past SL_RESCALE_AT
+            for i in range(start, stop):
+                vals[i, 0] = state
+                vals[i, 1:] = maps[i - start] @ state
+                logs[i] = log_scale
+                state = vals[i, -1].copy()
+                peak = float(np.max(np.abs(state)))
+                if peak > SL_RESCALE_AT:
+                    state /= peak
+                    log_scale += math.log(peak)
+        finite = np.all(np.isfinite(vals[start:stop]), axis=2)
         if not np.all(finite):
-            last = int(np.argmin(finite)) - 1
+            i, last = divmod(int(np.argmin(finite)), per_chunk)
+            i, last = start + i, last - 1
             raise StepUnderflowError(
-                f"integration failed near x = {seg[last]:.6g}: state "
-                f"overflowed", last_point=float(seg[last]),
-                last_state=tuple(chunk_vals[last]))
-        keep = slice(None) if i == 0 else slice(1, None)
-        grids.append(seg[keep])
-        vals.append(chunk_vals[keep])
-        logs.append(np.full(len(seg[keep]), log_scale))
-        state = chunk_vals[-1].copy()
-        peak = float(np.max(np.abs(state)))
-        if peak > SL_RESCALE_AT:
-            state /= peak
-            log_scale += math.log(peak)
+                f"integration failed near x = {segs[i, last]:.6g}: state "
+                f"overflowed", last_point=float(segs[i, last]),
+                last_state=tuple(vals[i, last]))
+        start = stop
 
-    grid = np.concatenate(grids)
-    values = np.vstack(vals)
-    lscale = np.concatenate(logs)
+    # chunk i > 0 starts where chunk i - 1 ends: keep that sample once
+    grid = np.concatenate((segs[0, :1], segs[:, 1:].ravel()))
+    values = np.concatenate((vals[0, :1], vals[:, 1:].reshape(-1, 2)))
+    lscale = np.concatenate((logs[:1], np.repeat(logs, per_chunk - 1)))
     final = (float(state[0]), float(state[1]))
     if not forward:
         order = np.argsort(grid)

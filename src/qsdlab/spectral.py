@@ -157,7 +157,10 @@ def _tail_cumulative(grid: np.ndarray, fs: np.ndarray) -> np.ndarray:
 class _UBuilder:
     """Grids, speed-density samples and contraction bounds for the left-end
     construction, cached per halving level of the radius delta so repeated
-    shots at different lam reuse everything lam-independent."""
+    shots at different lam reuse everything lam-independent.  That includes
+    each level's Neumann basis v_k = K^k[1] of the lam-free operator K, so a
+    shot sums (2 lam)^k v_k with a few vector updates and runs no quadrature
+    sweep once the basis is long enough."""
 
     def __init__(self, model: DiffusionModel, ss: Optional[ScaleSpeed] = None,
                  n_core: int = 1200, eps0_rel: float = 1e-8,
@@ -213,10 +216,10 @@ class _UBuilder:
         if j not in self._levels:
             delta = self.delta0 * 0.5 ** j
             grid, rho, inv_rho = self._grid(delta, self.eps0_rel)
-            jj = _tail_cumulative(grid, rho)
-            g = float(cumulative_parabolic(grid, inv_rho * jj)[-1])
-            self._levels[j] = {"delta": delta, "grid": grid, "rho": rho,
-                               "inv_rho": inv_rho, "G": g}
+            lv = {"delta": delta, "grid": grid, "rho": rho, "inv_rho": inv_rho,
+                  "basis": [(np.ones_like(grid), _tail_cumulative(grid, rho))]}
+            lv["G"] = float(self._basis(lv, 1)[0][-1])
+            self._levels[j] = lv
         return self._levels[j]
 
     def build(self, lam: float, x_to: Optional[float] = None,
@@ -229,7 +232,7 @@ class _UBuilder:
             if eps <= 0.45:
                 # also require the iterates to stay away from zero; the
                 # geometric bound gives u >= 1 - eps/(1-eps)
-                u = self._iterate(lv, lam)
+                u, w, residual = self._iterate(lv, lam)
                 if np.min(u) > 0.05:
                     break
             j += 1
@@ -238,11 +241,7 @@ class _UBuilder:
                     f"contraction radius collapsed below {self.delta0 * 0.5 ** 60:.3g} "
                     f"at lam = {lam}; left endpoint unsuitable for the construction")
         self._last_level = lv
-        grid, rho, inv_rho = lv["grid"], lv["rho"], lv["inv_rho"]
-        delta = lv["delta"]
-        # rho u' = 2 lam * int_x^delta u rho  -- exact for the fixed point
-        w = 2.0 * lam * _tail_cumulative(grid, u * rho)
-        residual = self._last_increment
+        grid, delta = lv["grid"], lv["delta"]
         if x_to is not None and x_to > delta:
             traj = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
                                        init=(float(u[-1]), 0.0),
@@ -257,24 +256,40 @@ class _UBuilder:
                          samples=traj, core_grid=grid, core_u=u, core_w=w,
                          eps0=float(grid[0] - self.left), residual=residual)
 
-    def _iterate(self, lv: dict, lam: float) -> np.ndarray:
-        grid, rho, inv_rho = lv["grid"], lv["rho"], lv["inv_rho"]
-        u = np.ones_like(grid)
-        inc = 0.0
-        for _ in range(400):
-            jint = _tail_cumulative(grid, u * rho)
-            k = cumulative_parabolic(grid, inv_rho * jint)
-            u_new = 1.0 + 2.0 * lam * k
-            inc = float(np.max(np.abs(u_new - u)))
-            u = u_new
-            if inc < 1e-12 * max(1.0, float(np.max(np.abs(u)))):
+    @staticmethod
+    def _basis(lv: dict, k: int) -> tuple:
+        """(v_k, T_k) of the level's Neumann basis, extended on demand:
+        v_0 = 1, T_k = int_x^delta v_k rho, v_{k+1} = int_l^x T_k / rho."""
+        basis = lv["basis"]
+        while len(basis) <= k:
+            v = cumulative_parabolic(lv["grid"], lv["inv_rho"] * basis[-1][1])
+            basis.append((v, _tail_cumulative(lv["grid"], v * lv["rho"])))
+        return basis[k]
+
+    def _iterate(self, lv: dict, lam: float) -> tuple:
+        """The fixed point u = 1 + 2 lam K[u] as the Neumann sum
+        u = sum_k (2 lam)^k v_k, summed until a term falls below 1e-12 of
+        max(1, max|u|).  Returns u, rho u' = 2 lam int_x^delta u rho (the
+        same sum over the tails T_k) and the size of the last term."""
+        u = np.ones_like(lv["grid"])
+        w = 2.0 * lam * lv["basis"][0][1]
+        coef = 1.0
+        for k in range(1, 401):
+            coef *= 2.0 * lam
+            v, tail = self._basis(lv, k)
+            # a diverging sum is stopped at its first non-finite term
+            with np.errstate(over="ignore", invalid="ignore"):
+                u += coef * v
+                w += (2.0 * lam * coef) * tail
+            inc = abs(coef) * float(np.max(np.abs(v)))
+            scale = float(np.max(np.abs(u)))
+            if not math.isfinite(inc + scale):
                 break
-        else:
-            raise QsdlabError(
-                f"fixed-point iteration stalled at increment {inc:.3g} "
-                f"(lam = {lam}, delta = {lv['delta']:.4g})")
-        self._last_increment = inc
-        return u
+            if inc < 1e-12 * max(1.0, scale):
+                return u, w, inc
+        raise QsdlabError(
+            f"fixed-point iteration stalled at increment {inc:.3g} "
+            f"(lam = {lam}, delta = {lv['delta']:.4g})")
 
     def phi(self, lam: float, x_to: Optional[float] = None,
             n_samples: int = 600) -> PhiSolution:
@@ -379,7 +394,9 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     rho phi'(T) disagrees with the count parity -- and polished by brentq on
     the miss; the reported eigenvalues are Richardson-extrapolated in 1/T^2
     across the truncation ladder.  Eigenfunctions are the sealed solutions at
-    the widest truncation, L2(rho)-normalized.
+    the widest truncation, L2(rho)-normalized.  `evidence` holds the roots
+    and the number of distinct lam shot at each truncation; the eigenfunctions
+    take K more shots.
     """
     if K < 1:
         raise QsdlabError("K must be >= 1")
@@ -393,7 +410,7 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     if not all(b > a for a, b in zip(truncations, truncations[1:])):
         raise QsdlabError(f"truncation ladder not increasing: {truncations}")
 
-    roots_by_t = {}
+    roots_by_t, shots_by_t = {}, {}
     for t_cut in truncations:
         cache: dict = {}
 
@@ -442,6 +459,7 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
                               tol=1e-11 * (1.0 + hi))
             roots.append(root)
         roots_by_t[t_cut] = roots
+        shots_by_t[t_cut] = len(cache)
 
     # Richardson in 1/T^2 across the ladder
     ts = np.array(truncations)
@@ -466,6 +484,9 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
                           method="shoot",
                           evidence={"roots_by_truncation":
                                     {f"{t:.6g}": list(map(float, roots_by_t[t]))
+                                     for t in truncations},
+                                    "shots_by_truncation":
+                                    {f"{t:.6g}": shots_by_t[t]
                                      for t in truncations}})
 
 

@@ -241,6 +241,56 @@ def test_sl_rescaling_keeps_true_values():
                             n_samples=64)
 
 
+def test_sl_continuation_values_frozen():
+    # exact sums recorded from the chunk-by-chunk continuation; the one-pass
+    # scan forms every product in the same order, so they match bit for bit
+    pb = zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0})
+    be = zoo_build("bessel", {"nu": -1.5})
+    killed = _driftless(0.75)
+    cases = [
+        # perturbed_bessel from its left-end radius to the widest truncation
+        (pb, 3.0, 0.75, 7.547, 600,
+         (-5.381485591799657e+23, 0.0,
+          (-8.557128611398706e+22, -0.011107413297480237), 0.0)),
+        (be, 50.0, 1.0, 6.0, 600,
+         (-109.2001623906918, 0.0,
+          (5.816033655648646, 0.4372914235142308), 0.0)),
+        # lam = -50 grows like e^{10x}: the positive rescaling fires
+        (be, -50.0, 1.0, 30.0, 600,
+         (6.710090073245666e+103, 25717.931368515998,
+          (5.0342270994424445e+23, 5.612293310356567e+21), 238.1289941529259)),
+        (killed, 3.0, 1.0, 6.0, 900,
+         (-324.0291174415249, 0.0,
+          (-0.3792379350927157, 1.9628559928429286), 0.0)),
+        # 3494 cells per chunk: more than one scan run per shot
+        (be, 1e5, 1.0, 6.0, 64,
+         (65.92628681231255, 0.0, (4.408008162984785, 50.58735431587429), 0.0)),
+    ]
+    for m, lam, a, b, n, (vals, logs, final, final_log) in cases:
+        traj = integrate_sl_system(m, scale_speed(m), lam, a, b, (1.0, 0.0),
+                                   n_samples=n)
+        assert math.fsum(traj.values.ravel()) == vals, (m.name, lam)
+        assert math.fsum(traj.log_scale) == logs, (m.name, lam)
+        assert traj.final == final, (m.name, lam)
+        assert traj.final_log_scale == final_log, (m.name, lam)
+    m = _driftless()
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_sl_system(m, scale_speed(m), -2e7, 1.0, 6.0, (1.0, 0.0),
+                            n_samples=64)
+    assert err.value.last_point == 1.078125
+    # killing 1e7 (x/4)^40 overflows in chunk 19 of 32, before the cells of
+    # the later chunks (1e8 in the last one) are ever built
+    m = DiffusionModel(drift=ScalarField.constant(0.0),
+                       killing=ScalarField.from_expression("1e7 * (x / 4)^40"),
+                       domain=(0.0, math.inf), x_ref=1.0, name="steep")
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_sl_system(m, scale_speed(m), 0.0, 1.0, 6.0, (1.0, 0.0),
+                            n_samples=64)
+    assert err.value.last_point == 4.046875
+    assert err.value.last_state == (1.1443278750041225e+155,
+                                    6.457602010913294e+158)
+
+
 def test_sl_grid_monotone_guard():
     m = _driftless()
     ss = scale_speed(m)

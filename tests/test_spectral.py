@@ -22,10 +22,12 @@ from qsdlab.model import (
     reduce_unit_diffusion,
     scale_speed,
 )
-from qsdlab.numerics import QsdlabError
+from qsdlab import spectral
+from qsdlab.numerics import QsdlabError, cumulative_parabolic
 from qsdlab.spectral import (
     PhiSolution,
     SpectralResult,
+    _UBuilder,
     build_phi,
     build_u,
     doob_h_transform,
@@ -114,6 +116,75 @@ def test_wronskian_constant_along_continuation():
     assert np.max(np.abs(W - 1.0)) < 1e-7
 
 
+# ------------------------------------------------------------ left-end fixed point
+
+PB15 = ("perturbed_bessel", {"nu": -1.5, "c1": 1.0})
+
+
+def _picard(lv, lam):
+    """Reference: iterate u <- 1 + 2 lam K[u] from u = 1 until the increment
+    falls below 1e-12 max(1, max|u|); returns u, the increment and passes."""
+    grid, rho, inv_rho = lv["grid"], lv["rho"], lv["inv_rho"]
+    u = np.ones_like(grid)
+    for passes in range(1, 401):
+        tail = cumulative_parabolic(-grid[::-1], (u * rho)[::-1])[::-1]
+        u_new = 1.0 + 2.0 * lam * cumulative_parabolic(grid, inv_rho * tail)
+        inc = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        if inc < 1e-12 * max(1.0, float(np.max(np.abs(u)))):
+            return u, inc, passes
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("name,params", [PB15, ("bessel", {"nu": -1.5})])
+def test_neumann_sum_matches_picard_iteration(name, params):
+    m = zoo_build(name, params)
+    for level in (0, 1):
+        for lam in (0.5, 3.0, 5.0):
+            ub = _UBuilder(m)          # fresh basis: its length counts terms
+            lv = ub._level(level)
+            u, w, residual = ub._iterate(lv, lam)
+            u_ref, inc_ref, passes = _picard(lv, lam)
+            scale = float(np.max(np.abs(u_ref)))
+            assert np.max(np.abs(u - u_ref)) <= 1e-13 * scale, (level, lam)
+            assert len(lv["basis"]) - 1 == passes, (level, lam)
+            assert abs(residual - inc_ref) <= 1e-14 * scale, (level, lam)
+            # rho u' = 2 lam int_x^delta u rho of the reference fixed point
+            grid = lv["grid"]
+            w_ref = 2.0 * lam * cumulative_parabolic(
+                -grid[::-1], (u_ref * lv["rho"])[::-1])[::-1]
+            assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+
+
+def test_neumann_basis_is_reused_across_lam(monkeypatch):
+    ub = _UBuilder(zoo_build(*PB15))
+    lv = ub._level(0)
+    calls = []
+    real = spectral.cumulative_parabolic
+    monkeypatch.setattr(spectral, "cumulative_parabolic",
+                        lambda x, y: calls.append(len(x)) or real(x, y))
+    ub._iterate(lv, 5.0)
+    # two sweeps per basis vector beyond v_1, which the level seeds
+    assert len(calls) == 2 * (len(lv["basis"]) - 2) > 0
+    calls.clear()
+    for lam in (3.0, 0.5, 4.9, 0.0):
+        ub._iterate(lv, lam)
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [20.0, 1e4])
+def test_fixed_point_stall_is_reported(lam):
+    # 2 lam G = 3.4 and 1700: the Neumann sum diverges and must stop at its
+    # first non-finite term without leaking overflow warnings
+    ub = _UBuilder(zoo_build(*PB15))
+    lv = ub._level(0)
+    assert 2.0 * lam * lv["G"] > 3.0
+    with pytest.raises(QsdlabError, match="fixed-point iteration stalled"):
+        ub._iterate(lv, lam)
+    assert len(lv["basis"]) < 400
+
+
 # ------------------------------------------------------------ shooting
 
 @pytest.fixture(scope="module")
@@ -164,6 +235,21 @@ def test_shoot_eigenfunctions_orthonormal(shoot_pb15):
             fj = shoot_pb15.eigenfunctions[j](base)
             G[i, j] = np.trapezoid(fi * fj * rho, base)
     assert np.max(np.abs(G - np.eye(3))) < 1e-4
+
+
+def test_shot_counter_matches_continuation_calls(monkeypatch):
+    lams = []
+    real = spectral.integrate_sl_system
+    monkeypatch.setattr(spectral, "integrate_sl_system",
+                        lambda *a, **kw: lams.append(a[2]) or real(*a, **kw))
+    res = eigen_shoot(zoo_build(*PB15), K=2)
+    shots = res.evidence["shots_by_truncation"]
+    assert list(shots) == list(res.evidence["roots_by_truncation"])
+    assert list(shots.values()) == [21, 21, 21]
+    # one continuation per distinct lam and truncation, plus one per
+    # eigenfunction at the widest truncation
+    assert len(lams) == sum(shots.values()) + 2
+    assert "evidence" not in res.to_json()
 
 
 def test_shoot_rejects_bad_ladder():
