@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 # power-series cutoff: below it a 91-term series reaches 16-digit accuracy,
 # above it the large-argument expansion with four corrections takes over
@@ -35,6 +34,7 @@ def log_iv(nu: float, z) -> np.ndarray | float:
     exact to rounding; for other indices the first omitted term leaves a
     relative error of order 2e-8 at the switchover, shrinking like z^-5.
     """
+    from scipy.special import gammaln   # loaded at first use, not at import
     if not nu > 0:
         raise ValueError(f"log_iv expects a positive index, got nu={nu}")
     scalar = np.isscalar(z)

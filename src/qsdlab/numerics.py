@@ -2,7 +2,9 @@
 
 Improper/singular quadrature with explicit divergence certification, cached
 antiderivatives, the first-order phase system (u, rho*u') for the
-Sturm-Liouville generator, and bracketed root finding.
+Sturm-Liouville generator, and bracketed root finding by an in-repo port of
+Brent's zeroin.  scipy's integrate submodule is loaded only when a
+quadrature first runs.
 
 The phase system is propagated by two-point Gauss 4th-order Magnus cell maps
 (Iserles & Norsett 1999).  Its matrix is traceless, so each cell map is a
@@ -34,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as _sint
-from scipy import optimize as _sopt
 
 DIVERGENCE_THRESHOLD = 1e12
 CLIP_VALUE = 1e300
@@ -142,9 +142,10 @@ class LevelAccumulator:
 def _panel_quad(f, lo, hi):
     """Adaptive quadrature on a closed panel, warnings silenced (panel-level
     roughness is handled by the level logic, not by scipy's heuristics)."""
+    from scipy.integrate import quad   # loaded at first use, not at import
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err, info = _sint.quad(f, lo, hi, full_output=True)[:3]
+        val, err, info = quad(f, lo, hi, full_output=True)[:3]
     return float(val), float(err), int(info["neval"])
 
 
@@ -705,16 +706,78 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
                          final_log_scale=log_scale)
 
 
+# the smallest relative tolerance scipy's brentq admits
+_BRENT_RTOL = 4 * np.finfo(float).eps
+
+
+def _eval_root_fn(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise QsdlabError(f"root finding: f is NaN at x = {x!r}")
+    return fx
+
+
+def _zeroin(f, xpre: float, xcur: float, fpre: float, fcur: float,
+            xtol: float, maxiter: int) -> float:
+    """Brent's zeroin, step for step as in scipy's brentq.c: keep a
+    sign-change bracket [xcur, xblk] with xcur the better end; take the
+    secant (interpolate) or inverse quadratic (extrapolate) step when it is
+    short enough, else bisect; never step less than the tolerance delta."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis        # bisect
+        else:
+            spre = scur = sbis            # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _eval_root_fn(f, xcur)
+    raise QsdlabError(f"root finding did not converge in {maxiter} "
+                      f"iterations; last x = {xcur!r}")
+
+
 def brent_root(f: Callable[[float], float], bracket: tuple, tol: float = 1e-12,
                maxiter: int = 200) -> float:
-    lo, hi = bracket
-    flo, fhi = f(lo), f(hi)
+    """Root of f in the bracket by Brent's zeroin (Brent 1973, ch. 4).
+
+    A port of scipy's `brentq.c` (same steps, `delta = (tol + rtol*|x|)/2`
+    with rtol = 4 eps, same `maxiter`) that starts from the endpoint values
+    computed here, so f is called once per point.  Raises BracketError when
+    f does not change sign on the bracket, and QsdlabError naming x when f
+    is NaN or the iteration does not converge within `maxiter`."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    flo, fhi = _eval_root_fn(f, lo), _eval_root_fn(f, hi)
     if flo == 0.0:
-        return float(lo)
+        return lo
     if fhi == 0.0:
-        return float(hi)
-    if flo * fhi > 0:
+        return hi
+    if (flo < 0.0) == (fhi < 0.0):
         raise BracketError(
             f"no sign change on [{lo:.8g}, {hi:.8g}]: f = ({flo:.3g}, {fhi:.3g})")
-    return float(_sopt.brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
-                              maxiter=maxiter))
+    return _zeroin(f, lo, hi, flo, fhi, tol, maxiter)

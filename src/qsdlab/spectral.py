@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import (DiffusionModel, ScalarField, ScaleSpeed, scale_speed,
                     schrodinger_potential)
@@ -391,12 +390,13 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     For each right truncation T the k-th eigenvalue of the sealed problem
     (rho phi' = 0 at T) is isolated by the augmented oscillation count --
     interior sign changes of phi plus one when the sign of the miss
-    rho phi'(T) disagrees with the count parity -- and polished by brentq on
-    the miss; the reported eigenvalues are Richardson-extrapolated in 1/T^2
-    across the truncation ladder.  Eigenfunctions are the sealed solutions at
-    the widest truncation, L2(rho)-normalized.  `evidence` holds the roots
-    and the number of distinct lam shot at each truncation; the eigenfunctions
-    take K more shots.
+    rho phi'(T) disagrees with the count parity -- and polished on the miss
+    by `brent_root`, the in-repo port of Brent's zeroin; the reported
+    eigenvalues are Richardson-extrapolated in 1/T^2 across the truncation
+    ladder.  Eigenfunctions are the sealed solutions at the widest
+    truncation, L2(rho)-normalized.  `evidence` holds the roots and the
+    number of distinct lam shot at each truncation; the eigenfunctions take
+    K more shots.
     """
     if K < 1:
         raise QsdlabError("K must be >= 1")
@@ -602,6 +602,7 @@ def _fd_once(model: DiffusionModel, ss: ScaleSpeed, lo: float, hi: float,
             "speed density dynamic range exceeds double precision on this "
             "window (neighboring element masses underflow); narrow the "
             "truncation")
+    from scipy.linalg import eigh_tridiagonal   # loaded at first use
     vals, vecs = eigh_tridiagonal(main, offsel, select="i",
                                   select_range=(0, K - 1))
     fs = vecs / np.sqrt(mm)[:, None]
@@ -735,6 +736,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
         vv = np.asarray(pot.V(inner), dtype=float)
         main = 1.0 / h ** 2 + vv
         off = np.full(len(inner) - 1, -0.5 / h ** 2)
+        from scipy.linalg import eigh_tridiagonal   # loaded at first use
         vals, vecs = eigh_tridiagonal(main, off, select="i",
                                       select_range=(0, K - 1))
         return vals, vecs / math.sqrt(h), inner

@@ -2,10 +2,14 @@
 
 No subprocesses -- argparse, the handlers and the report serialization are
 all importable -- so the assertions can freeze exit codes, whole documents
-and CSV bytes.
+and CSV bytes.  The one exception is the start-up test at the end: which
+scipy submodules a command loads can only be seen in a fresh interpreter.
 """
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import scipy
 import qsdlab
 import qsdlab.cli
 import qsdlab.montecarlo
+import qsdlab.spectral
 from qsdlab.cli import main
 from qsdlab.model import CONVENTION_NOTE, reduce_unit_diffusion, scale_speed
 from qsdlab.montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
@@ -299,6 +304,26 @@ def test_numerical_failure_exits_3_with_diagnostic(tmp_path, capsys):
     assert "spectrum" not in saved["partial"]
 
 
+def test_root_finding_failure_exits_3_with_diagnostic(tmp_path, capsys,
+                                                     monkeypatch):
+    # cap the polish of each eigenvalue at one zeroin step: the root finder's
+    # non-convergence must surface as a numerical failure, not a traceback
+    brent_root = qsdlab.spectral.brent_root
+    monkeypatch.setattr(qsdlab.spectral, "brent_root",
+                        lambda f, bracket, tol: brent_root(f, bracket, tol,
+                                                           maxiter=1))
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "spectrum", "--zoo",
+               "perturbed_bessel", "--param", "nu=-1.5", "--param", "c1=1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    saved = json.loads(diag.read_text())
+    assert saved["error"] == "QsdlabError"
+    assert "did not converge in 1 iterations; last x = " in saved["message"]
+    assert saved["partial"]["model"]["name"] == "perturbed_bessel"
+
+
 def test_compare_failure_keeps_the_partial_report(tmp_path, capsys):
     diag = tmp_path / "diag.json"
     rc = main(["--diagnostic", str(diag), "compare", "--zoo", "logistic_N",
@@ -362,3 +387,42 @@ def test_out_flag_writes_the_exact_stdout_document(tmp_path, capsys):
     doc = json.loads(raw)
     want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert raw.decode() == want               # sorted keys, stable layout
+
+
+# ------------------------------------------------------------- start-up
+
+_SCIPY_SUBMODULES = ("scipy.integrate", "scipy.optimize", "scipy.special",
+                     "scipy.linalg")
+
+_LOAD_PROBE = """
+import contextlib, io, json, sys
+names = %r
+loaded = lambda: [m for m in names if m in sys.modules]
+import qsdlab
+after = {"qsdlab": loaded()}
+import qsdlab.cli
+after["qsdlab.cli"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = qsdlab.cli.main(sys.argv[1:])
+after["spectrum"] = loaded()
+print(json.dumps({"rc": rc, "after": after}))
+"""
+
+
+def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
+    # structure, not timing: a fresh interpreter, so this process's own
+    # imports (scipy oracles in other tests) cannot leak into the answer
+    src = os.path.dirname(os.path.dirname(qsdlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["spectrum", "--zoo", "perturbed_bessel", "--param", "nu=-1.5",
+            "--param", "c1=1", "--k", "2", "--oracle"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE % (_SCIPY_SUBMODULES,), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["rc"] == 0
+    assert probe["after"]["qsdlab"] == []
+    assert probe["after"]["qsdlab.cli"] == []
+    # shooting polishes with the in-repo zeroin; only the FE oracle's
+    # tridiagonal eigensolver comes from scipy
+    assert probe["after"]["spectrum"] == ["scipy.linalg"]

@@ -12,6 +12,7 @@ from qsdlab.model import DiffusionModel, ScalarField, scale_speed
 from qsdlab.numerics import (
     BracketError,
     IndeterminateIntegralError,
+    QsdlabError,
     StepUnderflowError,
     TabulatedAntiderivative,
     brent_root,
@@ -150,6 +151,103 @@ def test_brent_root_cubic():
 def test_brent_root_requires_sign_change():
     with pytest.raises(BracketError):
         brent_root(lambda x: 1.0 + x * x, (-1.0, 1.0))
+
+
+def test_brent_root_nan_raises_naming_x():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 0.3 if x in (0.0, 1.0) else math.nan
+    with pytest.raises(QsdlabError, match="NaN") as info:
+        brent_root(f, (0.0, 1.0))
+    assert repr(seen[-1]) in str(info.value) and seen[-1] not in (0.0, 1.0)
+    with pytest.raises(QsdlabError, match=r"NaN at x = 1\.0"):
+        brent_root(lambda x: -1.0 if x == 0.0 else math.nan, (0.0, 1.0))
+
+
+def test_brent_root_maxiter_raises_naming_x():
+    with pytest.raises(QsdlabError, match="did not converge in 2 iterations; "
+                                          "last x = "):
+        brent_root(lambda x: x ** 3 - 2.0, (1.0, 2.0), maxiter=2)
+
+
+# five families of (f, bracket) with a sign change; math, not numpy, so a
+# call costs what scipy's own callback does
+def _poly(rng):
+    c = rng.standard_normal(4)
+    return (lambda x: ((c[3] * x + c[2]) * x + c[1]) * x + c[0]), (-3.0, 3.0)
+
+
+def _oscillatory(rng):
+    w, p, a = rng.uniform(1, 30), rng.uniform(0, 6.3), rng.uniform(0, .5)
+    return (lambda x: math.sin(w * x + p) + a * math.cos(3 * w * x)), (-2, 2)
+
+
+def _exponential(rng):
+    a = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 5.0)
+    c = rng.uniform(0.1, 10.0)
+    return (lambda x: math.exp(a * x) - c), (-6.0, 6.0)
+
+
+def _steep_tanh(rng):
+    s, r = 10.0 ** rng.uniform(0.0, 6.0), rng.uniform(-1.0, 1.0)
+    e = rng.uniform(-0.5, 0.5)
+    return (lambda x: math.tanh(s * (x - r)) + e), (-2.0, 2.0)
+
+
+def _kink(rng):
+    r = rng.uniform(-1.0, 1.0)
+    return (lambda x: x - r if x >= r else 1e-8 * (x - r)), (-2.0, 2.0)
+
+
+def _traced(solver, f, a, b, xtol, maxiter, failure):
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+    try:
+        return solver(g, a, b, xtol, maxiter), xs
+    except failure:
+        return "no convergence", xs
+
+
+def test_brent_root_is_scipy_brentq_bit_for_bit():
+    # scipy appears here only as the oracle: brent_root ports brentq.c, so
+    # every root and every point it evaluates must be brentq's.  brent_root
+    # used to call brentq after computing f at both ends itself; the
+    # sequence below is brentq's own, i.e. those two repeats removed.
+    from scipy.optimize import brentq
+    rtol = 4 * np.finfo(float).eps
+
+    def ours(g, a, b, xtol, maxiter):
+        return brent_root(g, (a, b), tol=xtol, maxiter=maxiter)
+
+    def oracle(g, a, b, xtol, maxiter):
+        return brentq(g, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+    rng = np.random.default_rng(20261018)
+    cases = failures = 0
+    for family in (_poly, _oscillatory, _exponential, _steep_tanh, _kink):
+        n_brackets = 0
+        while n_brackets < 900:
+            f, (lo, hi) = family(rng)
+            a, b = rng.uniform(lo, hi, size=2)
+            fa, fb = f(a), f(b)
+            if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
+                continue
+            n_brackets += 1
+            for xtol in 10.0 ** rng.uniform(-14.0, -4.0, size=5):
+                maxiter = 200 if rng.random() < 0.9 else int(rng.integers(1, 8))
+                got, got_xs = _traced(ours, f, a, b, xtol, maxiter, QsdlabError)
+                ref, ref_xs = _traced(oracle, f, a, b, xtol, maxiter,
+                                      RuntimeError)
+                assert got == ref and got_xs == ref_xs, \
+                    (family.__name__, a, b, xtol, maxiter)
+                cases += 1
+                failures += got == "no convergence"
+    assert cases == 22500 and failures > 100
 
 
 # ---------------------------------------------------------------- SL ODE
