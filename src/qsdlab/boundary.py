@@ -25,8 +25,8 @@ import numpy as np
 
 from .model import DiffusionModel, ScaleSpeed, scale_speed
 from .numerics import (DIVERGENCE_THRESHOLD, IndeterminateIntegralError,
-                       LevelAccumulator, QsdlabError, improper_integral,
-                       logsumexp_panels)
+                       LevelAccumulator, QsdlabError, _side_levels,
+                       improper_integral, logsumexp_panels)
 
 # saturation point for exponentials fed to the level accumulator: low enough
 # that saturated partial sums keep increasing strictly (so the threshold rule
@@ -146,25 +146,25 @@ def _inner_log_integral(logf, lo: float, hi: float) -> float:
     return float(peak + np.log(np.exp(piece - peak).sum()))
 
 
-def _outer_panels(c: float, endpoint: float):
-    """Yield outer panels marching from c toward the endpoint: geometric
-    halving onto a finite endpoint, doubling toward an infinite one."""
-    if math.isinf(endpoint):
-        step = max(1.0, abs(c))
-        prev = c
-        while True:
-            nxt = prev - step if endpoint < 0 else prev + step
-            yield (min(prev, nxt), max(prev, nxt))
-            prev = nxt
-            step *= 2.0
-    else:
-        k = 1
-        prev = c
-        while True:
-            nxt = endpoint + (c - endpoint) * 0.5 ** k
-            yield (min(prev, nxt), max(prev, nxt))
-            prev = nxt
-            k += 1
+def _level_verdict(name: str, panel, c: float, endpoint: float, tol: float,
+                   max_levels: int) -> IntegralVerdict:
+    """Feed panel(lo, hi) over the panels marching from c toward `endpoint`
+    to the shared Finite/Divergent level rules."""
+    acc = LevelAccumulator(tol)
+    for lvl, (lo, hi) in enumerate(_side_levels(c, endpoint), start=1):
+        if lvl > max_levels:
+            raise ClassificationError(
+                f"integral {name} toward {endpoint} undecided after "
+                f"{max_levels} levels (partial sum {acc.total:.4g})")
+        verdict = acc.add(panel(lo, hi))
+        if verdict == "divergent":
+            rule = ("threshold" if abs(acc.total) > DIVERGENCE_THRESHOLD
+                    else "trend")
+            return IntegralVerdict(name=name, verdict="divergent", value=None,
+                                   levels=lvl, rule=rule)
+        if verdict == "finite":
+            return IntegralVerdict(name=name, verdict="finite",
+                                   value=acc.total, levels=lvl)
 
 
 def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
@@ -177,16 +177,9 @@ def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
     """
     L = lambda x: np.asarray(ss.log_speed(x), dtype=float)
     sign = +1.0 if kind == "access" else -1.0
-    name = f"{'left' if endpoint < c else 'right'}_{kind}"
     gl_x, gl_w = np.polynomial.legendre.leggauss(24)
-    acc = LevelAccumulator(tol)
-    verdict = None
-    lvl = 0
-    for lo, hi in _outer_panels(c, endpoint):
-        if lvl >= max_levels:
-            raise ClassificationError(
-                f"classification integral {name} undecided after "
-                f"{max_levels} levels (partial sum {acc.total:.4g})")
+
+    def panel(lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         ts = mid + half * gl_x
         Lts = np.asarray(L(ts), dtype=float)
@@ -197,42 +190,22 @@ def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
             logf = (lambda s, Lt=Lt: sign * (L(s) - Lt))
             fs[i] = math.exp(min(_inner_log_integral(logf, inner_lo, inner_hi),
                                  _LOG_CLIP))
-        increment = float(half * np.dot(gl_w, fs))
-        verdict = acc.add(increment)
-        lvl += 1
-        if verdict is not None:
-            break
-    if verdict == "divergent":
-        rule = "threshold" if abs(acc.total) > DIVERGENCE_THRESHOLD else "trend"
-        return IntegralVerdict(name=name, verdict="divergent", value=None,
-                               levels=lvl, rule=rule)
-    return IntegralVerdict(name=name, verdict="finite", value=acc.total,
-                           levels=lvl)
+        return float(half * np.dot(gl_w, fs))
+
+    name = f"{'left' if endpoint < c else 'right'}_{kind}"
+    return _level_verdict(name, panel, c, endpoint, tol, max_levels)
 
 
-def _scale_tail_integral(ss: ScaleSpeed, c: float, endpoint: float,
+def _scale_tail_integral(logf, c: float, endpoint: float,
                          tol: float = 1e-9,
                          max_levels: int = 120) -> IntegralVerdict:
-    """Verdict for int_c^endpoint rho^{-1} (the certain-absorption test)."""
-    L = lambda x: -np.asarray(ss.log_speed(x), dtype=float)
-    acc = LevelAccumulator(tol)
-    verdict = None
-    lvl = 0
-    for lo, hi in _outer_panels(c, endpoint):
-        if lvl >= max_levels:
-            raise ClassificationError(
-                f"scale tail toward {endpoint} undecided after {max_levels} levels")
-        seg = _log_integral(L, lo, hi)
-        verdict = acc.add(math.exp(min(seg, _LOG_CLIP)))
-        lvl += 1
-        if verdict is not None:
-            break
-    if verdict == "divergent":
-        rule = "threshold" if abs(acc.total) > DIVERGENCE_THRESHOLD else "trend"
-        return IntegralVerdict(name="scale_tail", verdict="divergent",
-                               value=None, levels=lvl, rule=rule)
-    return IntegralVerdict(name="scale_tail", verdict="finite",
-                           value=acc.total, levels=lvl)
+    """Verdict for int_c^endpoint exp(logf), integrated in log space: with
+    logf = -log rho the certain-absorption test, with logf = log rho a tail
+    of the speed mass."""
+    return _level_verdict(
+        "scale_tail",
+        lambda lo, hi: math.exp(min(_log_integral(logf, lo, hi), _LOG_CLIP)),
+        c, endpoint, tol, max_levels)
 
 
 def _kind_from(access: IntegralVerdict, second: IntegralVerdict) -> str:
@@ -264,7 +237,8 @@ def classify(model: DiffusionModel, tol: float = 1e-9) -> ClassificationResult:
     absorption = None
     tail = None
     if left.kind in (REGULAR, EXIT):
-        tail = _scale_tail_integral(ss, c, r, tol)
+        tail = _scale_tail_integral(
+            lambda x: -np.asarray(ss.log_speed(x), dtype=float), c, r, tol)
         absorption = not tail.finite
     return ClassificationResult(left=left, right=right,
                                 absorption_certain=absorption,
@@ -307,20 +281,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
 
     # 1. speed tail must be integrable somewhere, else A = inf immediately
     probe = max(a + 1.0, model.x_ref + 1.0)
-    acc = LevelAccumulator(tol)
-    verdict = None
-    hi_edge = probe
-    tail_levels = []
-    for lo, hi in _outer_panels(probe, math.inf):
-        seg = math.exp(min(_log_integral(Lp, lo, hi), _LOG_CLIP))
-        tail_levels.append(seg)
-        verdict = acc.add(seg)
-        hi_edge = hi
-        if verdict is not None:
-            break
-        if len(tail_levels) > 120:
-            raise IndeterminateIntegralError("speed tail undecided")
-    if verdict == "divergent":
+    if not _scale_tail_integral(Lp, probe, math.inf, tol).finite:
         return PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
                                 lambda0_upper=0.0, positive=False,
                                 evidence={"reason": "speed tail divergent"})
@@ -367,7 +328,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
     # tail of the speed integral beyond the scan window
     log_tail_end = -math.inf
     acc2 = LevelAccumulator(tol)
-    for lvl2, (lo, hi) in enumerate(_outer_panels(xs[-1], math.inf)):
+    for lvl2, (lo, hi) in enumerate(_side_levels(xs[-1], math.inf)):
         seg = log_seg(Lp, lo, hi)
         log_tail_end = lse(log_tail_end, seg)
         v = acc2.add(math.exp(min(seg, _LOG_CLIP)))
@@ -487,7 +448,9 @@ def assumption1_check(model: DiffusionModel) -> dict:
         cprime = c1 + 2.0 * c2 * xs
         inf_c = float(np.min(cvals ** 2 - cprime))
         inf_cs = float(np.min((cvals / xs)[xs >= 1.0]))
-        tail = _scale_tail_integral(ss, model.x_ref, math.inf)
+        tail = _scale_tail_integral(
+            lambda x: -np.asarray(ss.log_speed(x), dtype=float),
+            model.x_ref, math.inf)
         certain = not tail.finite
         route_bessel = bool(nu <= -1.0 and math.isfinite(inf_c)
                             and math.isfinite(inf_cs) and certain)

@@ -27,9 +27,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .expressions import compile_expression
-from .numerics import (CachedAntiderivative, IndeterminateIntegralError,
-                       QsdlabError, TabulatedAntiderivative, brent_root,
-                       improper_integral)
+from .numerics import (IndeterminateIntegralError, QsdlabError,
+                       TabulatedAntiderivative, _richardson, improper_integral)
 
 CONVENTION_NOTE = (
     "drift convention: models store the SDE drift mu of dX = mu dt + dW; "
@@ -47,7 +46,7 @@ def _fd_derivative(f: Callable, x, h_rel: float = 1e-6):
     h = np.maximum(1e-6, h_rel * np.abs(x))
     d1 = (f(x + h) - f(x - h)) / (2 * h)
     d2 = (f(x + h / 2) - f(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return _richardson((d1, d2), (1.0, 4.0))[0]
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,11 @@ def reduce_unit_diffusion(model: DiffusionModel):
 
     Returns (reduced model, Transform); killing transports as kappa o F^{-1}.
     F is anchored at the left endpoint when 1/sigma is integrable there
-    (F(l) = 0), at x_ref otherwise.
+    (F(l) = 0), at x_ref otherwise.  Zoo models carry F, F^{-1} and the
+    reduced drift in closed form.  Otherwise F is tabulated on a knot table
+    of 1/sigma (`TabulatedAntiderivative`), and F^{-1} inverts a whole array
+    at once on that table: one bracket search per batch, then Newton steps
+    with F' = 1/sigma.
     """
     if model.unit_diffusion:
         ident = Transform(forward=lambda x: x, inverse=lambda rr: rr)
@@ -234,32 +237,30 @@ def reduce_unit_diffusion(model: DiffusionModel):
     def inv_sigma(x):
         return 1.0 / np.asarray(sig(x), dtype=float)
 
-    # decide the anchor of F
+    # decide the anchor of F; shift = F(x_ref) = int_l^x_ref 1/sigma if there
     anchored_left = False
-    left_mass = 0.0
+    shift = 0.0
     if not math.isinf(l):
         try:
             res = improper_integral(inv_sigma, l, model.x_ref, tol=1e-12,
                                     split=0.5 * (l + model.x_ref))
             if res.finite:
                 anchored_left = True
-                left_mass = res.value
+                shift = res.value
         except IndeterminateIntegralError:
-            anchored_left = False
+            pass
 
-    core = CachedAntiderivative(inv_sigma, model.x_ref)
-    shift = left_mass if anchored_left else 0.0
+    core = TabulatedAntiderivative(inv_sigma, model.x_ref, domain=model.domain)
 
     def F(x):
         return core(x) + shift
 
-    # reduced domain endpoints
-    if anchored_left:
-        dom_lo = 0.0
-    elif math.isinf(l):
-        dom_lo = -math.inf
-    else:
-        dom_lo = -math.inf   # divergent scale integral toward l
+    def Finv(rv):
+        return core.inverse(np.subtract(rv, shift))
+
+    # reduced domain endpoints: toward l, F reaches 0 when anchored there
+    # and diverges otherwise
+    dom_lo = 0.0 if anchored_left else -math.inf
     try:
         res_r = improper_integral(inv_sigma, model.x_ref, r, tol=1e-12,
                                   split=model.x_ref + (1.0 if math.isinf(r)
@@ -267,31 +268,6 @@ def reduce_unit_diffusion(model: DiffusionModel):
         dom_hi = shift + res_r.value if res_r.finite else math.inf
     except IndeterminateIntegralError:
         dom_hi = math.inf
-
-    def _finv_scalar(rr):
-        lo = hi = model.x_ref
-        step = max(1.0, abs(model.x_ref))
-        while F(hi) < rr:
-            hi = hi + step if math.isinf(r) else 0.5 * (hi + r)
-            step *= 2.0
-            if not math.isinf(r) and r - hi < 1e-13 * max(1.0, abs(r)):
-                break
-        step = max(1.0, abs(model.x_ref))
-        while F(lo) > rr:
-            if math.isinf(l):
-                lo -= step
-                step *= 2.0
-            else:
-                lo = 0.5 * (lo + l)
-                if lo - l < 1e-300:
-                    break
-        return brent_root(lambda x: F(x) - rr, (lo, hi), tol=1e-13)
-
-    def Finv(rv):
-        if np.isscalar(rv):
-            return _finv_scalar(float(rv))
-        return np.array([_finv_scalar(float(v)) for v in np.asarray(rv).ravel()
-                         ]).reshape(np.shape(rv))
 
     def mu_R(rv):
         x = Finv(rv)

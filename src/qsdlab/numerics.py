@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
-Improper/singular quadrature with explicit divergence certification, cached
-antiderivatives, the first-order phase system (u, rho*u') for the
-Sturm-Liouville generator, and bracketed root finding by an in-repo port of
-Brent's zeroin.  scipy's integrate submodule is loaded only when a
-quadrature first runs.
+Improper/singular quadrature with explicit divergence certification, one
+tabulated antiderivative (with a batched inverse), one Richardson step, the
+first-order phase system (u, rho*u') for the Sturm-Liouville generator, and
+bracketed root finding by an in-repo port of Brent's zeroin.  scipy's
+integrate submodule is loaded only when an adaptive quadrature first runs.
 
 The phase system is propagated by two-point Gauss 4th-order Magnus cell maps
 (Iserles & Norsett 1999).  Its matrix is traceless, so each cell map is a
@@ -157,15 +157,15 @@ def _clip(v):
     return v
 
 
-def _side_levels(m, endpoint, lower_side):
+def _side_levels(m, endpoint):
     """Yield closed panels marching from the split point m toward `endpoint`
     (geometric halving toward a finite endpoint, doubling toward +-inf)."""
     if math.isinf(endpoint):
         step = max(1.0, abs(m))
         prev = m
         while True:
-            nxt = prev - step if lower_side else prev + step
-            yield (nxt, prev) if lower_side else (prev, nxt)
+            nxt = prev - step if endpoint < m else prev + step
+            yield (nxt, prev) if endpoint < m else (prev, nxt)
             prev = nxt
             step *= 2.0
     else:
@@ -208,10 +208,10 @@ def improper_integral(f: Callable[[float], float], a: float, b: float,
     value = 0.0
     err = 0.0
 
-    for endpoint, lower_side, tag in ((a, True, "lower"), (b, False, "upper")):
+    for endpoint, tag in ((a, "lower"), (b, "upper")):
         acc = LevelAccumulator(tol, threshold=threshold)
         verdict = None
-        for lvl, (lo, hi) in enumerate(_side_levels(split, endpoint, lower_side)):
+        for lvl, (lo, hi) in enumerate(_side_levels(split, endpoint)):
             if lvl >= max_levels:
                 raise IndeterminateIntegralError(
                     f"no verdict for the {tag} endpoint {endpoint} after "
@@ -238,10 +238,36 @@ def improper_integral(f: Callable[[float], float], a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# panel Gauss-Legendre (vectorized), cached antiderivatives
+# Richardson extrapolation
+# ---------------------------------------------------------------------------
+
+def _richardson(values, weights) -> tuple:
+    """One Richardson step for levels v_i = v + c / w_i + ..., weights
+    increasing: w = T^2 across a truncation ladder, w = (1, 4) for a coarse
+    and a fine mesh (h and h/2 at second order).
+
+    values[i] is the level-i estimate, a scalar or an array (then the step is
+    elementwise).  The pairwise extrapolants are
+    (v_{i+1} w_{i+1} - v_i w_i) / (w_{i+1} - w_i) and the last one is the
+    estimate.  The error is the difference of the last two extrapolants; with
+    two levels it is |v_-1 - v_-2| / (w_-1 / w_-2 - 1), the distance from the
+    estimate to the last level.  Returns (estimate, error)."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float).reshape((-1,) + (1,) * (v.ndim - 1))
+    extr = (v[1:] * w[1:] - v[:-1] * w[:-1]) / (w[1:] - w[:-1])
+    if len(extr) >= 2:
+        return extr[-1], np.abs(extr[-1] - extr[-2])
+    return extr[-1], np.abs(v[-1] - v[-2]) / (w[-1] / w[-2] - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# panel Gauss-Legendre (vectorized), tabulated antiderivative
 # ---------------------------------------------------------------------------
 
 _GL_CACHE: dict = {}
+# Newton steps of TabulatedAntiderivative.inverse: about three reach 1e-14
+# relative from the interpolated start; the cap bounds rounding-limited ones.
+INVERSE_NEWTON_STEPS = 8
 
 
 def _gl_nodes(n: int):
@@ -251,17 +277,21 @@ def _gl_nodes(n: int):
     return _GL_CACHE[n]
 
 
-def gauss_panels(f, breakpoints: np.ndarray, n: int = 16) -> np.ndarray:
-    """Vectorized per-panel Gauss-Legendre integrals between consecutive
-    breakpoints; returns the array of panel values."""
+def _gauss(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """n-point Gauss-Legendre integrals of f over the panels [lo_i, hi_i],
+    with one call of f."""
     x, w = _gl_nodes(n)
-    lo = breakpoints[:-1]
-    hi = breakpoints[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * x[None, :]
     vals = f(nodes.ravel()).reshape(nodes.shape)
     return half * (vals @ w)
+
+
+def gauss_panels(f, breakpoints: np.ndarray, n: int = 16) -> np.ndarray:
+    """Vectorized per-panel Gauss-Legendre integrals between consecutive
+    breakpoints; returns the array of panel values."""
+    return _gauss(f, breakpoints[:-1], breakpoints[1:], n)
 
 
 def logsumexp_panels(logf, breakpoints: np.ndarray, n: int = 16) -> np.ndarray:
@@ -326,63 +356,16 @@ def cumulative_parabolic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-class CachedAntiderivative:
-    """F(x) = int_{x0}^x f, lazily extended with adaptive quadrature and
-    interpolated from cached knots (monotone grid, panel quad between
-    neighbours).  Vectorized over array arguments."""
-
-    def __init__(self, f: Callable, x0: float):
-        self.f = f
-        self.x0 = float(x0)
-        self._xs = [self.x0]
-        self._Fs = [0.0]
-
-    def _extend_to(self, x: float):
-        xs, Fs = self._xs, self._Fs
-        if x > xs[-1]:
-            lo = xs[-1]
-            while lo < x:
-                hi = min(x, lo + max(0.25, 0.25 * abs(lo)))
-                v, _, _ = _panel_quad(self.f, lo, hi)
-                xs.append(hi)
-                Fs.append(Fs[-1] + v)
-                lo = hi
-        elif x < xs[0]:
-            hi = xs[0]
-            while hi > x:
-                lo = max(x, hi - max(0.25, 0.25 * abs(hi)))
-                v, _, _ = _panel_quad(self.f, lo, hi)
-                xs.insert(0, lo)
-                Fs.insert(0, Fs[0] - v)
-                hi = lo
-
-    def __call__(self, x):
-        scalar = np.isscalar(x)
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        self._extend_to(float(xa.max()))
-        self._extend_to(float(xa.min()))
-        xs = np.array(self._xs)
-        Fs = np.array(self._Fs)
-        out = np.empty_like(xa)
-        idx = np.searchsorted(xs, xa, side="right") - 1
-        idx = np.clip(idx, 0, len(xs) - 2)
-        for k, (xi, i) in enumerate(zip(xa, idx)):
-            lo = xs[i]
-            v, _, _ = _panel_quad(self.f, lo, xi) if xi != lo else (0.0, 0, 0)
-            out[k] = Fs[i] + v
-        return float(out[0]) if scalar else out
-
-
 class TabulatedAntiderivative:
-    """F(x) = int_{x0}^x f on a lazily grown knot table.
+    """F(x) = int_{x0}^x f on a lazily grown knot table, and its inverse.
 
-    Unlike :class:`CachedAntiderivative` (which runs adaptive quadrature per
-    query point and is meant for a handful of scalar calls), this keeps a
-    marched knot grid with cumulative Gauss panel integrals and answers array
-    queries with a single vectorized Gauss panel from the bracketing knot, so
-    it stays machine-accurate for smooth integrands while costing one call of
-    ``f`` per batch.  Knots approach finite domain endpoints geometrically,
-    which keeps integrable endpoint singularities (1/x-type drifts) resolved.
+    The table holds a marched knot grid with cumulative Gauss panel integrals.
+    An array query costs one vectorized Gauss panel from each point's
+    bracketing knot, so it stays machine-accurate for smooth integrands while
+    calling ``f`` once per batch.  Knots approach finite domain endpoints
+    geometrically, which keeps integrable endpoint singularities (1/x-type
+    drifts) resolved.  For f > 0, :meth:`inverse` solves F(x) = r for a whole
+    array of r at once.
     """
 
     def __init__(self, f: Callable, x0: float, domain=( -np.inf, np.inf),
@@ -436,6 +419,15 @@ class TabulatedAntiderivative:
             self._knots = np.concatenate((knots[::-1], self._knots))
             self._vals = np.concatenate((vals[::-1], self._vals))
 
+    def _cover(self, qmin: float, qmax: float):
+        """Grow the knot table until it spans [qmin, qmax]."""
+        if qmax > self._knots[-1]:
+            self._cumulate(self._march(self._knots[-1], qmax),
+                           self._vals[-1], forward=True)
+        if qmin < self._knots[0]:
+            self._cumulate(self._march(self._knots[0], qmin),
+                           self._vals[0], forward=False)
+
     def __call__(self, x):
         scalar = np.isscalar(x)
         xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -444,22 +436,59 @@ class TabulatedAntiderivative:
         qmin, qmax = float(xa.min()), float(xa.max())
         if not (math.isfinite(qmin) and math.isfinite(qmax)):
             raise ValueError("antiderivative queried at a non-finite point")
-        if qmax > self._knots[-1]:
-            self._cumulate(self._march(self._knots[-1], qmax),
-                           self._vals[-1], forward=True)
-        if qmin < self._knots[0]:
-            self._cumulate(self._march(self._knots[0], qmin),
-                           self._vals[0], forward=False)
+        self._cover(qmin, qmax)
         idx = np.clip(np.searchsorted(self._knots, xa, side="right") - 1,
                       0, len(self._knots) - 1)
-        lo = self._knots[idx]
-        gx, gw = _gl_nodes(8)
-        mid = 0.5 * (lo + xa)
-        half = 0.5 * (xa - lo)
-        nodes = mid[:, None] + half[:, None] * gx[None, :]
-        fv = self.f(nodes.ravel()).reshape(nodes.shape)
-        out = self._vals[idx] + half * (fv @ gw)
+        out = self._vals[idx] + _gauss(self.f, self._knots[idx], xa, 8)
         return float(out[0]) if scalar else out
+
+    def _widen(self, up: bool):
+        """One step of the inverse's bracket search: push one end of the
+        table toward the domain end, doubling its distance from x0 toward an
+        infinite end and halving the gap to a finite one."""
+        x = float(self._knots[-1] if up else self._knots[0])
+        end = self.domain[1] if up else self.domain[0]
+        if math.isinf(end):
+            d = max(1.0, abs(self.x0), abs(x - self.x0))
+            nxt = x + d if up else x - d
+        else:
+            nxt = 0.5 * (x + end)
+        if nxt == x or nxt == end or not math.isfinite(nxt):
+            raise QsdlabError(
+                f"antiderivative inverse: the value sought lies beyond "
+                f"F({end!r}) = {float(self._vals[-1 if up else 0]):.6g}")
+        self._cover(min(x, nxt), max(x, nxt))
+
+    def inverse(self, r):
+        """x with F(x) = r, elementwise, for f > 0; a scalar r gives a float.
+
+        One bracket search for the whole batch grows the table until its
+        values span [min r, max r].  Each point starts from linear
+        interpolation in the table and takes Newton steps with F' = f, kept
+        inside its bracketing knot interval, until every step is below
+        1e-14 |x| or INVERSE_NEWTON_STEPS steps are taken.  So f is called
+        a number of times that does not grow with the number of points."""
+        scalar = np.isscalar(r)
+        ra = np.asarray(r, dtype=float).ravel()
+        if len(ra) == 0:
+            return ra.reshape(np.shape(r))
+        rmin, rmax = float(ra.min()), float(ra.max())
+        if not (math.isfinite(rmin) and math.isfinite(rmax)):
+            raise ValueError("antiderivative inverse at a non-finite value")
+        while not self._vals[-1] >= rmax:
+            self._widen(up=True)
+        while not self._vals[0] <= rmin:
+            self._widen(up=False)
+        knots, vals = self._knots, self._vals
+        i = np.clip(np.searchsorted(vals, ra) - 1, 0, len(knots) - 2)
+        lo, hi = knots[i], knots[i + 1]
+        x = np.interp(ra, vals, knots)
+        for _ in range(INVERSE_NEWTON_STEPS):
+            step = (self(x) - ra) / np.asarray(self.f(x), dtype=float)
+            x = np.clip(x - step, lo, hi)
+            if np.all(np.abs(step) <= 1e-14 * np.abs(x)):
+                break
+        return float(x[0]) if scalar else x.reshape(np.shape(r))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .boundary import _scale_tail_integral
 from .model import (DiffusionModel, ScalarField, ScaleSpeed, scale_speed,
                     schrodinger_potential)
 from .numerics import (IndeterminateIntegralError, OdeTrajectory, QsdlabError,
-                       TabulatedAntiderivative, brent_root,
+                       TabulatedAntiderivative, _richardson, brent_root,
                        cumulative_parabolic, improper_integral,
                        integrate_sl_system)
 
@@ -353,31 +354,6 @@ def build_phi(model: DiffusionModel, lam: float,
 _DEFAULT_LOGRHO_CAPS = (30.0, 42.0, 60.0)
 
 
-def _truncation_ladder(model: DiffusionModel, ss: ScaleSpeed,
-                       caps: Sequence[float] = _DEFAULT_LOGRHO_CAPS) -> list:
-    """Right cutoffs where |log rho| first exceeds each cap."""
-    ladder = []
-    for cap in caps:
-        x = model.x_ref + max(1.0, abs(model.x_ref))
-        prev = model.x_ref
-        while abs(float(ss.log_speed(x))) < cap:
-            prev = x
-            x = model.x_ref + 1.25 * (x - model.x_ref)
-            if x - model.x_ref > 1e7:
-                raise QsdlabError(
-                    "no speed decay found toward the right endpoint; "
-                    "cannot build a truncation ladder (wrong spectral regime?)")
-        lo, hi = prev, x
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if abs(float(ss.log_speed(mid))) < cap:
-                lo = mid
-            else:
-                hi = mid
-        ladder.append(0.5 * (lo + hi))
-    return ladder
-
-
 def _sgn(v: float) -> int:
     return -1 if v < 0 else 1
 
@@ -403,7 +379,10 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     ss = scale_speed(model)
     ub = _UBuilder(model, ss)
     if truncations is None:
-        truncations = _truncation_ladder(model, ss)
+        # right cutoffs where |log rho| first reaches each cap
+        truncations = [_march_cap(lambda x: abs(float(ss.log_speed(x))),
+                                  model.x_ref, +1.0, cap)
+                       for cap in _DEFAULT_LOGRHO_CAPS]
     truncations = [float(t) for t in truncations]
     if len(truncations) < 2:
         raise QsdlabError("need at least two truncations for extrapolation")
@@ -461,17 +440,10 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
         roots_by_t[t_cut] = roots
         shots_by_t[t_cut] = len(cache)
 
-    # Richardson in 1/T^2 across the ladder
-    ts = np.array(truncations)
-    eigenvalues = np.empty(K)
-    errors = np.empty(K)
-    for k in range(K):
-        lam_t = np.array([roots_by_t[t][k] for t in truncations])
-        extr = [(lam_t[i + 1] * ts[i + 1] ** 2 - lam_t[i] * ts[i] ** 2)
-                / (ts[i + 1] ** 2 - ts[i] ** 2) for i in range(len(ts) - 1)]
-        eigenvalues[k] = extr[-1]
-        errors[k] = (abs(extr[-1] - extr[-2]) if len(extr) >= 2
-                     else abs(extr[-1] - lam_t[-1]))
+    # t ** 2 of a float is libm pow, which can differ from t * t in the last
+    # bit; the frozen eigenvalues were recorded with it
+    eigenvalues, errors = _richardson([roots_by_t[t] for t in truncations],
+                                      [t ** 2 for t in truncations])
 
     t_max = truncations[-1]
     funcs = []
@@ -630,17 +602,13 @@ def eigen_fd_oracle(model: DiffusionModel, grid_size: int = 1600,
         per_t = [eigen_fd_oracle(model, grid_size=grid_size, truncation=t,
                                  K=K, left_bc=left_bc, right_bc=right_bc)
                  for t in lads]
-        lam = np.array([r.eigenvalues for r in per_t])     # (n_T, K)
-        ts2 = np.array(lads) ** 2
-        extr = [(lam[i + 1] * ts2[i + 1] - lam[i] * ts2[i])
-                / (ts2[i + 1] - ts2[i]) for i in range(len(lads) - 1)]
-        err_t = (np.max(np.abs(extr[-1] - extr[-2])) if len(extr) >= 2
-                 else np.max(np.abs(extr[-1] - lam[-1])))
+        ext, err_t = _richardson([r.eigenvalues for r in per_t],
+                                 np.array(lads) ** 2)
         mesh_err = max(r.extrapolation_error for r in per_t)
         return SpectralResult(
-            eigenvalues=extr[-1], eigenfunctions=per_t[-1].eigenfunctions,
+            eigenvalues=ext, eigenfunctions=per_t[-1].eigenfunctions,
             truncation=tuple(lads),
-            extrapolation_error=float(max(err_t, mesh_err)),
+            extrapolation_error=float(max(np.max(err_t), mesh_err)),
             method="fd",
             evidence={"per_truncation": [list(map(float, r.eigenvalues))
                                          for r in per_t],
@@ -655,8 +623,7 @@ def eigen_fd_oracle(model: DiffusionModel, grid_size: int = 1600,
                                left_bc, right_bc, graded)
     fine, fs, nodes, mm = _fd_once(model, ss, lo, hi, grid_size, K,
                                    left_bc, right_bc, graded)
-    ext = (4.0 * fine - coarse) / 3.0
-    errs = np.abs(fine - coarse) / 3.0
+    ext, errs = _richardson((coarse, fine), (1.0, 4.0))
 
     rho_nodes = ss.speed_density(nodes)
     funcs = []
@@ -710,9 +677,11 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
     ss = scale_speed(model)
     pot = schrodinger_potential(model)
 
-    res = improper_integral(lambda x: ss.speed_density(x), -math.inf,
-                            math.inf, tol=1e-8, split=float(model.x_ref))
-    if not res.finite:
+    # both tails of int rho, in log space (no scipy quadrature on this route)
+    log_rho = lambda x: np.asarray(ss.log_speed(x), dtype=float)
+    if not all(_scale_tail_integral(log_rho, float(model.x_ref), end,
+                                    tol=1e-8).finite
+               for end in (-math.inf, math.inf)):
         raise QsdlabError("speed density not integrable on the line; "
                           "no quasistationary regime for this solver")
     if model.killing is not None:
@@ -743,8 +712,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
 
     coarse, _, _ = solve(grid_size // 2 + 1)
     fine, psis, inner = solve(grid_size + 1)
-    ext = (4.0 * fine - coarse) / 3.0
-    errs = np.abs(fine - coarse) / 3.0
+    ext, errs = _richardson((coarse, fine), (1.0, 4.0))
 
     half_logr = 0.5 * np.asarray(ss.log_speed(inner), dtype=float)
     mu_vals = np.asarray(model.drift(inner), dtype=float)

@@ -304,6 +304,22 @@ def test_numerical_failure_exits_3_with_diagnostic(tmp_path, capsys):
     assert "spectrum" not in saved["partial"]
 
 
+def test_non_integrable_speed_on_the_line_exits_3(tmp_path, capsys):
+    # drift x on the line: rho = e^{x^2}, no quasistationary regime
+    path = tmp_path / "outward.json"
+    path.write_text(json.dumps({"name": "custom", "drift_expr": "x",
+                                "killing_expr": "1",
+                                "domain": ["-inf", "inf"]}))
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "spectrum", "--model-json",
+               str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "speed density not integrable" in json.loads(
+        diag.read_text())["message"]
+
+
 def test_root_finding_failure_exits_3_with_diagnostic(tmp_path, capsys,
                                                      monkeypatch):
     # cap the polish of each eigenvalue at one zeroin step: the root finder's
@@ -414,15 +430,17 @@ def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
     # imports (scipy oracles in other tests) cannot leak into the answer
     src = os.path.dirname(os.path.dirname(qsdlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["spectrum", "--zoo", "perturbed_bessel", "--param", "nu=-1.5",
-            "--param", "c1=1", "--k", "2", "--oracle"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOAD_PROBE % (_SCIPY_SUBMODULES,), *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
-    probe = json.loads(proc.stdout)
-    assert probe["rc"] == 0
-    assert probe["after"]["qsdlab"] == []
-    assert probe["after"]["qsdlab.cli"] == []
-    # shooting polishes with the in-repo zeroin; only the FE oracle's
-    # tridiagonal eigensolver comes from scipy
-    assert probe["after"]["spectrum"] == ["scipy.linalg"]
+    # shooting polishes with the in-repo zeroin and the whole-line route
+    # checks int rho in log space; only the FE oracle's and the Schrodinger
+    # solver's tridiagonal eigensolver comes from scipy
+    for argv in (["spectrum", "--zoo", "perturbed_bessel", "--param",
+                  "nu=-1.5", "--param", "c1=1", "--k", "2", "--oracle"],
+                 ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOAD_PROBE % (_SCIPY_SUBMODULES,), *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        probe = json.loads(proc.stdout)
+        assert probe["rc"] == 0
+        assert probe["after"]["qsdlab"] == []
+        assert probe["after"]["qsdlab.cli"] == []
+        assert probe["after"]["spectrum"] == ["scipy.linalg"]

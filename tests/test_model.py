@@ -142,6 +142,49 @@ def test_reduce_generic_agrees_with_closed(tmp_path):
     assert np.allclose(red_c.drift(rs), red_g.drift(rs), rtol=1e-6, atol=1e-8)
 
 
+def _sqrt_noise(sigma_calls=None):
+    # dX = (1/4 - X) dt + sqrt(X) dW on (0, inf): 1/sigma is integrable at
+    # 0, so F is anchored there, F(x) = 2 sqrt(x), and the reduced drift is
+    # mu/sigma - sigma'/2 = -sqrt(x) = -r/2
+    def sig(x):
+        if sigma_calls is not None:
+            sigma_calls.append(np.size(x))
+        return np.sqrt(x)
+
+    return DiffusionModel(
+        drift=ScalarField.from_expression("0.25 - x"),
+        diffusion=ScalarField(eval=sig, deriv=lambda x: 0.5 / np.sqrt(x)),
+        domain=(0.0, math.inf), name="sqrt_noise")
+
+
+def test_reduce_generic_anchored_left():
+    red, tr = reduce_unit_diffusion(_sqrt_noise())
+    assert red.domain == (0.0, math.inf)
+    xs = np.geomspace(1e-6, 20.0, 50)
+    assert np.allclose(tr.forward(xs), 2.0 * np.sqrt(xs), rtol=0, atol=1e-11)
+    back = tr.inverse(tr.forward(xs))
+    assert np.all(np.abs(back - xs) <= 1e-12 * np.maximum(1.0, xs))
+    rs = np.linspace(0.05, 8.0, 11)
+    assert np.allclose(red.drift(rs), -0.5 * rs, rtol=0, atol=1e-11)
+    assert isinstance(tr.inverse(1.0), float)
+    assert tr.inverse(rs.reshape(1, 11)).shape == (1, 11)
+
+
+def test_reduce_generic_inverse_calls_sigma_per_batch():
+    # F^-1 inverts a whole array on one knot table: one bracket search per
+    # batch (one table extension per widening step) and at most
+    # INVERSE_NEWTON_STEPS Newton steps of two calls each, whatever the
+    # number of points
+    counts = []
+    for n in (20, 200, 2000):
+        calls = []
+        _, tr = reduce_unit_diffusion(_sqrt_noise(calls))
+        del calls[:]
+        tr.inverse(np.linspace(0.01, 8.0, n))
+        counts.append(len(calls))
+    assert max(counts) <= 40
+
+
 def test_reduction_transports_killing():
     m = zoo_build("logistic_X_killed", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
     # already unit diffusion; build a scaled variant to exercise transport

@@ -15,6 +15,7 @@ from qsdlab.numerics import (
     QsdlabError,
     StepUnderflowError,
     TabulatedAntiderivative,
+    _richardson,
     brent_root,
     cumulative_parabolic,
     gauss_panels,
@@ -139,6 +140,18 @@ def test_tabulated_antiderivative_rejects_nonfinite_query():
     F = TabulatedAntiderivative(np.cos, 0.0)
     with pytest.raises(ValueError):
         F(np.inf)
+
+
+def test_tabulated_antiderivative_inverse():
+    # F = sin on (-1.5, 1.5): the inverse is arcsin inside the range F
+    # reaches, and a value beyond it is refused, not clipped
+    F = TabulatedAntiderivative(np.cos, 0.0, domain=(-1.5, 1.5))
+    rs = np.array([-0.99, -0.3, 0.0, 0.5, 0.99])
+    assert np.allclose(F.inverse(rs), np.arcsin(rs), rtol=0, atol=1e-14)
+    assert isinstance(F.inverse(0.5), float)
+    for r in (1.2, -1.2):
+        with pytest.raises(QsdlabError, match="beyond"):
+            F.inverse(r)
 
 
 # ---------------------------------------------------------------- roots
@@ -394,3 +407,83 @@ def test_sl_grid_monotone_guard():
     ss = scale_speed(m)
     with pytest.raises(Exception):
         integrate_sl_system(m, ss, 1.0, 2.0, 2.0, (1.0, 0.0))
+
+
+# ---------------------------------------------------------------- Richardson
+# The five hand-written Richardson steps that `_richardson` replaced, copied
+# verbatim as references: shooting across the truncation ladder, the FE
+# truncation ladder, the FE and Schrodinger mesh pairs, and the derivative
+# of `model._fd_derivative`.
+
+def _ref_shoot(roots, truncations):
+    ts = np.array(truncations)
+    K = roots.shape[1]
+    eigenvalues = np.empty(K)
+    errors = np.empty(K)
+    for k in range(K):
+        lam_t = np.array([roots[j][k] for j in range(len(truncations))])
+        extr = [(lam_t[i + 1] * ts[i + 1] ** 2 - lam_t[i] * ts[i] ** 2)
+                / (ts[i + 1] ** 2 - ts[i] ** 2) for i in range(len(ts) - 1)]
+        eigenvalues[k] = extr[-1]
+        errors[k] = (abs(extr[-1] - extr[-2]) if len(extr) >= 2
+                     else abs(extr[-1] - lam_t[-1]))
+    return eigenvalues, errors
+
+
+def _ref_fd_ladder(lam, lads):
+    ts2 = np.array(lads) ** 2
+    extr = [(lam[i + 1] * ts2[i + 1] - lam[i] * ts2[i])
+            / (ts2[i + 1] - ts2[i]) for i in range(len(lads) - 1)]
+    err_t = (np.max(np.abs(extr[-1] - extr[-2])) if len(extr) >= 2
+             else np.max(np.abs(extr[-1] - lam[-1])))
+    return extr[-1], err_t
+
+
+def _ref_mesh_pair(coarse, fine):      # _fd_once pair and Schrodinger pair
+    ext = (4.0 * fine - coarse) / 3.0
+    errs = np.abs(fine - coarse) / 3.0
+    return ext, errs
+
+
+def _ref_fd_derivative(d1, d2):
+    return (4.0 * d2 - d1) / 3.0
+
+
+def test_richardson_reproduces_the_replaced_formulas():
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        n_t, K = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        ts = np.sort(rng.uniform(3.0, 20.0, n_t))
+        lam = rng.uniform(0.1, 10.0, K) * (1.0 + rng.normal(0, 1e-3, (n_t, K)))
+        # the weights as each call site forms them: eigen_shoot squares
+        # floats (libm pow), the FE ladder squares an array (t * t)
+        want, want_err = _ref_shoot(lam, ts)
+        got, got_err = _richardson(list(lam), [t ** 2 for t in ts.tolist()])
+        assert np.array_equal(got, want)
+        want_l, want_lerr = _ref_fd_ladder(lam, ts)
+        got_l, got_lerr = _richardson(list(lam), ts ** 2)
+        assert np.array_equal(got_l, want_l)
+        if n_t >= 3:
+            assert np.array_equal(got_err, want_err)
+            assert np.max(got_lerr) == want_lerr
+        else:
+            # two levels: |v1 - v0| / (w1/w0 - 1) is the same number as
+            # |extrapolant - v1|, without that difference's cancellation
+            w0, w1 = ts ** 2
+            slack = 8 * np.finfo(float).eps * np.max(np.abs(lam)) \
+                * (w1 + w0) / (w1 - w0)
+            assert np.all(np.abs(got_err - want_err) <= slack)
+            assert abs(np.max(got_lerr) - want_lerr) <= slack
+
+        coarse = rng.normal(size=K) * 10.0 ** rng.uniform(-3, 3)
+        fine = coarse * (1.0 + rng.normal(0, 1e-4, K))
+        ext, errs = _richardson((coarse, fine), (1.0, 4.0))
+        want_ext, want_errs = _ref_mesh_pair(coarse, fine)
+        assert np.array_equal(ext, want_ext)
+        assert np.array_equal(errs, want_errs)
+
+        d1, d2 = rng.normal(size=(2, 7))
+        assert np.array_equal(_richardson((d1, d2), (1.0, 4.0))[0],
+                              _ref_fd_derivative(d1, d2))
+        assert (_richardson((d1[0], d2[0]), (1.0, 4.0))[0]
+                == _ref_fd_derivative(d1[0], d2[0]))
