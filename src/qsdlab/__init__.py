@@ -19,8 +19,8 @@ from .model import (CONVENTION_NOTE, DiffusionModel, ReductionForms,
 from .montecarlo import (DichotomyVerdict, EnsembleResult, SimConfig,
                          SurvivalCurve, dichotomy_probe, histogram_masses,
                          run_ensemble, survival_curve, tv_distance)
-from .numerics import (BracketError, ImproperIntegralResult,
-                       IndeterminateIntegralError, OdeTrajectory, QsdlabError,
+from .numerics import (BracketError, IndeterminateIntegralError,
+                       IntegralVerdict, OdeTrajectory, QsdlabError,
                        StepUnderflowError, improper_integral)
 from .spectral import (ClassificationMismatchError, DoobResult,
                        HeatKernelValue, PhiSolution, QsdDensity,
@@ -55,7 +55,7 @@ __all__ = [
     "DichotomyVerdict",
     # numerics / errors
     "QsdlabError", "IndeterminateIntegralError", "BracketError",
-    "StepUnderflowError", "ImproperIntegralResult", "improper_integral",
+    "StepUnderflowError", "IntegralVerdict", "improper_integral",
     "OdeTrajectory",
     "ExpressionError", "ZOO", "zoo_build",
 ]

@@ -12,7 +12,10 @@ interior reference c:
 Regular / Exit / Entrance / Natural.  Both integrands are evaluated in paired
 log space, exp(L(s) - L(t)) with L = log rho, so no intermediate rho value is
 ever formed and doubly-exponential speed densities cannot overflow.  The
-Finite/Divergent decision rules are shared with `numerics.LevelAccumulator`.
+outer level march, its Finite/Divergent rules and the one-sided log-space
+tail integral (certain absorption, speed tails) are the shared engine in
+`numerics`; this module adds only the nested inner quadrature and the
+positivity scan.
 """
 
 from __future__ import annotations
@@ -24,37 +27,17 @@ from typing import Optional
 import numpy as np
 
 from .model import DiffusionModel, ScaleSpeed, scale_speed
-from .numerics import (DIVERGENCE_THRESHOLD, IndeterminateIntegralError,
-                       LevelAccumulator, QsdlabError, _side_levels,
-                       improper_integral, logsumexp_panels)
-
-# saturation point for exponentials fed to the level accumulator: low enough
-# that saturated partial sums keep increasing strictly (so the threshold rule
-# still fires) instead of overflowing to inf
-_LOG_CLIP = math.log(1e250)
+from .numerics import (_LOG_CLIP, DIVERGENCE_THRESHOLD,
+                       IndeterminateIntegralError, IntegralVerdict,
+                       LevelAccumulator, QsdlabError, _level_verdict,
+                       _log_integral, _side_levels, improper_integral,
+                       logsumexp_panels, tail_integral)
 
 REGULAR, EXIT, ENTRANCE, NATURAL = "Regular", "Exit", "Entrance", "Natural"
 
 
 class ClassificationError(QsdlabError):
-    """An endpoint classification integral could not be decided."""
-
-
-@dataclass(frozen=True)
-class IntegralVerdict:
-    name: str
-    verdict: str                  # "finite" | "divergent"
-    value: Optional[float]
-    levels: int
-    rule: Optional[str] = None
-
-    @property
-    def finite(self):
-        return self.verdict == "finite"
-
-    def to_json(self):
-        return {"name": self.name, "verdict": self.verdict,
-                "value": self.value, "levels": self.levels, "rule": self.rule}
+    """classify was handed a model it cannot classify (nonunit diffusion)."""
 
 
 @dataclass(frozen=True)
@@ -99,23 +82,6 @@ def _graded_breaks(a: float, b: float, m: int = 12) -> np.ndarray:
     return a + (b - a) * g
 
 
-def _log_integral(logf, lo: float, hi: float, n_probe: int = 7) -> float:
-    """log of int_lo^hi exp(logf), with sub-panel count adapted to the
-    exponent range so each Gauss panel sees O(1) exponent variation."""
-    if hi <= lo:
-        return -math.inf
-    probes = logf(np.linspace(lo, hi, n_probe))
-    probes = probes[np.isfinite(probes)]
-    spread = (probes.max() - probes.min()) if len(probes) else 0.0
-    n_sub = int(np.clip(math.ceil(spread), 8, 512))
-    edges = np.linspace(lo, hi, n_sub + 1)
-    piece = logsumexp_panels(logf, edges, n=16)
-    peak = piece.max()
-    if not np.isfinite(peak):
-        return -math.inf
-    return float(peak + np.log(np.exp(piece - peak).sum()))
-
-
 def _inner_log_integral(logf, lo: float, hi: float) -> float:
     """log of int_lo^hi exp(logf) on a graded-plus-uniform panel set,
     evaluated in one vectorized pass.  The grading depth follows the endpoint
@@ -144,27 +110,6 @@ def _inner_log_integral(logf, lo: float, hi: float) -> float:
     if not np.isfinite(peak):
         return -math.inf
     return float(peak + np.log(np.exp(piece - peak).sum()))
-
-
-def _level_verdict(name: str, panel, c: float, endpoint: float, tol: float,
-                   max_levels: int) -> IntegralVerdict:
-    """Feed panel(lo, hi) over the panels marching from c toward `endpoint`
-    to the shared Finite/Divergent level rules."""
-    acc = LevelAccumulator(tol)
-    for lvl, (lo, hi) in enumerate(_side_levels(c, endpoint), start=1):
-        if lvl > max_levels:
-            raise ClassificationError(
-                f"integral {name} toward {endpoint} undecided after "
-                f"{max_levels} levels (partial sum {acc.total:.4g})")
-        verdict = acc.add(panel(lo, hi))
-        if verdict == "divergent":
-            rule = ("threshold" if abs(acc.total) > DIVERGENCE_THRESHOLD
-                    else "trend")
-            return IntegralVerdict(name=name, verdict="divergent", value=None,
-                                   levels=lvl, rule=rule)
-        if verdict == "finite":
-            return IntegralVerdict(name=name, verdict="finite",
-                                   value=acc.total, levels=lvl)
 
 
 def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
@@ -196,18 +141,6 @@ def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
     return _level_verdict(name, panel, c, endpoint, tol, max_levels)
 
 
-def _scale_tail_integral(logf, c: float, endpoint: float,
-                         tol: float = 1e-9,
-                         max_levels: int = 120) -> IntegralVerdict:
-    """Verdict for int_c^endpoint exp(logf), integrated in log space: with
-    logf = -log rho the certain-absorption test, with logf = log rho a tail
-    of the speed mass."""
-    return _level_verdict(
-        "scale_tail",
-        lambda lo, hi: math.exp(min(_log_integral(logf, lo, hi), _LOG_CLIP)),
-        c, endpoint, tol, max_levels)
-
-
 def _kind_from(access: IntegralVerdict, second: IntegralVerdict) -> str:
     if access.finite:
         return REGULAR if second.finite else EXIT
@@ -237,8 +170,9 @@ def classify(model: DiffusionModel, tol: float = 1e-9) -> ClassificationResult:
     absorption = None
     tail = None
     if left.kind in (REGULAR, EXIT):
-        tail = _scale_tail_integral(
-            lambda x: -np.asarray(ss.log_speed(x), dtype=float), c, r, tol)
+        tail = tail_integral(
+            lambda x: -np.asarray(ss.log_speed(x), dtype=float), c, r, tol,
+            name="scale_tail")
         absorption = not tail.finite
     return ClassificationResult(left=left, right=right,
                                 absorption_certain=absorption,
@@ -281,7 +215,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
 
     # 1. speed tail must be integrable somewhere, else A = inf immediately
     probe = max(a + 1.0, model.x_ref + 1.0)
-    if not _scale_tail_integral(Lp, probe, math.inf, tol).finite:
+    if not tail_integral(Lp, probe, math.inf, tol).finite:
         return PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
                                 lambda0_upper=0.0, positive=False,
                                 evidence={"reason": "speed tail divergent"})
@@ -427,9 +361,10 @@ def assumption1_check(model: DiffusionModel) -> dict:
     b2_minus_bp = model.drift(xs) ** 2 + model.drift.d(xs)   # b=-mu: b^2-b' = mu^2+mu'
     inf_generic = float(np.min(b2_minus_bp))
 
-    integrand = lambda sv: sv * math.exp(min(0.5 * float(ss.log_speed(sv)), 700.0))
+    log_integrand = lambda sv: (np.log(sv) + 0.5 * np.asarray(
+        ss.log_speed(sv), dtype=float))
     try:
-        res = improper_integral(integrand, 0.0, 1.0, tol=1e-8, split=0.5)
+        res = improper_integral(log_integrand, 0.0, 1.0, tol=1e-8, split=0.5)
         eint_finite = res.finite
         eint_value = res.value if res.finite else None
     except IndeterminateIntegralError:
@@ -448,7 +383,7 @@ def assumption1_check(model: DiffusionModel) -> dict:
         cprime = c1 + 2.0 * c2 * xs
         inf_c = float(np.min(cvals ** 2 - cprime))
         inf_cs = float(np.min((cvals / xs)[xs >= 1.0]))
-        tail = _scale_tail_integral(
+        tail = tail_integral(
             lambda x: -np.asarray(ss.log_speed(x), dtype=float),
             model.x_ref, math.inf)
         certain = not tail.finite

@@ -3,10 +3,11 @@
 Reports are deterministic: JSON with sorted keys and no timestamps, every
 numeric setting (seed, dt, truncations, tolerances) echoed back, and the
 drift-sign convention note embedded.  CSV output uses '.' decimals, LF line
-endings and %.17g floats.  Exit codes: 0 success, 2 usage error (argparse),
-3 numerical failure -- in which case a diagnostic.json is written with the
-error, the settings and the partial report: every field the command had
-filled in before the failing stage.
+endings and %.17g floats.  Exit codes: 0 success, 2 usage error (argparse's,
+or an input the chosen route would drop: one line on stderr), 3 numerical
+failure -- in which case a diagnostic.json is written with the error, the
+settings and the partial report: every field the command had filled in
+before the failing stage.
 """
 
 from __future__ import annotations
@@ -74,13 +75,22 @@ def _write_csv(path: str, header: list, rows) -> None:
             fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
 
 
+def _usage(message: str):
+    """Exit 2 with a one-line message, as argparse does for its own errors."""
+    print(f"qsdlab: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_params(pairs) -> dict:
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise SystemExit(f"--param needs key=value, got {pair!r}")
+            _usage(f"--param needs key=value, got {pair!r}")
         k, v = pair.split("=", 1)
-        out[k.strip()] = float(v)
+        try:
+            out[k.strip()] = float(v)
+        except ValueError:
+            _usage(f"--param {k.strip()} needs a number, got {v!r}")
     return out
 
 
@@ -90,7 +100,7 @@ def _load_model(args) -> DiffusionModel:
             return model_from_json(json.load(fh))
     if getattr(args, "zoo", None):
         return zoo_build(args.zoo, _parse_params(getattr(args, "param", None)))
-    raise SystemExit("specify a model with --zoo NAME or --model-json FILE")
+    _usage("specify a model with --zoo NAME or --model-json FILE")
 
 
 def _reduced(model: DiffusionModel):
@@ -111,25 +121,33 @@ def _model_report(model: DiffusionModel) -> dict:
 
 
 def _spectral(model: DiffusionModel, args):
-    method = getattr(args, "method", "auto")
+    """Resolve the spectral route for `model` and check the options of
+    `_add_spectral_args` against it before any work is done.  Returns the
+    solve as a thunk."""
+    method = args.method
     if method == "auto":
         both_inf = math.isinf(model.domain[0]) and math.isinf(model.domain[1])
         method = "schrodinger" if both_inf else "shoot"
-    k = getattr(args, "k", None) or (2 if method == "schrodinger" else 1)
+    if args.k is not None and args.k < 1:
+        _usage(f"--k must be at least 1, got {args.k}")
+    k = args.k or (2 if method == "schrodinger" else 1)
+    trunc = args.truncation
     if method == "shoot":
-        trunc = getattr(args, "truncation", None)
-        return eigen_shoot(model, K=k, truncations=trunc)
+        return lambda: eigen_shoot(model, K=k, truncations=trunc)
     if method == "fd":
-        trunc = getattr(args, "truncation", None)
+        if trunc is not None and len(trunc) > 2:
+            _usage("--method fd takes one truncation T or a window LO HI, "
+                   f"got {len(trunc)} values")
         tr = None
         if trunc:
             tr = tuple(trunc) if len(trunc) == 2 else float(trunc[0])
-        return eigen_fd_oracle(model, grid_size=args.grid_size or 1600,
-                               truncation=tr, K=k)
-    if method == "schrodinger":
-        return eigen_schrodinger(model, K=max(k, 2),
-                                 grid_size=args.grid_size or 6000)
-    raise SystemExit(f"unknown method {method!r}")
+        return lambda: eigen_fd_oracle(model, grid_size=args.grid_size or 1600,
+                                       truncation=tr, K=k)
+    if trunc is not None:
+        _usage("--truncation does not apply to the Schrodinger route, "
+               "which chooses its own window")
+    return lambda: eigen_schrodinger(model, K=max(k, 2),
+                                     grid_size=args.grid_size or 6000)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +174,7 @@ def _cmd_spectrum(args, doc: dict) -> None:
     red, _, red_info = _reduced(model)
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                **red_info)
-    spec = _spectral(red, args)
+    spec = _spectral(red, args)()
     doc.update(spectrum=_jsonable(spec.to_json()), gap=_jsonable(spec.gap),
                settings={"method": spec.method, "k": len(spec.eigenvalues),
                          **_env_settings()})
@@ -178,7 +196,7 @@ def _cmd_qsd(args, doc: dict) -> None:
     red, _, red_info = _reduced(model)
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                **red_info)
-    spec = _spectral(red, args)
+    spec = _spectral(red, args)()
     doc.update(lambda0=_jsonable(spec.lambda0),
                settings={"method": spec.method, "points": args.points,
                          **_env_settings()})
@@ -249,6 +267,7 @@ def _cmd_compare(args, doc: dict) -> None:
     x0 = _start(args, red, tr)
     l, rr = red.domain
     killed_line = red.killing is not None and math.isinf(l) and math.isinf(rr)
+    solve = _spectral(red, args)
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                settings={"x0": x0, "dt": args.dt, "n": args.n,
                          "t_max": args.t_max, "seed": args.seed,
@@ -274,7 +293,7 @@ def _cmd_compare(args, doc: dict) -> None:
         doc["tv_distance"] = None
         return
 
-    spec = _spectral(red, args)
+    spec = solve()
     doc["spectrum"] = _jsonable(spec.to_json())
     doc["gap"] = _jsonable(spec.gap)
 
@@ -308,6 +327,14 @@ def _add_model_args(p):
     p.add_argument("--model-json", help="path to a serialized model")
 
 
+def _add_spectral_args(p):
+    p.add_argument("--method", choices=["auto", "shoot", "fd", "schrodinger"],
+                   default="auto")
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--truncation", type=float, nargs="+", default=None)
+    p.add_argument("--grid-size", type=int, default=None)
+
+
 def _add_sim_args(p):
     p.add_argument("--x0", type=float, default=None,
                    help="start position (original coordinates); default x_ref")
@@ -339,21 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="bottom eigenvalues")
     _add_model_args(p)
-    p.add_argument("--method", choices=["auto", "shoot", "fd", "schrodinger"],
-                   default="auto")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--truncation", type=float, nargs="+", default=None)
-    p.add_argument("--grid-size", type=int, default=None)
+    _add_spectral_args(p)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the finite-element oracle")
 
     p = sub.add_parser("qsd", help="quasistationary density")
     _add_model_args(p)
-    p.add_argument("--method", choices=["auto", "shoot", "fd", "schrodinger"],
-                   default="auto")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--truncation", type=float, nargs="+", default=None)
-    p.add_argument("--grid-size", type=int, default=None)
+    _add_spectral_args(p)
     p.add_argument("--points", type=int, default=400)
     p.add_argument("--csv", help="write (x, density) rows to this CSV")
 
@@ -369,11 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="spectral vs Monte Carlo cross-validation")
     _add_model_args(p)
     _add_sim_args(p)
-    p.add_argument("--method", choices=["auto", "shoot", "fd", "schrodinger"],
-                   default="auto")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--truncation", type=float, nargs="+", default=None)
-    p.add_argument("--grid-size", type=int, default=None)
+    _add_spectral_args(p)
     return ap
 
 
@@ -384,7 +399,6 @@ _HANDLERS = {"zoo": _cmd_zoo, "classify": _cmd_classify,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # argparse already exits with code 2 on usage errors
     doc: dict = {}
     try:
         _HANDLERS[args.command](args, doc)

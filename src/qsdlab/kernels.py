@@ -14,8 +14,6 @@ factors and I_nu never overflow individually.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # power-series cutoff: below it a 91-term series reaches 16-digit accuracy,

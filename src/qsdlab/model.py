@@ -237,12 +237,15 @@ def reduce_unit_diffusion(model: DiffusionModel):
     def inv_sigma(x):
         return 1.0 / np.asarray(sig(x), dtype=float)
 
+    def log_inv_sigma(x):
+        return -np.log(np.asarray(sig(x), dtype=float))
+
     # decide the anchor of F; shift = F(x_ref) = int_l^x_ref 1/sigma if there
     anchored_left = False
     shift = 0.0
     if not math.isinf(l):
         try:
-            res = improper_integral(inv_sigma, l, model.x_ref, tol=1e-12,
+            res = improper_integral(log_inv_sigma, l, model.x_ref, tol=1e-12,
                                     split=0.5 * (l + model.x_ref))
             if res.finite:
                 anchored_left = True
@@ -262,7 +265,7 @@ def reduce_unit_diffusion(model: DiffusionModel):
     # and diverges otherwise
     dom_lo = 0.0 if anchored_left else -math.inf
     try:
-        res_r = improper_integral(inv_sigma, model.x_ref, r, tol=1e-12,
+        res_r = improper_integral(log_inv_sigma, model.x_ref, r, tol=1e-12,
                                   split=model.x_ref + (1.0 if math.isinf(r)
                                                        else 0.5 * (r - model.x_ref)))
         dom_hi = shift + res_r.value if res_r.finite else math.inf

@@ -22,7 +22,7 @@ a full-ensemble loop would and gives the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -1,44 +1,50 @@
 """Shared numerical kernels.
 
-Improper/singular quadrature with explicit divergence certification, one
+One improper-integral engine with explicit divergence certification, one
 tabulated antiderivative (with a batched inverse), one Richardson step, the
 first-order phase system (u, rho*u') for the Sturm-Liouville generator, and
-bracketed root finding by an in-repo port of Brent's zeroin.  scipy's
-integrate submodule is loaded only when an adaptive quadrature first runs.
+bracketed root finding by an in-repo port of Brent's zeroin.  Nothing here
+imports scipy.
 
 The phase system is propagated by two-point Gauss 4th-order Magnus cell maps
 (Iserles & Norsett 1999).  Its matrix is traceless, so each cell map is a
 closed-form 2x2 exponential of determinant 1; the cells of a chunk are
 evaluated in array calls and composed by a prefix scan.
 
-Verdict logic for improper integrals is centralized in LevelAccumulator so
-that every caller (including the boundary-classification integrals, which use
-their own log-space inner quadrature) shares identical Finite/Divergent rules:
+Every improper integral -- `improper_integral`, `tail_integral` and the
+nested classification integrals in `boundary` -- marches panels from an
+interior point toward the endpoint (`_side_levels`) and feeds the per-level
+increments to LevelAccumulator, so all of them share identical
+Finite/Divergent rules.  Integrands are passed as vectorized logs and each
+panel is integrated in log space on Gauss panels (`_log_integral`), so no
+integrand value can overflow:
 
 * Finite: two consecutive refinement levels contribute less than
   tol*(1+|S|)/8 each.
-* Divergent, threshold rule: |S| exceeds the divergence threshold (default
-  1e12) while still increasing across the last 3 levels.
+* Divergent, threshold rule: |S| exceeds DIVERGENCE_THRESHOLD (1e12)
+  while still increasing across the last 3 levels.
 * Divergent, trend rule: increments keep a fixed sign and stop decaying
   (level-to-level ratio >= 0.999 over the last 4 of >= 8 levels).  Constant
   positive increments integrate to +infinity, so the partial sums provably
   cross any threshold; this certifies logarithmic divergence, which gains only
   ~0.69 per refinement level and would otherwise never hit 1e12.
-* Otherwise, after the level budget: Indeterminate (an error, never a silent
-  Finite).
+* Otherwise, after the level budget: IndeterminateIntegralError (never a
+  silent Finite).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 DIVERGENCE_THRESHOLD = 1e12
-CLIP_VALUE = 1e300
+# saturation point for exponentials fed to the level accumulator: low enough
+# that saturated partial sums keep increasing strictly (so the threshold rule
+# still fires) instead of overflowing to inf
+_LOG_CLIP = math.log(1e250)
 
 
 class QsdlabError(Exception):
@@ -68,40 +74,39 @@ class StepUnderflowError(QsdlabError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ImproperIntegralResult:
-    verdict: str                      # "finite" | "divergent"
-    value: Optional[float]            # defined for finite verdicts
-    abs_error: Optional[float]
-    direction: Optional[str]          # "lower" | "upper" for divergent verdicts
-    evaluations: int
+class IntegralVerdict:
+    """Finite/Divergent verdict of an improper integral (undecided ones
+    raise).  A divergent `improper_integral` is named after the side that
+    diverged, "lower" or "upper"."""
+    name: str
+    verdict: str                  # "finite" | "divergent"
+    value: Optional[float]        # defined for finite verdicts
     levels: int
-    rule: Optional[str] = None        # which divergence rule fired
+    rule: Optional[str] = None    # which divergence rule fired
 
     @property
     def finite(self) -> bool:
         return self.verdict == "finite"
 
-    @property
-    def divergent(self) -> bool:
-        return self.verdict == "divergent"
+    def to_json(self):
+        return {"name": self.name, "verdict": self.verdict,
+                "value": self.value, "levels": self.levels, "rule": self.rule}
 
 
 class LevelAccumulator:
     """Streams per-level increments of a partial-integral sequence and
     decides Finite / Divergent / keep-going under the module's shared rules."""
 
-    def __init__(self, tol: float, threshold: float = DIVERGENCE_THRESHOLD,
-                 trend_min_levels: int = 8, trend_ratio: float = 0.9997):
+    def __init__(self, tol: float, trend_min_levels: int = 8,
+                 trend_ratio: float = 0.9997):
         self.tol = float(tol)
-        self.threshold = float(threshold)
         self.trend_min_levels = trend_min_levels
         self.trend_ratio = trend_ratio
         self.increments: list[float] = []
         self.partials: list[float] = []
-        self.quad_error = 0.0
         self.total = 0.0
 
-    def add(self, increment: float, err: float = 0.0) -> Optional[str]:
+    def add(self, increment: float) -> Optional[str]:
         """Feed one level; returns "finite", "divergent" or None (continue)."""
         # saturate instead of overflowing: partial sums then keep increasing
         # strictly and the threshold rule fires on the next levels
@@ -111,7 +116,6 @@ class LevelAccumulator:
         self.total += increment
         self.increments.append(increment)
         self.partials.append(self.total)
-        self.quad_error += err
 
         inc = self.increments
         # -- finite: two consecutive negligible levels
@@ -120,7 +124,7 @@ class LevelAccumulator:
             if abs(inc[-1]) <= gate and abs(inc[-2]) <= gate:
                 return "finite"
         # -- divergent, threshold rule
-        if len(self.partials) >= 4 and abs(self.total) > self.threshold:
+        if len(self.partials) >= 4 and abs(self.total) > DIVERGENCE_THRESHOLD:
             p = [abs(v) for v in self.partials[-4:]]
             if p[0] < p[1] < p[2] < p[3]:
                 return "divergent"
@@ -132,29 +136,6 @@ class LevelAccumulator:
                 if min(ratios) >= self.trend_ratio:
                     return "divergent"
         return None
-
-    @property
-    def error_estimate(self) -> float:
-        tail = sum(abs(v) for v in self.increments[-2:])
-        return tail + self.quad_error
-
-
-def _panel_quad(f, lo, hi):
-    """Adaptive quadrature on a closed panel, warnings silenced (panel-level
-    roughness is handled by the level logic, not by scipy's heuristics)."""
-    from scipy.integrate import quad   # loaded at first use, not at import
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err, info = quad(f, lo, hi, full_output=True)[:3]
-    return float(val), float(err), int(info["neval"])
-
-
-def _clip(v):
-    if v > CLIP_VALUE:
-        return CLIP_VALUE
-    if v < -CLIP_VALUE:
-        return -CLIP_VALUE
-    return v
 
 
 def _side_levels(m, endpoint):
@@ -179,14 +160,67 @@ def _side_levels(m, endpoint):
             k += 1
 
 
-def improper_integral(f: Callable[[float], float], a: float, b: float,
-                      tol: float = 1e-9, split: Optional[float] = None,
-                      max_levels: int = 200,
-                      threshold: float = DIVERGENCE_THRESHOLD,
-                      ) -> ImproperIntegralResult:
-    """Integrate f over the open interval (a, b); endpoints may be singular
-    or infinite.  Returns a Finite value with error estimate, a certified
-    Divergent verdict, or raises IndeterminateIntegralError."""
+def _log_integral(logf, lo: float, hi: float, n_probe: int = 7) -> float:
+    """log of int_lo^hi exp(logf), with sub-panel count adapted to the
+    exponent range so each Gauss panel sees O(1) exponent variation."""
+    if hi <= lo:
+        return -math.inf
+    probes = logf(np.linspace(lo, hi, n_probe))
+    probes = probes[np.isfinite(probes)]
+    spread = (probes.max() - probes.min()) if len(probes) else 0.0
+    n_sub = int(np.clip(math.ceil(spread), 8, 512))
+    edges = np.linspace(lo, hi, n_sub + 1)
+    piece = logsumexp_panels(logf, edges, n=16)
+    peak = piece.max()
+    if not np.isfinite(peak):
+        return -math.inf
+    return float(peak + np.log(np.exp(piece - peak).sum()))
+
+
+def _level_verdict(name: str, panel, c: float, endpoint: float, tol: float,
+                   max_levels: int) -> IntegralVerdict:
+    """Feed panel(lo, hi) over the panels marching from c toward `endpoint`
+    to the shared Finite/Divergent level rules."""
+    acc = LevelAccumulator(tol)
+    for lvl, (lo, hi) in enumerate(_side_levels(c, endpoint), start=1):
+        if lvl > max_levels:
+            raise IndeterminateIntegralError(
+                f"integral {name} toward {endpoint} undecided after "
+                f"{max_levels} levels (partial sum {acc.total:.4g})")
+        verdict = acc.add(panel(lo, hi))
+        if verdict == "divergent":
+            rule = ("threshold" if abs(acc.total) > DIVERGENCE_THRESHOLD
+                    else "trend")
+            return IntegralVerdict(name=name, verdict="divergent", value=None,
+                                   levels=lvl, rule=rule)
+        if verdict == "finite":
+            return IntegralVerdict(name=name, verdict="finite",
+                                   value=acc.total, levels=lvl)
+
+
+def tail_integral(logf, c: float, endpoint: float, tol: float = 1e-9,
+                  max_levels: int = 120,
+                  name: Optional[str] = None) -> IntegralVerdict:
+    """Verdict for the integral of exp(logf) between c and `endpoint`
+    (singular or infinite), with logf a vectorized log-integrand.  Each
+    level's panel is integrated in log space, so exp(logf) is never formed
+    where it would overflow.  The name defaults to the side, "lower" or
+    "upper"."""
+    if name is None:
+        name = "lower" if endpoint < c else "upper"
+    return _level_verdict(
+        name, lambda lo, hi: math.exp(min(_log_integral(logf, lo, hi),
+                                          _LOG_CLIP)),
+        c, endpoint, tol, max_levels)
+
+
+def improper_integral(logf, a: float, b: float, tol: float = 1e-9,
+                      split: Optional[float] = None,
+                      max_levels: int = 200) -> IntegralVerdict:
+    """Integrate exp(logf) over the open interval (a, b); endpoints may be
+    singular or infinite.  The sum of the two tail integrals from the split
+    point: a Finite value, the Divergent verdict of the first side that
+    diverges, or IndeterminateIntegralError."""
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
@@ -201,40 +235,15 @@ def improper_integral(f: Callable[[float], float], a: float, b: float,
             split = 0.5 * (a + b)
     if not (a < split < b):
         raise ValueError("split point must be interior")
-
-    g = lambda x: _clip(f(x))
-    evaluations = 0
-    levels_used = 0
-    value = 0.0
-    err = 0.0
-
-    for endpoint, tag in ((a, "lower"), (b, "upper")):
-        acc = LevelAccumulator(tol, threshold=threshold)
-        verdict = None
-        for lvl, (lo, hi) in enumerate(_side_levels(split, endpoint)):
-            if lvl >= max_levels:
-                raise IndeterminateIntegralError(
-                    f"no verdict for the {tag} endpoint {endpoint} after "
-                    f"{max_levels} refinement levels (partial sum "
-                    f"{acc.total:.6g}, last increment "
-                    f"{acc.increments[-1] if acc.increments else 0.0:.3g})")
-            v, e, n = _panel_quad(g, lo, hi)
-            evaluations += n
-            verdict = acc.add(v, e)
-            levels_used = max(levels_used, lvl + 1)
-            if verdict is not None:
-                break
-        if verdict == "divergent":
-            rule = ("threshold" if abs(acc.total) > threshold else "trend")
-            return ImproperIntegralResult(
-                verdict="divergent", value=None, abs_error=None, direction=tag,
-                evaluations=evaluations, levels=levels_used, rule=rule)
-        value += acc.total
-        err += acc.error_estimate
-
-    return ImproperIntegralResult(
-        verdict="finite", value=value, abs_error=err, direction=None,
-        evaluations=evaluations, levels=levels_used)
+    sides = []
+    for endpoint in (a, b):
+        side = tail_integral(logf, split, endpoint, tol, max_levels)
+        if not side.finite:
+            return side
+        sides.append(side)
+    return IntegralVerdict(name="improper_integral", verdict="finite",
+                           value=sides[0].value + sides[1].value,
+                           levels=max(s.levels for s in sides))
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +539,6 @@ class OdeTrajectory:
         v = self.values[:, component]
         v = v[v != 0.0]
         return int(np.sum(v[1:] * v[:-1] < 0))
-
-    def at(self, x: float) -> tuple:
-        """Linear interpolation of the (rescaled) pair at x."""
-        u = np.interp(x, self.grid, self.values[:, 0])
-        w = np.interp(x, self.grid, self.values[:, 1])
-        return (float(u), float(w))
 
 
 # Per-cell bound on |change of log rho| and on sqrt(2|lam - kappa|) * h.

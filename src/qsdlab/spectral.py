@@ -20,13 +20,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .boundary import _scale_tail_integral
 from .model import (DiffusionModel, ScalarField, ScaleSpeed, scale_speed,
                     schrodinger_potential)
-from .numerics import (IndeterminateIntegralError, OdeTrajectory, QsdlabError,
-                       TabulatedAntiderivative, _richardson, brent_root,
-                       cumulative_parabolic, improper_integral,
-                       integrate_sl_system)
+from .numerics import (OdeTrajectory, QsdlabError, TabulatedAntiderivative,
+                       _richardson, brent_root, cumulative_parabolic,
+                       improper_integral, integrate_sl_system, tail_integral)
 
 __all__ = [
     "ClassificationMismatchError", "USolution", "PhiSolution",
@@ -677,10 +675,10 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
     ss = scale_speed(model)
     pot = schrodinger_potential(model)
 
-    # both tails of int rho, in log space (no scipy quadrature on this route)
+    # both tails of int rho, in log space
     log_rho = lambda x: np.asarray(ss.log_speed(x), dtype=float)
-    if not all(_scale_tail_integral(log_rho, float(model.x_ref), end,
-                                    tol=1e-8).finite
+    if not all(tail_integral(log_rho, float(model.x_ref), end,
+                             tol=1e-8).finite
                for end in (-math.inf, math.inf)):
         raise QsdlabError("speed density not integrable on the line; "
                           "no quasistationary regime for this solver")
@@ -811,14 +809,14 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
     if not (math.isfinite(l) and math.isinf(r)):
         raise QsdlabError("doob_h_transform expects domain (l, inf)")
     ss = scale_speed(model)
-    tail = improper_integral(lambda x: ss.scale_density(x), model.x_ref,
-                             math.inf, tol=1e-10)
-    if tail.divergent:
+    log_scale = lambda x: -np.asarray(ss.log_speed(x), dtype=float)
+    tail = improper_integral(log_scale, model.x_ref, math.inf, tol=1e-10)
+    if not tail.finite:
         return DoobResult(model=model, h=None, noop=True,
                           reason="absorption certain (scale tail divergent); "
                                  "h == 1 and the transform is the identity")
-    left = improper_integral(lambda x: ss.scale_density(x), l, model.x_ref,
-                             tol=1e-10, split=l + 0.5 * (model.x_ref - l))
+    left = improper_integral(log_scale, l, model.x_ref, tol=1e-10,
+                             split=l + 0.5 * (model.x_ref - l))
     if not left.finite:
         raise QsdlabError("left endpoint inaccessible (scale not integrable "
                           "at l); absorption probability undefined")
@@ -832,8 +830,7 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
     except QsdlabError:
         x_far = None
     if x_far is not None:
-        far = improper_integral(lambda x: ss.scale_density(x), x_far,
-                                math.inf, tol=1e-12)
+        far = improper_integral(log_scale, x_far, math.inf, tol=1e-12)
         t_back = TabulatedAntiderivative(lambda x: ss.scale_density(x),
                                          x_far, domain=model.domain)
 

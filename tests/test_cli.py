@@ -375,7 +375,7 @@ def test_unknown_zoo_name_exits_3(tmp_path, capsys):
     assert json.loads(diag.read_text())["error"] == "ModelValidationError"
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
@@ -383,12 +383,48 @@ def test_usage_errors_exit_2():
         main(["spectrum", "--zoo", "bessel", "--param", "nu=-1.5",
               "--method", "bogus"])
     assert exc.value.code == 2
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["classify"])
-    assert "--zoo" in str(exc.value.code)
+    assert exc.value.code == 2
+    assert "--zoo" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--zoo", "bessel", "--param", "nu"])
-    assert "key=value" in str(exc.value.code)
+    assert exc.value.code == 2
+    assert "key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, says", [
+    # fd takes one truncation or a window; a third value was dropped
+    (["spectrum", "--zoo", "bessel", "--param", "nu=-1.5", "--method", "fd",
+      "--truncation", "5", "6", "7"], "got 3 values"),
+    # the whole-line (Schrodinger) route picks its own window
+    (["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC,
+      "--truncation", "8"], "--truncation does not apply"),
+    # checked before the Monte Carlo runs, not after it
+    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC,
+      "--truncation", "8"], "--truncation does not apply"),
+    # --k 0 used to fall back to the default K
+    (["spectrum", "--zoo", "bessel", "--param", "nu=-1.5", "--k", "0"],
+     "--k must be at least 1"),
+    (["classify"], "specify a model with --zoo NAME or --model-json FILE"),
+    (["classify", "--zoo", "bessel", "--param", "nu"], "needs key=value"),
+    (["classify", "--zoo", "bessel", "--param", "nu=x"],
+     "--param nu needs a number, got 'x'"),
+], ids=["fd-three-truncations", "schrodinger-truncation",
+        "compare-truncation", "k-zero", "no-model", "param-without-value",
+        "param-not-a-number"])
+def test_dropped_or_malformed_inputs_exit_2(argv, says, monkeypatch, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the usage check must come before the probe")
+    monkeypatch.setattr(qsdlab.cli, "dichotomy_probe", no_simulation)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qsdlab: error: ")
+    assert captured.err.count("\n") == 1 and says in captured.err
 
 
 # ------------------------------------------------------------- output plumbing
@@ -420,8 +456,29 @@ import qsdlab.cli
 after["qsdlab.cli"] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     rc = qsdlab.cli.main(sys.argv[1:])
-after["spectrum"] = loaded()
+after["command"] = loaded()
 print(json.dumps({"rc": rc, "after": after}))
+"""
+
+# the library's improper integrals: the generic reduction's anchor and
+# domain end, the three integrals of the Doob transform and assumption 1's
+# int s sqrt(rho)
+_LIBRARY_PROBE = """
+import json, math, sys
+from dataclasses import replace
+from qsdlab import (DiffusionModel, ScalarField, assumption1_check,
+                    doob_h_transform, reduce_unit_diffusion, zoo_build)
+m = zoo_build("logistic_N", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
+red, _ = reduce_unit_diffusion(replace(m, reduction=None,
+                                       log_speed_closed=None))
+push = DiffusionModel(drift=ScalarField.constant(1.0),
+                      domain=(0.0, math.inf), x_ref=1.0, name="push")
+rep = assumption1_check(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1}))
+print(json.dumps({"reduced_domain": [str(v) for v in red.domain],
+                  "doob_noop": doob_h_transform(push).noop,
+                  "int_s_sqrt_rho_finite":
+                      rep["details"]["int_s_sqrt_rho_finite"],
+                  "loaded": [m for m in %r if m in sys.modules]}))
 """
 
 
@@ -430,12 +487,15 @@ def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
     # imports (scipy oracles in other tests) cannot leak into the answer
     src = os.path.dirname(os.path.dirname(qsdlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    # shooting polishes with the in-repo zeroin and the whole-line route
-    # checks int rho in log space; only the FE oracle's and the Schrodinger
-    # solver's tridiagonal eigensolver comes from scipy
-    for argv in (["spectrum", "--zoo", "perturbed_bessel", "--param",
-                  "nu=-1.5", "--param", "c1=1", "--k", "2", "--oracle"],
-                 ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC]):
+    # shooting polishes with the in-repo zeroin and every improper integral
+    # runs the log-space level march; only the FE oracle's and the
+    # Schrodinger solver's tridiagonal eigensolver comes from scipy
+    for argv, used in (
+            (["classify", "--zoo", "logistic_N", *LOGISTIC], []),
+            (["spectrum", "--zoo", "perturbed_bessel", "--param", "nu=-1.5",
+              "--param", "c1=1", "--k", "2", "--oracle"], ["scipy.linalg"]),
+            (["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC],
+             ["scipy.linalg"])):
         proc = subprocess.run(
             [sys.executable, "-c", _LOAD_PROBE % (_SCIPY_SUBMODULES,), *argv],
             cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
@@ -443,4 +503,11 @@ def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
         assert probe["rc"] == 0
         assert probe["after"]["qsdlab"] == []
         assert probe["after"]["qsdlab.cli"] == []
-        assert probe["after"]["spectrum"] == ["scipy.linalg"]
+        assert probe["after"]["command"] == used
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_PROBE % (_SCIPY_SUBMODULES,)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"reduced_domain": ["-inf", "inf"],
+                                       "doob_noop": False,
+                                       "int_s_sqrt_rho_finite": True,
+                                       "loaded": []}
