@@ -133,6 +133,9 @@ def _spectral(model: DiffusionModel, args):
     k = args.k or (2 if method == "schrodinger" else 1)
     trunc = args.truncation
     if method == "shoot":
+        if args.grid_size is not None:
+            _usage("--grid-size does not apply to the shooting route, "
+                   "which has no grid")
         return lambda: eigen_shoot(model, K=k, truncations=trunc)
     if method == "fd":
         if trunc is not None and len(trunc) > 2:
@@ -146,7 +149,7 @@ def _spectral(model: DiffusionModel, args):
     if trunc is not None:
         _usage("--truncation does not apply to the Schrodinger route, "
                "which chooses its own window")
-    return lambda: eigen_schrodinger(model, K=max(k, 2),
+    return lambda: eigen_schrodinger(model, K=k,
                                      grid_size=args.grid_size or 6000)
 
 

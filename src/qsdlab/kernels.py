@@ -14,6 +14,8 @@ factors and I_nu never overflow individually.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # power-series cutoff: below it a 91-term series reaches 16-digit accuracy,
@@ -32,7 +34,6 @@ def log_iv(nu: float, z) -> np.ndarray | float:
     exact to rounding; for other indices the first omitted term leaves a
     relative error of order 2e-8 at the switchover, shrinking like z^-5.
     """
-    from scipy.special import gammaln   # loaded at first use, not at import
     if not nu > 0:
         raise ValueError(f"log_iv expects a positive index, got nu={nu}")
     scalar = np.isscalar(z)
@@ -45,10 +46,12 @@ def log_iv(nu: float, z) -> np.ndarray | float:
     if np.any(small):
         zs = za[small]
         k = np.arange(_SERIES_TERMS)
+        lg_k = np.array([math.lgamma(j + 1.0) for j in range(_SERIES_TERMS)])
+        lg_nu = np.array([math.lgamma(j + 1.0 + nu)
+                          for j in range(_SERIES_TERMS)])
         with np.errstate(divide="ignore", invalid="ignore"):
             lt = ((2.0 * k[None, :] + nu) * np.log(0.5 * zs)[:, None]
-                  - gammaln(k + 1.0)[None, :]
-                  - gammaln(k + 1.0 + nu)[None, :])
+                  - lg_k[None, :] - lg_nu[None, :])
             peak = lt.max(axis=1)
             val = peak + np.log(np.exp(lt - peak[:, None]).sum(axis=1))
         out[small] = np.where(np.isfinite(peak), val, -np.inf)

@@ -2,9 +2,17 @@
 
 One improper-integral engine with explicit divergence certification, one
 tabulated antiderivative (with a batched inverse), one Richardson step, the
-first-order phase system (u, rho*u') for the Sturm-Liouville generator, and
-bracketed root finding by an in-repo port of Brent's zeroin.  Nothing here
+first-order phase system (u, rho*u') for the Sturm-Liouville generator,
+bracketed root finding by an in-repo port of Brent's zeroin, and the lowest
+eigenpairs of a symmetric tridiagonal matrix (`tridiagonal_lowest`, shared
+by the finite-element oracle and the Schrodinger solve).  Nothing here
 imports scipy.
+
+`tridiagonal_lowest` bisects on the Sturm count (Barth, Martin & Wilkinson
+1967, the method of LAPACK's dstebz) and refines vectors by inverse
+iteration (as dstein does).  Both run on odd-even (cyclic) reduction, about
+log2 n levels of array operations batched over every shift, instead of an
+n-step recurrence.
 
 The phase system is propagated by two-point Gauss 4th-order Magnus cell maps
 (Iserles & Norsett 1999).  Its matrix is traceless, so each cell map is a
@@ -813,3 +821,188 @@ def brent_root(f: Callable[[float], float], bracket: tuple, tol: float = 1e-12,
         raise BracketError(
             f"no sign change on [{lo:.8g}, {hi:.8g}]: f = ({flo:.3g}, {fhi:.3g})")
     return _zeroin(f, lo, hi, flo, fhi, tol, maxiter)
+
+
+# ---------------------------------------------------------------------------
+# lowest eigenpairs of a symmetric tridiagonal matrix
+# ---------------------------------------------------------------------------
+
+# pivots smaller than this times ||T|| are replaced by minus that, LAPACK's
+# rule with a threshold far enough above underflow that the reduction's
+# quotients stay finite; the bracket of a zero mode stops at this width too
+_TRI_PIVMIN = 2.0 ** -100
+# a bracket is done at this relative width (a few ulp)
+_TRI_RTOL = 4 * np.finfo(float).eps
+# test points per bracket and round (multisection)
+_TRI_POINTS = 3
+_TRI_MAX_ROUNDS = 200
+# inverse-iteration solves per eigenvector
+_TRI_SOLVES = 3
+# eigenvalues closer than this relative gap form a cluster whose vectors are
+# re-orthogonalized (LAPACK's dstein does so for its clusters)
+_TRI_CLUSTER_GAP = 1e-3
+
+
+def _odd_even(a: np.ndarray, c: np.ndarray, pivmin: float,
+              r: Optional[np.ndarray] = None):
+    """Odd-even (cyclic) reduction of the tridiagonal matrices with
+    diagonals a[s] (one row per shift s) and off-diagonal c, and of the
+    right-hand sides r[s] when given.
+
+    Each level eliminates the even-numbered unknowns, whose block is
+    diagonal, and leaves the Schur complement on the odd ones, which is
+    tridiagonal again.  Yields (pivots, off-diagonal, even right-hand sides)
+    per level, about log2 n levels.  By Sylvester's law the pivots have the
+    inertia of the matrix; a pivot smaller than pivmin in magnitude is
+    replaced by -pivmin, which perturbs one diagonal entry of the original
+    matrix by at most 2 pivmin."""
+    while True:
+        ae = a[:, 0::2]
+        ae = np.where(np.abs(ae) < pivmin, -pivmin, ae)
+        re = None if r is None else r[:, 0::2]
+        yield ae, c, re
+        m = a.shape[1] // 2
+        if m == 0:
+            return
+        # odd i couples to even i through c[2i] and to even i + 1 through
+        # c[2i + 1], which the last odd lacks when the size is even
+        cl, cr = c[..., 0::2], c[..., 1::2]
+        j = cr.shape[-1]
+        gl = cl / ae[:, :m]
+        gr = cr / ae[:, 1:j + 1]
+        a = a[:, 1::2] - gl * cl
+        a[:, :j] -= gr * cr
+        c = -gr[:, :m - 1] * c[..., 2::2]
+        if r is not None:
+            r = r[:, 1::2] - gl * re[:, :m]
+            r[:, :j] -= gr * re[:, 1:j + 1]
+
+
+def _sturm_counts(d: np.ndarray, c: np.ndarray, shifts: np.ndarray,
+                  pivmin: float) -> np.ndarray:
+    """Number of eigenvalues of T below each shift: the negative pivots of
+    T - s I."""
+    a = d[None, :] - shifts[:, None]
+    # every unknown is eliminated once, so the pivots of all levels fill an
+    # array of the matrix's shape
+    negative = np.empty(a.shape, dtype=bool)
+    at = 0
+    for ae, _, _ in _odd_even(a, c, pivmin):
+        np.less(ae, 0.0, out=negative[:, at:at + ae.shape[1]])
+        at += ae.shape[1]
+    return np.count_nonzero(negative, axis=1)
+
+
+def _tridiagonal_solve(d: np.ndarray, c: np.ndarray, shifts: np.ndarray,
+                       rhs: np.ndarray, pivmin: float) -> np.ndarray:
+    """Solve (T - shifts[s] I) x[s] = rhs[s] for every row s by odd-even
+    reduction and back substitution."""
+    levels = list(_odd_even(d[None, :] - shifts[:, None], c, pivmin, rhs))
+    x = np.empty((len(shifts), 0))
+    for ae, off, re in reversed(levels):
+        # x holds this level's odd unknowns; even i couples to odd i
+        # through off[2i] and to odd i - 1 through off[2i - 1]
+        m = x.shape[1]
+        num = re.copy()
+        num[:, :m] -= off[..., 0::2] * x
+        j = off[..., 1::2].shape[-1]
+        num[:, 1:j + 1] -= off[..., 1::2] * x[:, :j]
+        full = np.empty((len(shifts), ae.shape[1] + m))
+        full[:, 0::2] = num / ae
+        full[:, 1::2] = x
+        x = full
+    return x
+
+
+def _start_vectors(K: int, n: int) -> np.ndarray:
+    """K fixed start vectors in [1, 2)^n for inverse iteration: a
+    splitmix64 hash of the entry index, so every call starts alike."""
+    z = np.arange(1, K * n + 1, dtype=np.uint64).reshape(K, n)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return 1.0 + (z >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+
+def _section_points(lo: np.ndarray, hi: np.ndarray, floor: float) -> np.ndarray:
+    """Interior test points of each bracket: equally spaced once the bracket
+    is narrow against its distance from 0, else equally spaced in
+    asinh(x / floor), so that a bracket spanning many orders of magnitude
+    (or reaching down to a zero mode) shrinks by orders of magnitude."""
+    frac = np.arange(1, _TRI_POINTS + 1) / (_TRI_POINTS + 1)
+    lin = lo[:, None] + (hi - lo)[:, None] * frac
+    tl, th = np.arcsinh(lo / floor), np.arcsinh(hi / floor)
+    geo = floor * np.sinh(tl[:, None] + (th - tl)[:, None] * frac)
+    narrow = hi - lo < 0.5 * np.minimum(np.abs(lo), np.abs(hi))
+    return np.where(narrow[:, None], lin, geo)
+
+
+def tridiagonal_lowest(diag, off, K: int) -> tuple:
+    """The K lowest eigenpairs of the symmetric tridiagonal matrix T with
+    diagonal `diag` and off-diagonal `off`, in ascending order.  Returns
+    (vals, vecs) with unit eigenvectors as the columns of vecs; each
+    vector's sign is left to the caller.
+
+    Eigenvalues: bisection on the Sturm count (Barth, Martin & Wilkinson
+    1967), with the count from odd-even reduction batched over every test
+    point of a round, three points per bracket.  A bracket is done at a
+    relative width of 4 eps, or at width 2^-100 ||T|| near a zero mode.
+    Eigenvectors: three inverse-iteration solves by the same reduction from
+    fixed start vectors, re-orthogonalized within clusters of relative gap
+    below 1e-3.  The output is bitwise reproducible."""
+    d = np.asarray(diag, dtype=float)
+    c = np.asarray(off, dtype=float)
+    n = len(d)
+    if d.ndim != 1 or c.shape != (n - 1,) or not 1 <= K <= n:
+        raise QsdlabError(f"tridiagonal_lowest needs n diagonal and n - 1 "
+                          f"off-diagonal entries and 1 <= K <= n; got "
+                          f"{d.shape}, {c.shape}, K = {K}")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(c))):
+        raise QsdlabError("tridiagonal_lowest: non-finite matrix entry")
+    rad = np.zeros(n)
+    rad[:-1] += np.abs(c)
+    rad[1:] += np.abs(c)
+    gl, gu = float(np.min(d - rad)), float(np.max(d + rad))
+    tnorm = max(abs(gl), abs(gu))
+    if tnorm == 0.0:
+        return np.zeros(K), np.eye(n)[:, :K]
+    pivmin = _TRI_PIVMIN * tnorm
+    slack = 2 * n * np.finfo(float).eps * tnorm + 2 * pivmin
+    lo, hi = np.full(K, gl - slack), np.full(K, gu + slack)
+    ks = np.arange(K)[:, None]
+    for _ in range(_TRI_MAX_ROUNDS):
+        live = hi - lo > np.maximum(
+            _TRI_RTOL * np.maximum(np.abs(lo), np.abs(hi)), pivmin)
+        if not live.any():
+            break
+        s = np.unique(_section_points(lo[live], hi[live], pivmin))
+        below = _sturm_counts(d, c, s, pivmin)[None, :] <= ks
+        lo = np.maximum(lo, np.max(np.where(below, s, -np.inf), axis=1))
+        hi = np.minimum(hi, np.min(np.where(below, np.inf, s), axis=1))
+    else:
+        raise QsdlabError("tridiagonal bisection did not converge")
+    vals = 0.5 * (lo + hi)
+
+    # equal shifts would give equal vectors: part them as dstein does
+    shifts = vals.copy()
+    for k in range(1, K):
+        sep = 10 * np.finfo(float).eps * abs(shifts[k]) + pivmin
+        shifts[k] = max(shifts[k], shifts[k - 1] + sep)
+    # first[k]: the first eigenvalue of k's cluster
+    first = list(range(K))
+    for k in range(1, K):
+        if vals[k] - vals[k - 1] < _TRI_CLUSTER_GAP * max(abs(vals[k]),
+                                                          abs(vals[k - 1])):
+            first[k] = first[k - 1]
+    x = _start_vectors(K, n)
+    for _ in range(_TRI_SOLVES):
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        x = _tridiagonal_solve(d, c, shifts, x, pivmin)
+        for k in range(1, K):
+            for j in range(first[k], k):
+                x[k] -= (x[k] @ x[j]) / (x[j] @ x[j]) * x[j]
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    return vals, x.T

@@ -24,7 +24,8 @@ from .model import (DiffusionModel, ScalarField, ScaleSpeed, scale_speed,
                     schrodinger_potential)
 from .numerics import (OdeTrajectory, QsdlabError, TabulatedAntiderivative,
                        _richardson, brent_root, cumulative_parabolic,
-                       improper_integral, integrate_sl_system, tail_integral)
+                       improper_integral, integrate_sl_system, tail_integral,
+                       tridiagonal_lowest)
 
 __all__ = [
     "ClassificationMismatchError", "USolution", "PhiSolution",
@@ -533,6 +534,12 @@ def _fd_window(model: DiffusionModel, ss: ScaleSpeed,
 
 def _fd_once(model: DiffusionModel, ss: ScaleSpeed, lo: float, hi: float,
              n: int, K: int, left_bc: str, right_bc: str, graded: bool):
+    """The K lowest eigenpairs of one P1 mesh with n nodes on [lo, hi].
+
+    The lumped mass M is diagonal, so M^-1/2 K M^-1/2 is symmetric
+    tridiagonal; `numerics.tridiagonal_lowest` solves it, and the vectors
+    are mapped back by M^-1/2.  Returns (eigenvalues, nodal values, nodes,
+    nodal masses) on the nodes that the boundary conditions keep."""
     gap = hi - lo
     if graded:
         r0 = 1e-4 * gap
@@ -572,9 +579,7 @@ def _fd_once(model: DiffusionModel, ss: ScaleSpeed, lo: float, hi: float,
             "speed density dynamic range exceeds double precision on this "
             "window (neighboring element masses underflow); narrow the "
             "truncation")
-    from scipy.linalg import eigh_tridiagonal   # loaded at first use
-    vals, vecs = eigh_tridiagonal(main, offsel, select="i",
-                                  select_range=(0, K - 1))
+    vals, vecs = tridiagonal_lowest(main, offsel, K)
     fs = vecs / np.sqrt(mm)[:, None]
     return vals, fs, nodes[sel], mm
 
@@ -666,6 +671,13 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
     killing rate is present) the conjugated potential -V diverging to -inf on
     the left.  Without killing the bottom eigenvalue is the stationary zero
     mode and should come out at 0 with phi0 constant.
+
+    The operator is discretized by second differences on a uniform grid of
+    the window where V and |log rho| stay below their caps, with Dirichlet
+    ends; `numerics.tridiagonal_lowest` gives the K lowest eigenpairs on
+    grid_size / 2 and grid_size cells, Richardson-extrapolated.  With a
+    killing rate the bottom eigenvalue must come out positive and, for
+    K >= 2, simple.
     """
     l, r = model.domain
     if math.isfinite(l) or math.isfinite(r):
@@ -703,9 +715,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
         vv = np.asarray(pot.V(inner), dtype=float)
         main = 1.0 / h ** 2 + vv
         off = np.full(len(inner) - 1, -0.5 / h ** 2)
-        from scipy.linalg import eigh_tridiagonal   # loaded at first use
-        vals, vecs = eigh_tridiagonal(main, off, select="i",
-                                      select_range=(0, K - 1))
+        vals, vecs = tridiagonal_lowest(main, off, K)
         return vals, vecs / math.sqrt(h), inner
 
     coarse, _, _ = solve(grid_size // 2 + 1)
@@ -734,8 +744,8 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
                             inner))
         funcs.append(PhiSolution(lam=float(ext[k]), samples=samples,
                                  l1_mass_near_0=l1))
-    if model.killing is not None and K >= 2:
-        if not (ext[0] > 0 and ext[1] > ext[0]):
+    if model.killing is not None:
+        if not (ext[0] > 0 and (K < 2 or ext[1] > ext[0])):
             raise QsdlabError(
                 f"killed-model spectrum not positive/simple: {ext[:2]}")
     return SpectralResult(eigenvalues=ext, eigenfunctions=funcs,

@@ -107,6 +107,19 @@ def test_spectrum_auto_uses_schrodinger_on_the_line(capsys):
     assert doc["gap"] == pytest.approx(1.8976, rel=1e-3)
 
 
+def test_spectrum_k1_on_the_line_gives_one_eigenvalue(capsys):
+    # --k 1 used to be raised to 2 on the Schrodinger route
+    rc, doc = run_cli(capsys, ["spectrum", "--zoo", "logistic_X_killed",
+                               *LOGISTIC, "--k", "1"])
+    assert rc == 0
+    assert doc["settings"]["method"] == "schrodinger"
+    assert doc["settings"]["k"] == 1
+    ev = doc["spectrum"]["eigenvalues"]
+    assert len(ev) == 1
+    assert ev[0] == pytest.approx(1.3785477, rel=1e-6)
+    assert doc["gap"] is None
+
+
 def test_spectrum_shoot_with_oracle_crosscheck(capsys):
     rc, doc = run_cli(capsys, ["spectrum", "--zoo", "perturbed_bessel",
                                "--param", "nu=-1", "--param", "c0=0.5",
@@ -407,13 +420,17 @@ def test_usage_errors_exit_2(capsys):
     # --k 0 used to fall back to the default K
     (["spectrum", "--zoo", "bessel", "--param", "nu=-1.5", "--k", "0"],
      "--k must be at least 1"),
+    # shooting has no grid; the flag used to be ignored
+    (["spectrum", "--zoo", "perturbed_bessel", "--param", "nu=-1.5",
+      "--param", "c1=1", "--grid-size", "10"],
+     "--grid-size does not apply to the shooting route"),
     (["classify"], "specify a model with --zoo NAME or --model-json FILE"),
     (["classify", "--zoo", "bessel", "--param", "nu"], "needs key=value"),
     (["classify", "--zoo", "bessel", "--param", "nu=x"],
      "--param nu needs a number, got 'x'"),
 ], ids=["fd-three-truncations", "schrodinger-truncation",
-        "compare-truncation", "k-zero", "no-model", "param-without-value",
-        "param-not-a-number"])
+        "compare-truncation", "k-zero", "shoot-grid-size", "no-model",
+        "param-without-value", "param-not-a-number"])
 def test_dropped_or_malformed_inputs_exit_2(argv, says, monkeypatch, capsys):
     def no_simulation(*args, **kwargs):
         raise AssertionError("the usage check must come before the probe")
@@ -443,31 +460,31 @@ def test_out_flag_writes_the_exact_stdout_document(tmp_path, capsys):
 
 # ------------------------------------------------------------- start-up
 
-_SCIPY_SUBMODULES = ("scipy.integrate", "scipy.optimize", "scipy.special",
-                     "scipy.linalg")
-
 _LOAD_PROBE = """
 import contextlib, io, json, sys
-names = %r
-loaded = lambda: [m for m in names if m in sys.modules]
+scipy_modules = lambda: sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "scipy")
 import qsdlab
-after = {"qsdlab": loaded()}
+after = {"qsdlab": scipy_modules()}
+import scipy
+bare = scipy_modules()
 import qsdlab.cli
-after["qsdlab.cli"] = loaded()
+after["qsdlab.cli"] = [m for m in scipy_modules() if m not in bare]
 with contextlib.redirect_stdout(io.StringIO()):
     rc = qsdlab.cli.main(sys.argv[1:])
-after["command"] = loaded()
+after["command"] = [m for m in scipy_modules() if m not in bare]
 print(json.dumps({"rc": rc, "after": after}))
 """
 
-# the library's improper integrals: the generic reduction's anchor and
+# the library's improper integrals (the generic reduction's anchor and
 # domain end, the three integrals of the Doob transform and assumption 1's
-# int s sqrt(rho)
+# int s sqrt(rho)) and the series branch of log_iv
 _LIBRARY_PROBE = """
 import json, math, sys
 from dataclasses import replace
 from qsdlab import (DiffusionModel, ScalarField, assumption1_check,
-                    doob_h_transform, reduce_unit_diffusion, zoo_build)
+                    doob_h_transform, log_iv, reduce_unit_diffusion,
+                    zoo_build)
 m = zoo_build("logistic_N", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
 red, _ = reduce_unit_diffusion(replace(m, reduction=None,
                                        log_speed_closed=None))
@@ -478,36 +495,39 @@ print(json.dumps({"reduced_domain": [str(v) for v in red.domain],
                   "doob_noop": doob_h_transform(push).noop,
                   "int_s_sqrt_rho_finite":
                       rep["details"]["int_s_sqrt_rho_finite"],
-                  "loaded": [m for m in %r if m in sys.modules]}))
+                  "log_iv_finite": math.isfinite(log_iv(1.5, 2.0)),
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.partition(".")[0] == "scipy")}))
 """
 
 
 def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
     # structure, not timing: a fresh interpreter, so this process's own
-    # imports (scipy oracles in other tests) cannot leak into the answer
+    # imports (scipy oracles in other tests) cannot leak into the answer.
+    # `qsdlab.cli` imports bare scipy for its version only (the modules
+    # that `import scipy` loads are the baseline); shooting polishes
+    # with the in-repo zeroin, every improper integral runs the log-space
+    # level march, the FE oracle and the Schrodinger solve share the in-repo
+    # tridiagonal eigensolver, and log_iv sums its series with math.lgamma,
+    # so no command and no library call loads any further scipy module
     src = os.path.dirname(os.path.dirname(qsdlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    # shooting polishes with the in-repo zeroin and every improper integral
-    # runs the log-space level march; only the FE oracle's and the
-    # Schrodinger solver's tridiagonal eigensolver comes from scipy
-    for argv, used in (
-            (["classify", "--zoo", "logistic_N", *LOGISTIC], []),
-            (["spectrum", "--zoo", "perturbed_bessel", "--param", "nu=-1.5",
-              "--param", "c1=1", "--k", "2", "--oracle"], ["scipy.linalg"]),
-            (["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC],
-             ["scipy.linalg"])):
+    for argv in (["classify", "--zoo", "logistic_N", *LOGISTIC],
+                 ["spectrum", "--zoo", "perturbed_bessel", "--param",
+                  "nu=-1.5", "--param", "c1=1", "--k", "2", "--oracle"],
+                 ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC]):
         proc = subprocess.run(
-            [sys.executable, "-c", _LOAD_PROBE % (_SCIPY_SUBMODULES,), *argv],
+            [sys.executable, "-c", _LOAD_PROBE, *argv],
             cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
         probe = json.loads(proc.stdout)
         assert probe["rc"] == 0
-        assert probe["after"]["qsdlab"] == []
-        assert probe["after"]["qsdlab.cli"] == []
-        assert probe["after"]["command"] == used
+        assert probe["after"] == {"qsdlab": [], "qsdlab.cli": [],
+                                  "command": []}, argv
     proc = subprocess.run(
-        [sys.executable, "-c", _LIBRARY_PROBE % (_SCIPY_SUBMODULES,)],
+        [sys.executable, "-c", _LIBRARY_PROBE],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == {"reduced_domain": ["-inf", "inf"],
                                        "doob_noop": False,
                                        "int_s_sqrt_rho_finite": True,
+                                       "log_iv_finite": True,
                                        "loaded": []}

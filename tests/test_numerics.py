@@ -21,7 +21,9 @@ from qsdlab.numerics import (
     gauss_panels,
     improper_integral,
     integrate_sl_system,
+    tridiagonal_lowest,
 )
+from qsdlab import spectral
 from qsdlab.zoo import zoo_build
 
 
@@ -487,3 +489,156 @@ def test_richardson_reproduces_the_replaced_formulas():
                               _ref_fd_derivative(d1, d2))
         assert (_richardson((d1[0], d2[0]), (1.0, 4.0))[0]
                 == _ref_fd_derivative(d1[0], d2[0]))
+
+
+# ---------------------------------------------------------------- tridiagonal
+# scipy's eigh_tridiagonal appears here only as the oracle, with tol=1e-300:
+# its default tolerance eps ||T|| stops the bisection early
+
+def _lapack_lowest(d, e, K):
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, K - 1),
+                            tol=1e-300)
+
+
+def _norm_bound(d, e):
+    """max |d_i| + 2 max |e_i|, a bound on ||T||."""
+    return float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0))
+
+
+def _same_up_to_sign(x, y):
+    return np.array([min(np.max(np.abs(x[:, k] - y[:, k])),
+                         np.max(np.abs(x[:, k] + y[:, k])))
+                     for k in range(x.shape[1])])
+
+
+def _solve_twice(d, e, K):
+    vals, vecs = tridiagonal_lowest(d, e, K)
+    again = tridiagonal_lowest(d, e, K)
+    assert np.array_equal(vals, again[0]) and np.array_equal(vecs, again[1])
+    assert vals.shape == (K,) and vecs.shape == (len(d), K)
+    return vals, vecs
+
+
+@pytest.fixture(scope="module")
+def qsdlab_tridiagonals():
+    """(diag, off, K) of every eigensolve in spectrum-pbessel's FE oracle
+    (on shooting's widest truncation), in the Schrodinger solve of
+    logistic_X_killed, and in the FE solve of the sealed OU process (drift
+    -x on (-10, 10)), whose bottom eigenvalue is the zero mode."""
+    seen = []
+
+    def spy(d, e, K):
+        seen.append((np.array(d), np.array(e), K))
+        return tridiagonal_lowest(d, e, K)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "tridiagonal_lowest", spy)
+        pb = zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0})
+        window = spectral.eigen_shoot(pb, K=2).truncation[-1]
+        spectral.eigen_fd_oracle(pb, truncation=window, K=2)
+        spectral.eigen_schrodinger(zoo_build(
+            "logistic_X_killed", {"mu": 1.0, "c": 1.0, "sigma": 1.0}), K=2)
+        ou = DiffusionModel(drift=ScalarField(eval=lambda x: -x,
+                                              deriv=lambda x: -1.0 + 0.0 * x,
+                                              domain=(-10.0, 10.0)),
+                            domain=(-10.0, 10.0), x_ref=0.0, name="ou")
+        spectral.eigen_fd_oracle(ou, K=3, left_bc="sealed",
+                                 right_bc="sealed")
+    assert [(len(d), K) for d, _, K in seen] == [
+        (798, 2), (1598, 2), (2999, 2), (5999, 2), (799, 3), (1599, 3)]
+    return seen
+
+
+def test_tridiagonal_lowest_matches_lapack_on_qsdlab_matrices(
+        qsdlab_tridiagonals):
+    for d, e, K in qsdlab_tridiagonals:
+        vals, vecs = _solve_twice(d, e, K)
+        ref, ref_vecs = _lapack_lowest(d, e, K)
+        # relative, except for the OU zero mode (|ref| ~ 1e-13)
+        assert np.all(np.abs(vals - ref)
+                      <= 1e-11 * np.maximum(np.abs(ref), 1.0)), (len(d), vals)
+        assert np.all(_same_up_to_sign(vecs, ref_vecs) <= 1e-10), len(d)
+    ou_fine = qsdlab_tridiagonals[-1]
+    assert abs(_solve_twice(*ou_fine)[0][0]) < 1e-11
+
+
+def test_tridiagonal_lowest_harmonic_oscillator():
+    # -psi''/2 + x^2 psi/2 on a symmetric grid: eigenvalues k + 1/2, and
+    # eigenvectors alternately even and odd, so a start vector with a
+    # symmetry would miss every other one
+    x = np.linspace(-10.0, 10.0, 2001)[1:-1]
+    h = 0.01
+    d = 1.0 / h ** 2 + 0.5 * x ** 2
+    e = np.full(len(x) - 1, -0.5 / h ** 2)
+    vals, vecs = _solve_twice(d, e, 4)
+    ref, ref_vecs = _lapack_lowest(d, e, 4)
+    assert np.all(np.abs(vals - ref) <= 1e-11 * np.abs(ref))
+    assert np.all(_same_up_to_sign(vecs, ref_vecs) <= 1e-10)
+    np.testing.assert_allclose(vals, np.arange(4) + 0.5, atol=1e-4)
+    parity = np.sum(vecs * vecs[::-1], axis=0)
+    np.testing.assert_allclose(parity, [1.0, -1.0, 1.0, -1.0], atol=1e-10)
+
+
+def _random_tridiagonal(rng, kind, n):
+    if kind == "indefinite":
+        return rng.standard_normal(n), rng.standard_normal(n - 1)
+    d = np.geomspace(1e-3, 1e10, n)
+    e = rng.uniform(-0.5, 0.5, n - 1) * np.sqrt(d[:-1] * d[1:])
+    return (d[::-1].copy(), e[::-1].copy()) if rng.random() < 0.5 else (d, e)
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "graded"])
+def test_tridiagonal_lowest_random(kind):
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    for n in (1, 2, 3, 4, 7, 16, 50, 129, 400) * 4:
+        d, e = _random_tridiagonal(rng, kind, n)
+        K = int(rng.integers(1, min(4, n) + 1))
+        vals, vecs = _solve_twice(d, e, K)
+        ref, ref_vecs = _lapack_lowest(d, e, K)
+        tnorm = _norm_bound(d, e)
+        assert np.all(np.abs(vals - ref) <= 8 * n * eps * tnorm), (n, K)
+        # LAPACK's inverse iteration is accurate to about eps ||T|| / gap,
+        # so its vectors are a reference where that gap is wide; on the
+        # graded matrices it is not (its residuals reach 1e-6 there), and
+        # only the residual and orthogonality are checked
+        everything = _lapack_lowest(d, e, n)[0]
+        for k in range(K):
+            gap = np.min(np.abs(np.delete(everything, k) - ref[k]),
+                         initial=np.inf)
+            if gap > 1e-5 * tnorm:
+                assert _same_up_to_sign(vecs[:, k:k + 1],
+                                        ref_vecs[:, k:k + 1])[0] <= 1e-10
+        tx = d[:, None] * vecs
+        tx[:-1] += e[:, None] * vecs[1:]
+        tx[1:] += e[:, None] * vecs[:-1]
+        assert np.max(np.abs(tx - vecs * vals)) <= 8 * n * eps * tnorm
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(K))) <= 1e-12
+
+
+def test_tridiagonal_lowest_clusters_stay_orthogonal():
+    # the lowest eigenvalues of -W21+ (Wilkinson) come in pairs that agree
+    # to 1e-14, and a split matrix repeats one exactly: inverse iteration
+    # alone would return one vector twice
+    eps = np.finfo(float).eps
+    for d, e in ((-np.abs(np.arange(21) - 10.0), np.ones(20)),
+                 (np.array([1.0, 2.0, 1.0, 2.0]), np.array([0.5, 0.0, 0.5]))):
+        K = 4 if len(d) > 4 else 2
+        vals, vecs = _solve_twice(d, e, K)
+        ref = _lapack_lowest(d, e, K)[0]
+        n, tnorm = len(d), _norm_bound(d, e)
+        assert np.all(np.abs(vals - ref) <= 8 * n * eps * tnorm)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(K))) <= 1e-12
+        tx = d[:, None] * vecs
+        tx[:-1] += e[:, None] * vecs[1:]
+        tx[1:] += e[:, None] * vecs[:-1]
+        assert np.max(np.abs(tx - vecs * vals)) <= 8 * n * eps * tnorm
+
+
+def test_tridiagonal_lowest_rejects_bad_input():
+    with pytest.raises(QsdlabError):
+        tridiagonal_lowest(np.ones(3), np.ones(3), 1)
+    with pytest.raises(QsdlabError):
+        tridiagonal_lowest(np.ones(3), np.ones(2), 4)
+    with pytest.raises(QsdlabError):
+        tridiagonal_lowest(np.array([1.0, np.nan]), np.ones(1), 1)
