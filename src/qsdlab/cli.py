@@ -13,9 +13,14 @@ before the failing stage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import warnings
 
 import numpy as np
 import scipy
@@ -259,12 +264,105 @@ def _cmd_simulate(args, doc: dict) -> None:
         doc["csv_hist"] = args.csv_hist
 
 
+class _Forked:
+    """`fn()` computed in a forked child while the parent works on.
+
+    `result()` returns fn's value or raises its exception, which come back
+    pickled through a pipe.  Leaving the block kills and reaps a child whose
+    result was not read, so no exit path leaves a process behind.  Where
+    `os.fork` is missing or fails, `result()` calls `fn()` in-process, with
+    the same value since every random stream is keyed from a seed."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._pid = self._fd = None
+
+    def __enter__(self):
+        fork = getattr(os, "fork", None)
+        if fork is None:
+            return self
+        r, w = os.pipe()
+        try:
+            # Python 3.12+ warns on fork in a process with threads, such as
+            # the idle BLAS workers numpy starts; the child runs no code that
+            # needs them, and a warning raised as an error would orphan it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return self
+        if pid == 0:                            # the child never returns
+            os.close(r)
+            status = 1
+            try:
+                try:
+                    payload = (True, self._fn())
+                except Exception as exc:
+                    payload = (False, exc)
+                # pickled whole before writing, so the pipe carries all of
+                # the result or none of it
+                data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+                with os.fdopen(w, "wb") as fh:
+                    fh.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self._pid, self._fd = pid, r
+        return self
+
+    def result(self):
+        if self._pid is None:
+            return self._fn()
+        with os.fdopen(self._fd, "rb") as fh:
+            self._fd = None
+            data = fh.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if os.WIFSIGNALED(status):
+            sig = signal.Signals(os.WTERMSIG(status)).name
+            raise QsdlabError(f"the plain ensemble's process was killed "
+                              f"by {sig}")
+        if not data:
+            raise QsdlabError(f"the plain ensemble's process exited with "
+                              f"status {os.waitstatus_to_exitcode(status)} "
+                              f"and no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def __exit__(self, *exc_info):
+        if self._fd is not None:
+            os.close(self._fd)
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+
+
+def _plain_fit(red: DiffusionModel, x0: float, cfg: SimConfig):
+    """The plain run (compare has no --resample) and its survival fit.  A
+    fit that fails comes back as its QsdlabError, which the report keeps; a
+    run that fails raises."""
+    res = run_ensemble(red, x0, cfg)
+    try:
+        return survival_curve(res)
+    except QsdlabError as exc:
+        return exc
+
+
 def _cmd_compare(args, doc: dict) -> None:
     """Cross-validate spectral predictions against killed-path sampling.
 
     Two ensembles share the seed: the dichotomy probe's resampled run, whose
     t_max positions are the conditioned sample histogrammed against the
-    spectral QSD for `tv_distance`, and a plain run for the survival fit."""
+    spectral QSD for `tv_distance`, and a plain run for the survival fit.
+    The two are independent, so the plain run and its fit go to a forked
+    child that works beside the probe and the spectral solve; the report is
+    read from it where the plain run stands in the sequence of stages, so
+    failures and the partial report come out as if it ran in-process."""
     model = _load_model(args)
     red, tr, red_info = _reduced(model)
     x0 = _start(args, red, tr)
@@ -288,26 +386,27 @@ def _cmd_compare(args, doc: dict) -> None:
             degraded = True
 
     cfg = _sim_config(args)
-    probe = dichotomy_probe(red, x0, cfg)
-    doc["dichotomy"] = _jsonable(probe.to_json())
+    with (contextlib.nullcontext() if degraded else
+          _Forked(lambda: _plain_fit(red, x0, cfg))) as plain:
+        probe = dichotomy_probe(red, x0, cfg)
+        doc["dichotomy"] = _jsonable(probe.to_json())
 
-    if degraded or probe.verdict == "Escapes":
-        doc["mode"] = "dichotomy-only"
-        doc["tv_distance"] = None
-        return
+        if degraded or probe.verdict == "Escapes":
+            doc["mode"] = "dichotomy-only"
+            doc["tv_distance"] = None
+            return
 
-    spec = solve()
-    doc["spectrum"] = _jsonable(spec.to_json())
-    doc["gap"] = _jsonable(spec.gap)
+        spec = solve()
+        doc["spectrum"] = _jsonable(spec.to_json())
+        doc["gap"] = _jsonable(spec.gap)
 
-    res = run_ensemble(red, x0, cfg)          # plain: compare has no --resample
-    try:
-        curve = survival_curve(res)
+        curve = plain.result()
+    if isinstance(curve, QsdlabError):
+        doc["survival"] = {"error": str(curve)}
+    else:
         doc["survival"] = _jsonable(curve.to_json())
         doc["rate_matches_lambda0"] = bool(
             curve.rate_ci[0] <= spec.lambda0 <= curve.rate_ci[1])
-    except QsdlabError as exc:
-        doc["survival"] = {"error": str(exc)}
 
     dens = qsd_density(spec, scale_speed(red))
     sample = probe.final_positions

@@ -154,16 +154,21 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
             hit = np.zeros(m, dtype=bool)
             # Brownian-bridge crossing probabilities; where the proposal is
             # already past the end the exponent is positive and may overflow,
-            # but those particles are hit anyway
+            # but those particles are hit anyway.  Exponents are clipped at
+            # -700: np.exp is 10-100x slower where its result is subnormal or
+            # flushes to 0, and far from the end almost every one is; the
+            # clip changes a decision only for a uniform of exactly 0.0
             with np.errstate(over="ignore"):
                 if fin_l:
                     hit |= prop <= l
                     if use_bridge:
-                        hit |= u < np.exp(-2.0 * (x - l) * (prop - l) / dt)
+                        hit |= u < np.exp(np.maximum(
+                            -2.0 * (x - l) * (prop - l) / dt, -700.0))
                 if fin_r:
                     hit |= prop >= r
                     if use_bridge:
-                        hit |= u < np.exp(-2.0 * (r - x) * (r - prop) / dt)
+                        hit |= u < np.exp(np.maximum(
+                            -2.0 * (r - x) * (r - prop) / dt, -700.0))
 
         dead = np.abs(prop) > config.blow_up
         if hit is not None:

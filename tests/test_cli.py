@@ -1,13 +1,17 @@
 """Driver-level tests: every subcommand exercised in-process through main().
 
-No subprocesses -- argparse, the handlers and the report serialization are
-all importable -- so the assertions can freeze exit codes, whole documents
-and CSV bytes.  The one exception is the start-up test at the end: which
-scipy submodules a command loads can only be seen in a fresh interpreter.
+argparse, the handlers and the report serialization are all importable, so
+the assertions can freeze exit codes, whole documents and CSV bytes.  Two
+kinds of test start processes: `compare` forks a child for its plain run,
+and the tests of that child watch it from this process; and what a fresh
+interpreter loads or warns about (the start-up test at the end, and
+`compare` under `-W error`) can only be seen in a subprocess.
 """
+import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -23,6 +27,7 @@ from qsdlab.cli import main
 from qsdlab.model import CONVENTION_NOTE, reduce_unit_diffusion, scale_speed
 from qsdlab.montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
                                tv_distance)
+from qsdlab.numerics import QsdlabError
 from qsdlab.spectral import eigen_schrodinger, qsd_density
 from qsdlab.zoo import zoo_build
 
@@ -250,12 +255,16 @@ def test_compare_full_mode_on_killed_logistic(capsys):
     assert 0.0 < doc["tv_distance"] < 0.1
 
 
-def test_compare_takes_the_tv_sample_from_the_probe(monkeypatch, capsys):
-    modes = []
+def test_compare_takes_the_tv_sample_from_the_probe(tmp_path, monkeypatch,
+                                                   capsys):
+    # the plain run happens in a forked child, where appending to a list
+    # would not reach this process: both processes append to one file
+    log = tmp_path / "modes.txt"
 
     def counting(run):
         def wrapped(model, x0, config, *args, **kwargs):
-            modes.append(config.resample)
+            with open(log, "a") as fh:
+                fh.write(f"{config.resample}\n")
             return run(model, x0, config, *args, **kwargs)
         return wrapped
     for mod in (qsdlab.montecarlo, qsdlab.cli):
@@ -265,6 +274,7 @@ def test_compare_takes_the_tv_sample_from_the_probe(monkeypatch, capsys):
                                "--t-max", "4", "--seed", "5", "--bins", "30"])
     assert rc == 0
     assert doc["mode"] == "full"
+    modes = [line == "True" for line in log.read_text().split()]
     assert sorted(modes) == [False, True]     # the probe and the plain run
 
     m = zoo_build("logistic_X_killed", {"mu": 1, "c": 1, "sigma": 1})
@@ -296,6 +306,171 @@ def test_compare_maps_x0_into_the_reduced_coordinate(monkeypatch, capsys):
     _, tr = reduce_unit_diffusion(m)
     assert starts == [pytest.approx(float(tr.forward(2.0)), rel=1e-12)]
     assert doc["settings"]["x0"] == starts[0]
+
+
+# ------------------------------------------------------------- the forked plain run
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children `os.fork` started in this process."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child_left():
+    # a child still running or not yet reaped would be returned here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+PULL = {"name": "custom", "drift_expr": "-1", "domain": [0.0, "inf"],
+        "x_ref": 1.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--zoo", "logistic_X_killed", *LOGISTIC, "--n", "2000", "--dt", "0.01",
+     "--t-max", "4", "--seed", "5"],
+    # fewer than 100 paths, so the survival fit fails: its message comes
+    # back from the child as a value, and the report keeps it
+    ["--zoo", "population_N", "--param", "mu=1", "--param", "c=1",
+     "--param", "sigma=1", "--param", "gamma=1", "--x0", "2", "--n", "90",
+     "--dt", "0.01", "--t-max", "1", "--seed", "3"],
+    # an expression model with an absorbing end, so the bridge runs
+    ["--model-json", "{json}", "--n", "1000", "--dt", "0.01", "--t-max", "3",
+     "--seed", "3"],
+], ids=["logistic_X_killed", "population_N", "model-json"])
+def test_compare_report_is_the_same_forked_and_in_process(
+        argv, tmp_path, monkeypatch, forks, capsys):
+    path = tmp_path / "pull.json"
+    path.write_text(json.dumps(PULL))
+    argv = ["compare"] + [str(path) if a == "{json}" else a for a in argv]
+    forked = main(argv), capsys.readouterr().out
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    in_process = main(argv), capsys.readouterr().out
+    assert forked[0] == 0 and "survival" in json.loads(forked[1])
+    assert forked == in_process
+
+
+def _raise_probe_error(*args, **kwargs):
+    raise QsdlabError("probe failed")
+
+
+def _escaping_probe(model, x0, config, **kwargs):
+    verdict = dichotomy_probe(model, x0, config, **kwargs)
+    return dataclasses.replace(verdict, verdict="Escapes")
+
+
+@pytest.mark.parametrize("argv, probe, rc, n_forks", [
+    (["--zoo", "logistic_X_killed", *LOGISTIC], None, 0, 1),
+    # positivity fails, so no child is started
+    (["--model-json", "{json}"], None, 0, 0),
+    # an escaping probe ends the command while the child runs
+    (["--zoo", "logistic_X_killed", *LOGISTIC], _escaping_probe, 0, 1),
+    # qsd_density fails after the child's result was read
+    (["--zoo", "logistic_N", *LOGISTIC], None, 3, 1),
+    (["--zoo", "logistic_X_killed", *LOGISTIC], _raise_probe_error, 3, 1),
+], ids=["full", "outward-push", "escapes", "qsd-density-fails",
+        "probe-raises"])
+def test_compare_leaves_no_child_behind(argv, probe, rc, n_forks, tmp_path,
+                                        monkeypatch, forks, capsys):
+    path = tmp_path / "push.json"
+    path.write_text(json.dumps({"name": "custom", "drift_expr": "1",
+                                "domain": [0.0, "inf"], "x_ref": 1.0}))
+    if probe is not None:
+        monkeypatch.setattr(qsdlab.cli, "dichotomy_probe", probe)
+    argv = [str(path) if a == "{json}" else a for a in argv]
+    got = main(["--diagnostic", str(tmp_path / "diag.json"), "compare",
+                *argv, "--n", "1000", "--dt", "0.01", "--t-max", "2",
+                "--seed", "3"])
+    capsys.readouterr()
+    assert got == rc
+    assert len(forks) == n_forks
+    assert_no_child_left()
+
+
+def test_compare_leaves_no_child_behind_an_exception(monkeypatch, forks,
+                                                     capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a numerical failure")
+    monkeypatch.setattr(qsdlab.cli, "dichotomy_probe", broken)
+    with pytest.raises(RuntimeError, match="not a numerical failure"):
+        main(["compare", "--zoo", "logistic_X_killed", *LOGISTIC,
+              "--n", "1000", "--dt", "0.01", "--t-max", "2"])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_plain_run_failure_in_the_child_matches_in_process(
+        tmp_path, monkeypatch, forks, capsys):
+    def failing(*args, **kwargs):
+        raise QsdlabError("plain run failed")
+    monkeypatch.setattr(qsdlab.cli, "run_ensemble", failing)
+    runs = []
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        diag = tmp_path / f"diag-{forked}.json"
+        rc = main(["--diagnostic", str(diag), "compare", "--zoo",
+                   "logistic_X_killed", *LOGISTIC, "--n", "1000", "--dt",
+                   "0.01", "--t-max", "2", "--seed", "3"])
+        captured = capsys.readouterr()
+        runs.append((rc, captured.out, captured.err,
+                     json.loads(diag.read_text())))
+    assert len(forks) == 1
+    assert runs[0] == runs[1]
+    rc, out, err, saved = runs[0]
+    assert rc == 3 and out == ""
+    assert err == "qsdlab: numerical failure: plain run failed\n"
+    assert saved["message"] == "plain run failed"
+    assert {"dichotomy", "spectrum", "gap"} <= set(saved["partial"])
+    assert "survival" not in saved["partial"]
+
+
+def test_a_child_killed_by_a_signal_exits_3_naming_it(tmp_path, monkeypatch,
+                                                      forks, capsys):
+    parent = os.getpid()
+
+    def killed(*args, **kwargs):
+        # only ever in the child: the in-process fallback would kill pytest
+        assert os.getpid() != parent
+        os.kill(os.getpid(), signal.SIGKILL)
+    monkeypatch.setattr(qsdlab.cli, "run_ensemble", killed)
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "compare", "--zoo",
+               "logistic_X_killed", *LOGISTIC, "--n", "1000", "--dt", "0.01",
+               "--t-max", "2", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == ("qsdlab: numerical failure: the plain ensemble's "
+                            "process was killed by SIGKILL\n")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_compare_with_warnings_as_errors_prints_nothing_to_stderr(tmp_path):
+    # a fresh interpreter with the BLAS thread pools at their defaults, so
+    # that a warning about forking a process with threads would show
+    src = os.path.dirname(os.path.dirname(qsdlab.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qsdlab.cli", "compare",
+         "--zoo", "logistic_X_killed", *LOGISTIC, "--n", "1000", "--dt",
+         "0.01", "--t-max", "2", "--seed", "3"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["mode"] == "full"
 
 
 # ------------------------------------------------------------- failure modes
