@@ -221,9 +221,6 @@ def positivity_criterion(model: DiffusionModel, a: float,
                                 evidence={"reason": "speed tail divergent"})
 
     # 2. grid scan of the product in log space
-    def log_seg(logw, lo, hi):
-        return _log_integral(logw, lo, hi) if hi > lo else -math.inf
-
     def lse(u, v):
         m = max(u, v)
         if math.isinf(m) and m < 0:
@@ -237,7 +234,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
     breaks = _graded_breaks(x0, first, m=24)
     logS = -math.inf
     for j in range(len(breaks) - 1):
-        logS = lse(logS, log_seg(Lm, breaks[j], breaks[j + 1]))
+        logS = lse(logS, _log_integral(Lm, breaks[j], breaks[j + 1]))
 
     # grow the scan window (sqrt(2) steps early for bracketing resolution,
     # doubling later) while the quadrature stays reliable: stop once a single
@@ -252,7 +249,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
         nx = a + factor * (x - a)
         if abs(float(Lm(nx)) - float(Lm(x))) > 1500.0:
             break
-        logS = lse(logS, log_seg(Lm, x, nx))
+        logS = lse(logS, _log_integral(Lm, x, nx))
         xs.append(nx)
         logSs.append(logS)
         x = nx
@@ -263,7 +260,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
     log_tail_end = -math.inf
     acc2 = LevelAccumulator(tol)
     for lvl2, (lo, hi) in enumerate(_side_levels(xs[-1], math.inf)):
-        seg = log_seg(Lp, lo, hi)
+        seg = _log_integral(Lp, lo, hi)
         log_tail_end = lse(log_tail_end, seg)
         v = acc2.add(math.exp(min(seg, _LOG_CLIP)))
         if v == "finite":
@@ -277,7 +274,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
     logR = log_tail_end
     logRs[-1] = logR
     for j in range(len(xs) - 2, -1, -1):
-        logR = lse(logR, log_seg(Lp, xs[j], xs[j + 1]))
+        logR = lse(logR, _log_integral(Lp, xs[j], xs[j + 1]))
         logRs[j] = logR
 
     logP = np.array(logSs) + logRs
@@ -308,14 +305,14 @@ def positivity_criterion(model: DiffusionModel, a: float,
                 bq = _graded_breaks(x0, xq, m=24)
                 s_val = -math.inf
                 for j in range(len(bq) - 1):
-                    s_val = lse(s_val, log_seg(Lm, bq[j], bq[j + 1]))
-                r_val = lse(logRs[0], log_seg(Lp, xq, xs[0]))
+                    s_val = lse(s_val, _log_integral(Lm, bq[j], bq[j + 1]))
+                r_val = lse(logRs[0], _log_integral(Lp, xq, xs[0]))
                 return s_val + r_val
             # S and R re-anchored from the nearest grid knots
             jl = int(np.searchsorted(xs, xq)) - 1
             jl = max(0, min(jl, len(xs) - 2))
-            s_val = lse(logSs[jl], log_seg(Lm, xs[jl], xq))
-            r_val = lse(logRs[jl + 1], log_seg(Lp, xq, xs[jl + 1]))
+            s_val = lse(logSs[jl], _log_integral(Lm, xs[jl], xq))
+            r_val = lse(logRs[jl + 1], _log_integral(Lp, xq, xs[jl + 1]))
             return s_val + r_val
 
         lo = xs[jstar - 1] if jstar >= 1 else x0 + 0.02 * (xs[0] - x0)

@@ -187,8 +187,9 @@ def _cmd_spectrum(args, doc: dict) -> None:
                settings={"method": spec.method, "k": len(spec.eigenvalues),
                          **_env_settings()})
     if args.oracle and spec.method != "fd":
-        trunc = spec.truncation
-        tr = trunc[-1] if spec.method == "shoot" else tuple(trunc)
+        # on the whole line FE picks its own window: the Schrodinger one
+        # spans more decades of rho than its element masses can hold
+        tr = spec.truncation[-1] if spec.method == "shoot" else None
         oracle = eigen_fd_oracle(red, truncation=tr,
                                  K=len(spec.eigenvalues))
         kk = min(len(spec.eigenvalues), len(oracle.eigenvalues))

@@ -32,7 +32,7 @@ integrand value can overflow:
 * Divergent, threshold rule: |S| exceeds DIVERGENCE_THRESHOLD (1e12)
   while still increasing across the last 3 levels.
 * Divergent, trend rule: increments keep a fixed sign and stop decaying
-  (level-to-level ratio >= 0.999 over the last 4 of >= 8 levels).  Constant
+  (level-to-level ratio >= 0.9997 over the last 4 of >= 8 levels).  Constant
   positive increments integrate to +infinity, so the partial sums provably
   cross any threshold; this certifies logarithmic divergence, which gains only
   ~0.69 per refinement level and would otherwise never hit 1e12.
@@ -53,6 +53,12 @@ DIVERGENCE_THRESHOLD = 1e12
 # that saturated partial sums keep increasing strictly (so the threshold rule
 # still fires) instead of overflowing to inf
 _LOG_CLIP = math.log(1e250)
+# trend rule: fires from this many levels on, when the last 4 level-to-level
+# ratios are all at least _TREND_RATIO
+_TREND_MIN_LEVELS = 8
+_TREND_RATIO = 0.9997
+# equispaced probes of a panel's log-integrand that size its sub-panel count
+_N_PROBE = 7
 
 
 class QsdlabError(Exception):
@@ -105,11 +111,8 @@ class LevelAccumulator:
     """Streams per-level increments of a partial-integral sequence and
     decides Finite / Divergent / keep-going under the module's shared rules."""
 
-    def __init__(self, tol: float, trend_min_levels: int = 8,
-                 trend_ratio: float = 0.9997):
+    def __init__(self, tol: float):
         self.tol = float(tol)
-        self.trend_min_levels = trend_min_levels
-        self.trend_ratio = trend_ratio
         self.increments: list[float] = []
         self.partials: list[float] = []
         self.total = 0.0
@@ -137,11 +140,11 @@ class LevelAccumulator:
             if p[0] < p[1] < p[2] < p[3]:
                 return "divergent"
         # -- divergent, trend rule (logarithmic blow-up)
-        if len(inc) >= self.trend_min_levels:
+        if len(inc) >= _TREND_MIN_LEVELS:
             last5 = inc[-5:]
             if all(v > 0 for v in last5) or all(v < 0 for v in last5):
                 ratios = [abs(last5[i + 1] / last5[i]) for i in range(4)]
-                if min(ratios) >= self.trend_ratio:
+                if min(ratios) >= _TREND_RATIO:
                     return "divergent"
         return None
 
@@ -168,12 +171,12 @@ def _side_levels(m, endpoint):
             k += 1
 
 
-def _log_integral(logf, lo: float, hi: float, n_probe: int = 7) -> float:
+def _log_integral(logf, lo: float, hi: float) -> float:
     """log of int_lo^hi exp(logf), with sub-panel count adapted to the
     exponent range so each Gauss panel sees O(1) exponent variation."""
     if hi <= lo:
         return -math.inf
-    probes = logf(np.linspace(lo, hi, n_probe))
+    probes = logf(np.linspace(lo, hi, _N_PROBE))
     probes = probes[np.isfinite(probes)]
     spread = (probes.max() - probes.min()) if len(probes) else 0.0
     n_sub = int(np.clip(math.ceil(spread), 8, 512))
@@ -282,6 +285,8 @@ def _richardson(values, weights) -> tuple:
 # ---------------------------------------------------------------------------
 
 _GL_CACHE: dict = {}
+# knot spacing of TabulatedAntiderivative, relative to max(1, |x|)
+_ANTIDERIVATIVE_H = 0.02
 # Newton steps of TabulatedAntiderivative.inverse: about three reach 1e-14
 # relative from the interpolated start; the cap bounds rounding-limited ones.
 INVERSE_NEWTON_STEPS = 8
@@ -385,12 +390,10 @@ class TabulatedAntiderivative:
     array of r at once.
     """
 
-    def __init__(self, f: Callable, x0: float, domain=( -np.inf, np.inf),
-                 base_h: float = 0.02):
+    def __init__(self, f: Callable, x0: float, domain=(-np.inf, np.inf)):
         self.f = f
         self.x0 = float(x0)
         self.domain = (float(domain[0]), float(domain[1]))
-        self.base_h = float(base_h)
         self._knots = np.array([self.x0])
         self._vals = np.array([0.0])
 
@@ -408,7 +411,7 @@ class TabulatedAntiderivative:
             if guard > 200000:
                 raise QsdlabError("antiderivative knot march failed to reach "
                                   f"{stop!r} from {start!r}")
-            h = self.base_h * max(1.0, abs(x))
+            h = _ANTIDERIVATIVE_H * max(1.0, abs(x))
             gap = (r - x) if up else (x - l)
             if math.isfinite(gap) and gap > 0:
                 # geometric approach to a finite endpoint
@@ -525,9 +528,7 @@ class OdeTrajectory:
     grid: np.ndarray
     values: np.ndarray          # shape (n, 2)
     log_scale: np.ndarray
-    x_from: float
-    x_to: float
-    final: tuple                # (u, rho*u') at x_to (rescaled)
+    final: tuple                # (u, rho*u') where the integration ends (rescaled)
     final_log_scale: float
 
     def __post_init__(self):
@@ -742,8 +743,7 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
         order = np.argsort(grid)
         grid, values, lscale = grid[order], values[order], lscale[order]
     return OdeTrajectory(grid=grid, values=values, log_scale=lscale,
-                         x_from=x_from, x_to=x_to, final=final,
-                         final_log_scale=log_scale)
+                         final=final, final_log_scale=log_scale)
 
 
 # the smallest relative tolerance scipy's brentq admits

@@ -52,10 +52,9 @@ class USolution:
     delta: float
     contraction_factor: float
     samples: OdeTrajectory            # continuation beyond delta
-    core_grid: np.ndarray             # graded grid on (l + eps0, delta]
+    core_grid: np.ndarray             # graded grid on (l, delta]
     core_u: np.ndarray
     core_w: np.ndarray                # rho u' on the core grid (= 2 lam J)
-    eps0: float
     residual: float                   # last fixed-point increment
 
 
@@ -65,8 +64,6 @@ class PhiSolution:
     sampled on the merged core + continuation grid."""
     lam: float
     samples: OdeTrajectory
-    l1_mass_near_0: float
-    delta: Optional[float] = None
 
     def _flat(self):
         ls = np.clip(self.samples.log_scale, -700.0, 700.0)
@@ -76,10 +73,13 @@ class PhiSolution:
         vals = self._flat()[:, 0]
         return np.interp(x, self.samples.grid, vals, left=0.0, right=0.0)
 
-    def sign_changes(self) -> int:
-        v = self._flat()[:, 0]
-        v = v[v != 0.0]
-        return int(np.sum(v[1:] * v[:-1] < 0))
+
+def _sampled(grid: np.ndarray, phi, w) -> OdeTrajectory:
+    """Unscaled samples of the pair (phi, rho phi') on `grid`."""
+    return OdeTrajectory(grid=grid, values=np.column_stack((phi, w)),
+                         log_scale=np.zeros(len(grid)),
+                         final=(float(phi[-1]), float(w[-1])),
+                         final_log_scale=0.0)
 
 
 @dataclass(frozen=True)
@@ -153,17 +153,22 @@ def _tail_cumulative(grid: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return cumulative_parabolic(-grid[::-1], fs[::-1])[::-1]
 
 
+# points of the graded core grid on (l, l + r], and its inner cutoff
+# relative to the radius r
+_N_CORE = 1200
+_EPS0_REL = 1e-8
+
+
 class _UBuilder:
     """Grids, speed-density samples and contraction bounds for the left-end
-    construction, cached per halving level of the radius delta so repeated
-    shots at different lam reuse everything lam-independent.  That includes
-    each level's Neumann basis v_k = K^k[1] of the lam-free operator K, so a
-    shot sums (2 lam)^k v_k with a few vector updates and runs no quadrature
-    sweep once the basis is long enough."""
+    construction, cached per halving level j of the radius, so repeated shots
+    at different lam reuse everything lam-independent.  Level j is the core
+    (l, delta] with delta = l + r0 2^-j.  The cache holds each level's
+    Neumann basis v_k = K^k[1] of the lam-free operator K, so a shot sums
+    (2 lam)^k v_k with a few vector updates and runs no quadrature sweep
+    once the basis is long enough."""
 
-    def __init__(self, model: DiffusionModel, ss: Optional[ScaleSpeed] = None,
-                 n_core: int = 1200, eps0_rel: float = 1e-8,
-                 delta0: Optional[float] = None):
+    def __init__(self, model: DiffusionModel, ss: Optional[ScaleSpeed] = None):
         if not model.unit_diffusion:
             raise QsdlabError("the constructive route needs sigma == 1; reduce first")
         if model.killing is not None:
@@ -175,22 +180,19 @@ class _UBuilder:
             raise QsdlabError("the constructive route needs a finite left endpoint")
         self.model = model
         self.ss = ss if ss is not None else scale_speed(model)
-        self.n_core = n_core
-        self.eps0_rel = eps0_rel
         self.left = l
-        if delta0 is None:
-            delta0 = min(1.0, 0.75 * (model.x_ref - l))
-            if math.isfinite(r):
-                delta0 = min(delta0, 0.25 * (r - l))
-        if delta0 <= 0:
+        r0 = min(1.0, 0.75 * (model.x_ref - l))
+        if math.isfinite(r):
+            r0 = min(r0, 0.25 * (r - l))
+        if r0 <= 0:
             raise QsdlabError(f"cannot seed a construction radius from {model.x_ref}")
-        self.delta0 = delta0
+        self.r0 = r0
         self._levels: dict = {}
         # accessibility probe: the double integral must be stable against the
         # inner cutoff, otherwise the left endpoint is not accessible and no
         # contraction radius exists
-        g_a = self._double_integral(delta0, eps0_rel)
-        g_b = self._double_integral(delta0, eps0_rel / 16.0)
+        g_a = self._double_integral(r0, _EPS0_REL)
+        g_b = self._double_integral(r0, _EPS0_REL / 16.0)
         if not (math.isfinite(g_a) and math.isfinite(g_b)) \
                 or abs(g_a - g_b) > 1e-2 * max(abs(g_a), 1e-300):
             raise ClassificationMismatchError(
@@ -198,62 +200,58 @@ class _UBuilder:
                 f"(double integral {g_a:.4g} vs {g_b:.4g} under cutoff refinement); "
                 "the constructive route needs an Exit or Regular left end")
 
-    def _grid(self, delta: float, eps0_rel: float):
-        gap = delta - self.left
-        grid = self.left + np.geomspace(eps0_rel * gap, gap, self.n_core)
+    def _grid(self, radius: float, eps_rel: float):
+        grid = self.left + np.geomspace(eps_rel * radius, radius, _N_CORE)
         logr = np.asarray(self.ss.log_speed(grid), dtype=float)
         rho = np.exp(np.clip(logr, -700.0, 709.0))
         inv_rho = np.exp(np.clip(-logr, -700.0, 709.0))
         return grid, rho, inv_rho
 
-    def _double_integral(self, delta: float, eps0_rel: float) -> float:
-        grid, rho, inv_rho = self._grid(delta, eps0_rel)
+    def _double_integral(self, radius: float, eps_rel: float) -> float:
+        grid, rho, inv_rho = self._grid(radius, eps_rel)
         j = _tail_cumulative(grid, rho)
         return float(cumulative_parabolic(grid, inv_rho * j)[-1])
 
     def _level(self, j: int) -> dict:
         if j not in self._levels:
-            delta = self.delta0 * 0.5 ** j
-            grid, rho, inv_rho = self._grid(delta, self.eps0_rel)
-            lv = {"delta": delta, "grid": grid, "rho": rho, "inv_rho": inv_rho,
+            radius = self.r0 * 0.5 ** j
+            grid, rho, inv_rho = self._grid(radius, _EPS0_REL)
+            lv = {"delta": self.left + radius, "grid": grid, "rho": rho,
+                  "inv_rho": inv_rho,
                   "basis": [(np.ones_like(grid), _tail_cumulative(grid, rho))]}
             lv["G"] = float(self._basis(lv, 1)[0][-1])
             self._levels[j] = lv
         return self._levels[j]
 
-    def build(self, lam: float, x_to: Optional[float] = None,
-              n_samples: int = 600) -> USolution:
-        # choose the radius by halving until the contraction factor closes
-        j = 0
-        while True:
+    def _solve(self, lam: float) -> tuple:
+        """The fixed point on the first level whose contraction factor
+        closes: (level, factor, u, rho u', residual)."""
+        for j in range(61):
             lv = self._level(j)
-            eps = 2.0 * abs(lam) * lv["G"]
-            if eps <= 0.45:
+            factor = 2.0 * abs(lam) * lv["G"]
+            if factor <= 0.45:
                 # also require the iterates to stay away from zero; the
-                # geometric bound gives u >= 1 - eps/(1-eps)
+                # geometric bound gives u >= 1 - factor/(1 - factor)
                 u, w, residual = self._iterate(lv, lam)
                 if np.min(u) > 0.05:
-                    break
-            j += 1
-            if j > 60:
-                raise ClassificationMismatchError(
-                    f"contraction radius collapsed below {self.delta0 * 0.5 ** 60:.3g} "
-                    f"at lam = {lam}; left endpoint unsuitable for the construction")
-        self._last_level = lv
-        grid, delta = lv["grid"], lv["delta"]
+                    return lv, factor, u, w, residual
+        raise ClassificationMismatchError(
+            f"contraction radius collapsed below {self.r0 * 0.5 ** 60:.3g} "
+            f"at lam = {lam}; left endpoint unsuitable for the construction")
+
+    def build(self, lam: float, x_to: Optional[float] = None,
+              n_samples: int = 600) -> USolution:
+        lv, factor, u, w, residual = self._solve(lam)
+        delta = lv["delta"]
         if x_to is not None and x_to > delta:
             traj = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
                                        init=(float(u[-1]), 0.0),
                                        n_samples=n_samples)
         else:
-            traj = OdeTrajectory(grid=np.array([delta]),
-                                 values=np.array([[float(u[-1]), 0.0]]),
-                                 log_scale=np.zeros(1), x_from=delta,
-                                 x_to=delta, final=(float(u[-1]), 0.0),
-                                 final_log_scale=0.0)
-        return USolution(lam=lam, delta=delta, contraction_factor=eps,
-                         samples=traj, core_grid=grid, core_u=u, core_w=w,
-                         eps0=float(grid[0] - self.left), residual=residual)
+            traj = _sampled(np.array([delta]), u[-1:], np.zeros(1))
+        return USolution(lam=lam, delta=delta, contraction_factor=factor,
+                         samples=traj, core_grid=lv["grid"], core_u=u,
+                         core_w=w, residual=residual)
 
     @staticmethod
     def _basis(lv: dict, k: int) -> tuple:
@@ -292,10 +290,9 @@ class _UBuilder:
 
     def phi(self, lam: float, x_to: Optional[float] = None,
             n_samples: int = 600) -> PhiSolution:
-        us = self.build(lam, x_to=None)
-        lv = self._last_level              # the level build() settled on
-        grid, rho, inv_rho = us.core_grid, lv["rho"], lv["inv_rho"]
-        integ = inv_rho / us.core_u ** 2
+        lv, _, u, w, _ = self._solve(lam)
+        grid, delta = lv["grid"], lv["delta"]
+        integ = lv["inv_rho"] / u ** 2
         # sub-cutoff mass of the scale integral from a local power fit
         tail0 = 0.0
         x0g, x1g = grid[0] - self.left, grid[1] - self.left
@@ -304,31 +301,16 @@ class _UBuilder:
             if p > -0.99:
                 tail0 = integ[0] * x0g / (p + 1.0)
         j2 = cumulative_parabolic(grid, integ) + tail0
-        phi = us.core_u * j2
-        w_phi = us.core_w * j2 + 1.0 / us.core_u
-        l1 = float(cumulative_parabolic(grid, np.abs(phi) * rho)[-1])
-        if x_to is not None and x_to > us.delta:
-            traj = integrate_sl_system(self.model, self.ss, lam, us.delta,
-                                       x_to, init=(float(phi[-1]), float(w_phi[-1])),
-                                       n_samples=n_samples)
-            grid_full = np.concatenate((grid, traj.grid[1:]))
-            values = np.vstack((np.column_stack((phi, w_phi)),
-                                traj.values[1:]))
-            lscale = np.concatenate((np.zeros(len(grid)), traj.log_scale[1:]))
-            final, final_ls = traj.final, traj.final_log_scale
-            x_end = x_to
-        else:
-            grid_full = grid
-            values = np.column_stack((phi, w_phi))
-            lscale = np.zeros(len(grid))
-            final, final_ls = (float(phi[-1]), float(w_phi[-1])), 0.0
-            x_end = us.delta
-        samples = OdeTrajectory(grid=grid_full, values=values,
-                                log_scale=lscale, x_from=float(grid[0]),
-                                x_to=x_end, final=final,
-                                final_log_scale=final_ls)
-        return PhiSolution(lam=lam, samples=samples, l1_mass_near_0=l1,
-                           delta=us.delta)
+        core = _sampled(grid, u * j2, w * j2 + 1.0 / u)
+        if x_to is None or not x_to > delta:
+            return PhiSolution(lam=lam, samples=core)
+        traj = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
+                                   init=core.final, n_samples=n_samples)
+        return PhiSolution(lam=lam, samples=OdeTrajectory(
+            grid=np.concatenate((grid, traj.grid[1:])),
+            values=np.concatenate((core.values, traj.values[1:])),
+            log_scale=np.concatenate((core.log_scale, traj.log_scale[1:])),
+            final=traj.final, final_log_scale=traj.final_log_scale))
 
 
 def build_u(model: DiffusionModel, lam: float,
@@ -395,7 +377,8 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
         def shot(lam: float):
             if lam not in cache:
                 ph = ub.phi(lam, x_to=t_cut, n_samples=n_samples)
-                count = ph.sign_changes()
+                # the stored samples differ from phi by positive factors
+                count = ph.samples.sign_changes()
                 miss = float(ph.samples.final[1])
                 expected = 1 if count % 2 == 0 else -1
                 sc = count + (0 if _sgn(miss) == expected else 1)
@@ -464,7 +447,7 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
 def _normalize_phi(ph: PhiSolution, ss: ScaleSpeed) -> PhiSolution:
     grid = ph.samples.grid
     flat = ph._flat()
-    vals, wvals = flat[:, 0].copy(), flat[:, 1].copy()
+    vals, wvals = flat[:, 0], flat[:, 1]
     rho = ss.speed_density(grid)
     nrm2 = float(np.trapezoid(vals ** 2 * rho, grid))
     if not nrm2 > 0:
@@ -473,23 +456,20 @@ def _normalize_phi(ph: PhiSolution, ss: ScaleSpeed) -> PhiSolution:
     # sign convention: positive near the left endpoint
     probe = vals[np.nonzero(vals)[0][0]] if np.any(vals) else 1.0
     s = 1.0 if probe >= 0 else -1.0
-    vals = s * vals / nrm
-    wvals = s * wvals / nrm
-    samples = OdeTrajectory(grid=grid, values=np.column_stack((vals, wvals)),
-                            log_scale=np.zeros(len(grid)),
-                            x_from=ph.samples.x_from, x_to=ph.samples.x_to,
-                            final=(float(vals[-1]), float(wvals[-1])),
-                            final_log_scale=0.0)
-    return PhiSolution(lam=ph.lam, samples=samples,
-                       l1_mass_near_0=ph.l1_mass_near_0 / nrm, delta=ph.delta)
+    return PhiSolution(lam=ph.lam, samples=_sampled(grid, s * vals / nrm,
+                                                    s * wvals / nrm))
 
 
 # ---------------------------------------------------------------------------
 # finite-element oracle
 # ---------------------------------------------------------------------------
 
+# _march_cap gives up this far from its start
+_MARCH_CAP_REACH = 1e7
+
+
 def _march_cap(fun: Callable[[float], float], start: float, direction: float,
-               level: float, hard: float = 1e7) -> float:
+               level: float) -> float:
     """First point (going in `direction`) where fun >= level, refined by
     bisection."""
     x = start + direction * max(1.0, abs(start))
@@ -497,7 +477,7 @@ def _march_cap(fun: Callable[[float], float], start: float, direction: float,
     while fun(x) < level:
         prev = x
         x = start + 1.4 * (x - start)
-        if abs(x - start) > hard:
+        if abs(x - start) > _MARCH_CAP_REACH:
             raise QsdlabError("cap search ran away; wrong regime for this solver")
     lo, hi = prev, x
     for _ in range(60):
@@ -636,14 +616,8 @@ def eigen_fd_oracle(model: DiffusionModel, grid_size: int = 1600,
         if f[i_first] < 0:
             f = -f
         w = rho_nodes * np.gradient(f, nodes)
-        samples = OdeTrajectory(grid=nodes, values=np.column_stack((f, w)),
-                                log_scale=np.zeros(len(nodes)),
-                                x_from=float(nodes[0]), x_to=float(nodes[-1]),
-                                final=(float(f[-1]), float(w[-1])),
-                                final_log_scale=0.0)
-        l1 = float(np.trapezoid(np.abs(f) * rho_nodes, nodes))
-        funcs.append(PhiSolution(lam=float(ext[k]), samples=samples,
-                                 l1_mass_near_0=l1))
+        funcs.append(PhiSolution(lam=float(ext[k]),
+                                 samples=_sampled(nodes, f, w)))
     return SpectralResult(eigenvalues=ext, eigenfunctions=funcs,
                           truncation=(lo, hi),
                           extrapolation_error=float(np.max(errs)),
@@ -735,15 +709,8 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
         phi = psi * np.exp(np.clip(-half_logr, -700.0, 700.0))
         dpsi = np.gradient(psi, inner)
         w = np.exp(np.clip(half_logr, -700.0, 700.0)) * (dpsi - mu_vals * psi)
-        samples = OdeTrajectory(grid=inner, values=np.column_stack((phi, w)),
-                                log_scale=np.zeros(len(inner)),
-                                x_from=float(inner[0]), x_to=float(inner[-1]),
-                                final=(float(phi[-1]), float(w[-1])),
-                                final_log_scale=0.0)
-        l1 = float(np.trapezoid(np.abs(psi) * np.exp(np.clip(half_logr, -700, 700)),
-                            inner))
-        funcs.append(PhiSolution(lam=float(ext[k]), samples=samples,
-                                 l1_mass_near_0=l1))
+        funcs.append(PhiSolution(lam=float(ext[k]),
+                                 samples=_sampled(inner, phi, w)))
     if model.killing is not None:
         if not (ext[0] > 0 and (K < 2 or ext[1] > ext[0])):
             raise QsdlabError(
@@ -830,28 +797,26 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
     if not left.finite:
         raise QsdlabError("left endpoint inaccessible (scale not integrable "
                           "at l); absorption probability undefined")
-    # Assemble h as remaining-tail-beyond-x from a far-right anchor so every
-    # contribution has the same sign: the difference form tail - S(x) loses
-    # one relative digit per factor-of-ten decay of h and turns the
-    # conditioned drift into noise a few e-foldings out.
+    # Assemble h as remaining-tail-beyond-x from a far-right anchor (where
+    # log rho first reaches 60, else x_ref) so every contribution has the
+    # same sign: the difference form tail - S(x) loses one relative digit per
+    # factor-of-ten decay of h and turns the conditioned drift into noise a
+    # few e-foldings out.  The anchor's tail is integrated relative to its
+    # integrand at the anchor: the level rules' Finite gate is absolute and
+    # would pass a tail of size e^-60 after two levels, whatever it missed.
     try:
-        x_far = _march_cap(lambda x: float(ss.log_speed(x)), model.x_ref,
-                           +1.0, 60.0)
+        anchor = _march_cap(lambda x: float(ss.log_speed(x)), model.x_ref,
+                            +1.0, 60.0)
     except QsdlabError:
-        x_far = None
-    if x_far is not None:
-        far = improper_integral(log_scale, x_far, math.inf, tol=1e-12)
-        t_back = TabulatedAntiderivative(lambda x: ss.scale_density(x),
-                                         x_far, domain=model.domain)
+        anchor = model.x_ref
+    ls_anchor = float(log_scale(anchor))
+    far = improper_integral(lambda x: log_scale(x) - ls_anchor, anchor,
+                            math.inf, tol=1e-12).value * math.exp(ls_anchor)
+    t_back = TabulatedAntiderivative(ss.scale_density, anchor,
+                                     domain=model.domain)
 
-        def h_right(x):
-            return np.maximum(far.value - t_back(x), 1e-300)
-    else:
-        s_from_ref = TabulatedAntiderivative(lambda x: ss.scale_density(x),
-                                             model.x_ref, domain=model.domain)
-
-        def h_right(x):
-            return np.maximum(tail.value - s_from_ref(x), 1e-300)
+    def h_right(x):
+        return np.maximum(far - t_back(x), 1e-300)
 
     h_tot = float(h_right(model.x_ref)) + left.value
 

@@ -137,6 +137,17 @@ def test_spectrum_shoot_with_oracle_crosscheck(capsys):
     assert doc["oracle"]["max_difference"] <= 1e-4 * (1.0 + lam0)
 
 
+def test_spectrum_oracle_on_the_whole_line(capsys):
+    # FE picks its own window; the Schrodinger window spans ~260 decades of
+    # rho, which FE refuses
+    rc, doc = run_cli(capsys, ["spectrum", "--zoo", "logistic_X_killed",
+                               "--param", "mu=1", "--param", "c=1",
+                               "--param", "sigma=1", "--oracle"])
+    assert rc == 0
+    assert doc["settings"]["method"] == "schrodinger"
+    assert doc["oracle"]["agrees_rel"] is True
+
+
 def test_spectrum_k2_arithmetic_progression(capsys):
     rc, doc = run_cli(capsys, ["spectrum", "--zoo", "perturbed_bessel",
                                "--param", "nu=-1.5", "--param", "c1=1",

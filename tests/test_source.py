@@ -7,8 +7,8 @@ import pytest
 
 import qsdlab
 
-MODULES = sorted(p for p in pathlib.Path(qsdlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(pathlib.Path(qsdlab.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list:
@@ -41,3 +41,44 @@ def test_the_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _dead_private_names(sources: dict) -> list:
+    """Module-level private names (`_name`: functions, classes, constants)
+    that no module of `sources` (file name -> source) references, by a
+    load, an attribute or an import."""
+    defined, used = [], set()
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((fname, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.extend((fname, node.lineno, t.id) for t in targets
+                               if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted((f, line, name) for f, line, name in defined
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in used)
+
+
+def test_the_checker_sees_a_dead_private_name():
+    a = ("_USED = 1\n_DEAD = 2\n__all__ = []\n"
+         "def _helper():\n    return _USED\n"
+         "class _Gone:\n    pass\n")
+    b = "from .a import _helper\n"
+    assert _dead_private_names({"a.py": a, "b.py": b}) == [
+        ("a.py", 2, "_DEAD"), ("a.py", 6, "_Gone")]
+
+
+def test_no_dead_private_names():
+    assert _dead_private_names({p.name: p.read_text() for p in PACKAGE}) == []

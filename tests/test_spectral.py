@@ -262,6 +262,22 @@ def test_shoot_ladder_and_extrapolation_bits_frozen():
     assert res.extrapolation_error == 2.977394588654647e-07
 
 
+@pytest.mark.parametrize("expr,domain,x_ref,exact", [
+    ("-x", (1.0, math.inf), 2.0, None),
+    # the absorbed OU process shifted by one: eigenvalues 1 and 3
+    ("-(x+1)", (-1.0, math.inf), 0.0, [1.0, 3.0]),
+], ids=["l=1", "l=-1"])
+def test_shoot_from_a_left_end_other_than_zero(expr, domain, x_ref, exact):
+    # the core levels sit at l + r0 2^-j, so any finite l is shot like l = 0
+    m = DiffusionModel(drift=ScalarField.from_expression(expr, domain),
+                       domain=domain, x_ref=x_ref, name="custom")
+    sh = eigen_shoot(m, K=2)
+    fd = eigen_fd_oracle(m, K=2, truncation=sh.truncation[-1])
+    assert np.allclose(sh.eigenvalues, fd.eigenvalues, rtol=1e-4, atol=0.0)
+    if exact is not None:
+        assert np.allclose(sh.eigenvalues, exact, rtol=0.0, atol=1e-6)
+
+
 def test_shoot_rejects_bad_ladder():
     m = zoo_build("bessel", {"nu": -1.5})
     with pytest.raises(QsdlabError):
@@ -420,6 +436,10 @@ def test_doob_mirrors_outward_drift():
     # conditioned drift exact to rounding even out there
     xs = np.linspace(0.2, 6.0, 13)
     assert np.allclose(res.model.drift(xs), -2.0, atol=1e-12)
+    # up to the anchor at x = 16, where log rho reaches 60: the anchor's
+    # tail, about e^-60, must carry its own relative accuracy
+    xs = np.linspace(6.0, 15.9, 34)
+    assert np.allclose(res.model.drift(xs), -2.0, atol=1e-11)
     # h is the (normalized) hitting probability e^{-4(x - l)} shape
     assert res.h(1.0) / res.h(2.0) == pytest.approx(math.exp(4.0), rel=1e-12)
     assert res.h.d(1.0) < 0
