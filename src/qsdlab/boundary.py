@@ -35,6 +35,9 @@ from .numerics import (_LOG_CLIP, DIVERGENCE_THRESHOLD,
 
 REGULAR, EXIT, ENTRANCE, NATURAL = "Regular", "Exit", "Entrance", "Natural"
 
+_FELLER_MAX_LEVELS = 120     # level cap of a classification integral
+_POSITIVITY_TOL = 1e-8       # tolerance of the positivity scan's speed tails
+
 
 class ClassificationError(QsdlabError):
     """classify was handed a model it cannot classify (nonunit diffusion)."""
@@ -113,8 +116,7 @@ def _inner_log_integral(logf, lo: float, hi: float) -> float:
 
 
 def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
-                            kind: str, tol: float = 1e-9,
-                            max_levels: int = 120) -> IntegralVerdict:
+                            kind: str, tol: float = 1e-9) -> IntegralVerdict:
     """One of the two classification integrals toward `endpoint`.
 
     kind = "access":  outer weight rho^{-1}, inner weight rho
@@ -138,7 +140,7 @@ def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
         return float(half * np.dot(gl_w, fs))
 
     name = f"{'left' if endpoint < c else 'right'}_{kind}"
-    return _level_verdict(name, panel, c, endpoint, tol, max_levels)
+    return _level_verdict(name, panel, c, endpoint, tol, _FELLER_MAX_LEVELS)
 
 
 def _kind_from(access: IntegralVerdict, second: IntegralVerdict) -> str:
@@ -187,7 +189,6 @@ class PositivityReport:
     lambda0_upper: float
     positive: bool
     argmax: Optional[float] = None
-    evidence: Optional[dict] = None
 
     def to_json(self):
         return {"A": self.A if math.isfinite(self.A) else "inf", "a": self.a,
@@ -196,8 +197,7 @@ class PositivityReport:
                 "positive": self.positive, "argmax": self.argmax}
 
 
-def positivity_criterion(model: DiffusionModel, a: float,
-                         tol: float = 1e-8) -> PositivityReport:
+def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:
     """A = sup_{x>a} (int_a^x rho^{-1}) (int_x^inf rho); finite A certifies a
     spectral gap with 1/(8A) <= lambda0 <= 1/(2A) for the Dirichlet-at-a
     generator.  The sup runs over a doubling grid with golden-section
@@ -215,10 +215,9 @@ def positivity_criterion(model: DiffusionModel, a: float,
 
     # 1. speed tail must be integrable somewhere, else A = inf immediately
     probe = max(a + 1.0, model.x_ref + 1.0)
-    if not tail_integral(Lp, probe, math.inf, tol).finite:
+    if not tail_integral(Lp, probe, math.inf, _POSITIVITY_TOL).finite:
         return PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
-                                lambda0_upper=0.0, positive=False,
-                                evidence={"reason": "speed tail divergent"})
+                                lambda0_upper=0.0, positive=False)
 
     # 2. grid scan of the product in log space
     def lse(u, v):
@@ -258,7 +257,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
 
     # tail of the speed integral beyond the scan window
     log_tail_end = -math.inf
-    acc2 = LevelAccumulator(tol)
+    acc2 = LevelAccumulator(_POSITIVITY_TOL)
     for lvl2, (lo, hi) in enumerate(_side_levels(xs[-1], math.inf)):
         seg = _log_integral(Lp, lo, hi)
         log_tail_end = lse(log_tail_end, seg)
@@ -287,9 +286,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
         if (best > math.log(DIVERGENCE_THRESHOLD) and len(logP) >= 4
                 and np.all(np.diff(logP[-4:]) > 0)):
             return PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
-                                    lambda0_upper=0.0, positive=False,
-                                    evidence={"reason": "product grows without bound",
-                                              "last_log_products": [float(v) for v in logP[-4:]]})
+                                    lambda0_upper=0.0, positive=False)
         if len(logP) >= 2 and abs(logP[-1] - logP[-2]) <= 1e-10:
             A = math.exp(best)
             argmax = None
@@ -339,8 +336,7 @@ def positivity_criterion(model: DiffusionModel, a: float,
     A = float(A)
     return PositivityReport(A=A, a=a, lambda0_lower=1.0 / (8.0 * A),
                             lambda0_upper=1.0 / (2.0 * A), positive=True,
-                            argmax=argmax,
-                            evidence={"grid_points": len(xs)})
+                            argmax=argmax)
 
 
 def assumption1_check(model: DiffusionModel) -> dict:

@@ -101,8 +101,12 @@ def _parse_params(pairs) -> dict:
 
 def _load_model(args) -> DiffusionModel:
     if getattr(args, "model_json", None):
-        with open(args.model_json) as fh:
-            return model_from_json(json.load(fh))
+        try:
+            with open(args.model_json) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            _usage(f"cannot read --model-json {args.model_json}: {exc}")
+        return model_from_json(doc)
     if getattr(args, "zoo", None):
         return zoo_build(args.zoo, _parse_params(getattr(args, "param", None)))
     _usage("specify a model with --zoo NAME or --model-json FILE")
@@ -238,6 +242,9 @@ def _start(args, red: DiffusionModel, tr) -> float:
 
 
 def _cmd_simulate(args, doc: dict) -> None:
+    for t in args.record or []:   # run_ensemble would clamp into [dt, t_max]
+        if not 0.0 < t <= args.t_max:
+            _usage(f"--record {t:g} is outside (0, t_max = {args.t_max:g}]")
     model = _load_model(args)
     red, tr, red_info = _reduced(model)
     x0 = _start(args, red, tr)

@@ -1,172 +1,111 @@
-"""Arithmetic mini-grammar for drift/killing expressions in model JSON files.
+"""Arithmetic expressions for drift/killing coefficients in model JSON files.
 
-Grammar (no eval(), no names other than the whitelist):
+The grammar is Python's arithmetic with `^` written for `**`, and Python's
+precedence (-x^2 is -(x^2), and 2^-x^2 is 2^(-(x^2))):
 
-    expr    := term (('+'|'-') term)*
-    term    := unary (('*'|'/') unary)*
-    unary   := ('+'|'-') unary | power
-    power   := atom ('^' unary)?          # right-associative
-    atom    := NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
-    FUNC    := exp | log | sqrt | sin | cos | sinh | cosh | tanh | abs
+    expr := expr ('+'|'-'|'*'|'/'|'^') expr | ('+'|'-') expr | '(' expr ')'
+          | NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')'
+    FUNC := exp | log | sqrt | sin | cos | sinh | cosh | tanh | abs
+
+NUMBER is a decimal literal, leading zeros allowed (007 is 7).  `ast.parse`
+reads the source and a whitelist compiler turns the tree into closures: no
+eval(), and any node, name or literal outside the grammar is refused.
 
 Compiled expressions evaluate on floats and numpy arrays alike.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from typing import Callable, Union
 
 import numpy as np
 
+from .numerics import QsdlabError
+
 Number = Union[float, np.ndarray]
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
-
-_FUNCS: dict = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "abs": np.abs,
-}
+_FUNCS = {name: getattr(np, name) for name in
+          ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs")}
 
 _CONSTS = {"pi": math.pi, "e": math.e}
 
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
 
-class ExpressionError(ValueError):
+# refused before parsing: Python would read '#' as a comment and fold a
+# full-width letter into its ASCII form
+_BAD_CHAR = re.compile(r"[^\w\s.+\-*/^()]", re.ASCII)
+# leading zeros of a decimal integer, which Python refuses; not after a '.'
+# (the digits of a fraction) or a letter (a name, or an exponent)
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_DECIMAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+
+
+class ExpressionError(QsdlabError, ValueError):
     """Raised for syntax errors or unknown names in an expression string."""
 
 
-def _tokenize(src: str):
-    pos, out = 0, []
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None or m.end() == pos:
-            rest = src[pos:].strip()
-            if not rest:
-                break
-            raise ExpressionError(f"cannot tokenize {rest!r} in expression {src!r}")
-        if m.lastgroup is not None:
-            kind = m.lastgroup
-            text = m.group(kind)
-            if kind == "op" and text == "**":
-                text = "^"
-            out.append((kind, text))
-        pos = m.end()
-    out.append(("end", ""))
-    return out
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, op=None):
-        kind, text = self.toks[self.i]
-        if op is not None and (kind != "op" or text != op):
-            raise ExpressionError(f"expected {op!r} at token {self.i} in {self.src!r}")
-        self.i += 1
-        return kind, text
-
-    # Each production returns a closure f(x) -> value.
-    def expr(self):
-        f = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            g = self.term()
-            if op == "+":
-                f = (lambda a, b: lambda x: a(x) + b(x))(f, g)
-            else:
-                f = (lambda a, b: lambda x: a(x) - b(x))(f, g)
-        return f
-
-    def term(self):
-        f = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            g = self.unary()
-            if op == "*":
-                f = (lambda a, b: lambda x: a(x) * b(x))(f, g)
-            else:
-                f = (lambda a, b: lambda x: a(x) / b(x))(f, g)
-        return f
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            g = self.unary()
-            return lambda x: -g(x)
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            expo = self.unary()
-            return lambda x: base(x) ** expo(x)
-        return base
-
-    def atom(self):
-        kind, text = self.peek()
-        if kind == "num":
-            self.take()
-            val = float(text)
+def _compile(node: ast.AST, text: str) -> Callable[[Number], Number]:
+    """The closure f(x) for one node of the parsed tree of `text`."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op = _BINOPS[type(node.op)]
+        a, b = _compile(node.left, text), _compile(node.right, text)
+        return lambda x: op(a(x), b(x))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        g = _compile(node.operand, text)
+        return g if isinstance(node.op, ast.UAdd) else lambda x: -g(x)
+    if isinstance(node, ast.Constant):
+        literal = ast.get_source_segment(text, node)
+        if _DECIMAL.fullmatch(literal):
+            val = float(literal)
             return lambda x: val
-        if kind == "name":
-            self.take()
-            if text == "x":
-                return lambda x: x
-            if text in _CONSTS:
-                val = _CONSTS[text]
-                return lambda x: val
-            if text in _FUNCS:
-                fn = _FUNCS[text]
-                self.take("(")
-                inner = self.expr()
-                self.take(")")
-                return lambda x: fn(inner(x))
-            raise ExpressionError(f"unknown name {text!r} in {self.src!r}")
-        if (kind, text) == ("op", "("):
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise ExpressionError(f"unexpected token {text!r} in {self.src!r}")
+        raise ExpressionError(f"{literal!r} is not a decimal number")
+    if isinstance(node, ast.Name):
+        if node.id == "x":
+            return lambda x: x
+        if node.id in _CONSTS:
+            val = _CONSTS[node.id]
+            return lambda x: val
+        raise ExpressionError(f"unknown name {node.id!r}")
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1
+            and not node.keywords):
+        fn, inner = _FUNCS[node.func.id], _compile(node.args[0], text)
+        return lambda x: fn(inner(x))
+    raise ExpressionError(
+        f"{ast.get_source_segment(text, node)!r} is outside the grammar")
 
 
 def compile_expression(src: str) -> Callable[[Number], Number]:
-    """Compile an expression in the mini-grammar to a callable of x."""
+    """Compile an expression in the grammar above to a callable of x."""
     if not isinstance(src, str) or not src.strip():
         raise ExpressionError("empty expression")
-    p = _Parser(src)
-    f = p.expr()
-    if p.peek()[0] != "end":
-        raise ExpressionError(f"trailing tokens in {src!r}")
-    # force early failure on bad expressions
+    text = " ".join(src.split())
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise ExpressionError(f"unexpected character {bad.group()!r} in "
+                              f"expression {src!r}")
+    text = _LEADING_ZEROS.sub("", text.replace("^", "**"))
     try:
-        f(1.2345)
-    except ExpressionError:
-        raise
-    except ZeroDivisionError:
-        pass
+        f = _compile(ast.parse(text, mode="eval").body, text)
+        # force early failure on bad expressions
+        try:
+            f(1.2345)
+        except ZeroDivisionError:
+            pass
+    except SyntaxError:
+        raise ExpressionError(f"cannot parse expression {src!r}") from None
+    except (RecursionError, MemoryError):
+        # the parser reports a stack overflow as MemoryError
+        raise ExpressionError(
+            f"expression {src!r} is nested too deeply") from None
+    except ExpressionError as exc:
+        raise ExpressionError(f"{exc} in expression {src!r}") from None
 
     def fx(x):
         out = f(x)

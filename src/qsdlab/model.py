@@ -40,10 +40,13 @@ class ModelValidationError(QsdlabError):
     """Model construction or serialization input is invalid."""
 
 
-def _fd_derivative(f: Callable, x, h_rel: float = 1e-6):
+_FD_H_REL = 1e-6             # relative step, floored at 1e-6 absolute
+
+
+def _fd_derivative(f: Callable, x):
     """Central difference with one Richardson refinement, relative step."""
     x = np.asarray(x, dtype=float)
-    h = np.maximum(1e-6, h_rel * np.abs(x))
+    h = np.maximum(1e-6, _FD_H_REL * np.abs(x))
     d1 = (f(x + h) - f(x - h)) / (2 * h)
     d2 = (f(x + h / 2) - f(x - h / 2)) / h
     return _richardson((d1, d2), (1.0, 4.0))[0]
@@ -72,7 +75,7 @@ class ScalarField:
         return ScalarField(eval=f, domain=tuple(domain), expr=src)
 
     @staticmethod
-    def constant(c: float, domain=(-math.inf, math.inf)) -> "ScalarField":
+    def constant(c: float) -> "ScalarField":
         c = float(c)
 
         def cf(x):
@@ -81,7 +84,7 @@ class ScalarField:
         def dcf(x):
             return 0.0 if np.isscalar(x) else np.zeros(np.shape(x))
 
-        return ScalarField(eval=cf, deriv=dcf, domain=tuple(domain), expr=repr(c))
+        return ScalarField(eval=cf, deriv=dcf, expr=repr(c))
 
 
 def _default_x_ref(domain):
@@ -391,18 +394,35 @@ def model_to_json(model: DiffusionModel) -> dict:
 
 
 def model_from_json(doc: dict) -> DiffusionModel:
+    """The model a `model_to_json` document describes.  A key outside that
+    schema, or a zoo domain other than the family's, would run a different
+    model, so either is a ModelValidationError."""
     if not isinstance(doc, dict) or "name" not in doc:
         raise ModelValidationError("model document must be an object with 'name'")
     name = doc["name"]
+    allowed = ("name", "params", "domain", "x_ref") + (
+        ("drift_expr", "killing_expr") if name == "custom" else ())
+    for key in doc:
+        if key not in allowed:
+            raise ModelValidationError(
+                f"unknown key {key!r} in a {name!r} model document; "
+                f"allowed keys: {list(allowed)}")
+    raw = doc.get("domain", ["-inf", "inf"])
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ModelValidationError(
+            f"domain must be a pair of endpoints, got {raw!r}")
+    dom = tuple(_endpoint_from_json(v) for v in raw)
     if name != "custom":
         from .zoo import zoo_build
         built = zoo_build(name, doc.get("params", {}))
+        if "domain" in doc and dom != built.domain:
+            raise ModelValidationError(
+                f"domain {raw!r} is not the domain of zoo model {name!r}")
         if doc.get("x_ref") is not None:
             built = replace(built, x_ref=float(doc["x_ref"]))
         return built
     if "drift_expr" not in doc or not doc["drift_expr"]:
         raise ModelValidationError("custom model requires drift_expr")
-    dom = tuple(_endpoint_from_json(v) for v in doc.get("domain", ["-inf", "inf"]))
     drift = ScalarField.from_expression(doc["drift_expr"], dom)
     killing = None
     if doc.get("killing_expr"):

@@ -22,7 +22,7 @@ a full-ensemble loop would and gives the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,16 @@ from .numerics import QsdlabError
 __all__ = ["SimConfig", "EnsembleResult", "SurvivalCurve", "DichotomyVerdict",
            "run_ensemble", "survival_curve", "histogram_masses",
            "tv_distance", "dichotomy_probe"]
+
+
+_BLOW_UP = 1e12             # a particle past this |x| is counted as blown up
+# the survival fit's time grid, bootstrap size and seed offset, and window:
+# from this fraction of t_max on, while this many particles survive
+_N_GRID, _N_BOOT, _BOOT_SEED = 200, 200, 7
+_FIT_START_FRAC, _MIN_SURVIVORS = 0.5, 100
+# the probe's rungs at t_max / 2^j for j < _N_RUNGS, its histogram bins, and
+# the thresholds of its "Converges" and "Escapes" verdicts
+_N_RUNGS, _N_BINS, _TV_TOL, _ESCAPE_TOL = 5, 24, 0.02, 0.01
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -47,7 +57,6 @@ class SimConfig:
     seed: int = 20260814
     bridge: bool = True
     resample: bool = False
-    blow_up: float = 1e12
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -60,7 +69,7 @@ class SimConfig:
     def to_json(self):
         return {"dt": self.dt, "n": self.n, "t_max": self.t_max,
                 "seed": self.seed, "bridge": self.bridge,
-                "resample": self.resample, "blow_up": self.blow_up}
+                "resample": self.resample, "blow_up": _BLOW_UP}
 
 
 @dataclass
@@ -90,8 +99,8 @@ class EnsembleResult:
 
 
 def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
-                 record_times: Optional[Sequence[float]] = None,
-                 keep_snapshots: bool = True) -> EnsembleResult:
+                 record_times: Optional[Sequence[float]] = None
+                 ) -> EnsembleResult:
     """Simulate n killed/absorbed paths of dX = mu dt + dW up to t_max.
 
     The state arrays hold live particles only; slot i carries particle
@@ -140,7 +149,7 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
         while rec_ptr < len(rec_steps) and rec_steps[rec_ptr] <= step:
             times.append(rec_steps[rec_ptr] * dt)
             counts.append(len(x))
-            snaps.append(x.copy() if keep_snapshots else None)
+            snaps.append(x.copy())
             rec_ptr += 1
 
     for s in range(1, n_steps + 1):
@@ -170,7 +179,7 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
                         hit |= u < np.exp(np.maximum(
                             -2.0 * (r - x) * (r - prop) / dt, -700.0))
 
-        dead = np.abs(prop) > config.blow_up
+        dead = np.abs(prop) > _BLOW_UP
         if hit is not None:
             dead |= hit
         if kappa is not None:
@@ -241,8 +250,6 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    times: np.ndarray
-    counts: np.ndarray
     rate: float                  # fitted decay rate (-slope of log survival)
     intercept: float
     r_squared: float
@@ -272,33 +279,32 @@ def _fit_rate(t: np.ndarray, frac: np.ndarray) -> tuple:
     return -float(slope), float(intercept), r2
 
 
-def survival_curve(result: EnsembleResult, fit_start_frac: float = 0.5,
-                   min_survivors: int = 100, n_boot: int = 200,
-                   n_grid: int = 200, boot_seed: int = 7) -> SurvivalCurve:
+def survival_curve(result: EnsembleResult) -> SurvivalCurve:
     """Fit log P(T > t) = -rate * t + c on the late part of the run.
 
-    The window keeps times past `fit_start_frac * t_max` while at least
-    `min_survivors` particles remain; the rate uncertainty is a percentile
+    The window keeps times past `_FIT_START_FRAC * t_max` while at least
+    `_MIN_SURVIVORS` particles remain; the rate uncertainty is a percentile
     bootstrap over particles (needs a plain, non-resampled run)."""
     if result.config.resample:
         raise QsdlabError("survival_curve needs a plain run (resample=False)")
     n = result.config.n
     sorted_death = np.sort(result.death_times)
-    t_grid = np.linspace(0.0, result.config.t_max, n_grid + 1)[1:]
+    t_grid = np.linspace(0.0, result.config.t_max, _N_GRID + 1)[1:]
     counts = _counts_at(sorted_death, t_grid, n)
 
-    sel = (t_grid >= fit_start_frac * result.config.t_max) & (counts >= min_survivors)
+    sel = ((t_grid >= _FIT_START_FRAC * result.config.t_max)
+           & (counts >= _MIN_SURVIVORS))
     if np.sum(sel) < 4:
         raise QsdlabError(
             f"survival fit window too small ({int(np.sum(sel))} points with "
-            f">= {min_survivors} survivors past t = "
-            f"{fit_start_frac * result.config.t_max:.3g})")
+            f">= {_MIN_SURVIVORS} survivors past t = "
+            f"{_FIT_START_FRAC * result.config.t_max:.3g})")
     tw, cw = t_grid[sel], counts[sel]
     rate, intercept, r2 = _fit_rate(tw, cw / n)
 
-    rng = _rng(result.config.seed + boot_seed)
-    rates = np.empty(n_boot)
-    for b in range(n_boot):
+    rng = _rng(result.config.seed + _BOOT_SEED)
+    rates = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
         resampled = np.sort(result.death_times[rng.integers(0, n, size=n)])
         cb = _counts_at(resampled, tw, n)
         good = cb > 0
@@ -307,11 +313,11 @@ def survival_curve(result: EnsembleResult, fit_start_frac: float = 0.5,
             continue
         rates[b] = _fit_rate(tw[good], cb[good] / n)[0]
     rates = rates[np.isfinite(rates)]
-    if len(rates) < n_boot // 2:
+    if len(rates) < _N_BOOT // 2:
         raise QsdlabError("bootstrap collapsed; too few survivors for a rate CI")
     ci = (float(np.percentile(rates, 2.5)), float(np.percentile(rates, 97.5)))
-    return SurvivalCurve(times=tw, counts=cw, rate=rate, intercept=intercept,
-                         r_squared=r2, rate_ci=ci, n_boot=n_boot,
+    return SurvivalCurve(rate=rate, intercept=intercept,
+                         r_squared=r2, rate_ci=ci, n_boot=_N_BOOT,
                          fit_window=(float(tw[0]), float(tw[-1])))
 
 
@@ -364,9 +370,7 @@ class DichotomyVerdict:
                 "window": [float(self.window[0]), float(self.window[1])]}
 
 
-def dichotomy_probe(model: DiffusionModel, x0, config: SimConfig,
-                    n_rungs: int = 5, n_bins: int = 24,
-                    tv_tol: float = 0.02, escape_tol: float = 0.01
+def dichotomy_probe(model: DiffusionModel, x0, config: SimConfig
                     ) -> DichotomyVerdict:
     """Doubling-ladder test of the long-time alternative for the conditioned
     law: it either settles (quasistationarity) or drifts off to infinity.
@@ -377,12 +381,10 @@ def dichotomy_probe(model: DiffusionModel, x0, config: SimConfig,
     to nearly zero ("Escapes"); anything else is "Undecided".  The verdict
     also keeps that run's final positions, a sample of the conditioned law
     at t_max, outside its JSON form."""
-    cfg = SimConfig(dt=config.dt, n=config.n, t_max=config.t_max,
-                    seed=config.seed, bridge=config.bridge, resample=True,
-                    blow_up=config.blow_up)
-    rungs = [config.t_max / 2 ** j for j in range(n_rungs - 1, 0, -1)]
+    rungs = [config.t_max / 2 ** j for j in range(_N_RUNGS - 1, 0, -1)]
     rungs.append(config.t_max)
-    res = run_ensemble(model, x0, cfg, record_times=rungs)
+    res = run_ensemble(model, x0, replace(config, resample=True),
+                       record_times=rungs)
     if len(res.times) != len(rungs):
         raise QsdlabError("probe lost its recording rungs; shorten dt")
 
@@ -394,15 +396,15 @@ def dichotomy_probe(model: DiffusionModel, x0, config: SimConfig,
         hi = min(hi, float(r))
     if not hi > lo:
         raise QsdlabError(f"degenerate probe window ({lo}, {hi})")
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, _N_BINS + 1)
 
     masses = [histogram_masses(s, edges) for s in res.snapshots]
     in_window = np.array([float(m.sum()) for m in masses])
     tvs = np.array([tv_distance(a, b) for a, b in zip(masses, masses[1:])])
 
-    if in_window[-1] < escape_tol and np.all(np.diff(in_window) <= 1e-3):
+    if in_window[-1] < _ESCAPE_TOL and np.all(np.diff(in_window) <= 1e-3):
         verdict = "Escapes"
-    elif len(tvs) >= 2 and np.all(tvs[-2:] < tv_tol) and in_window[-1] > 0.5:
+    elif len(tvs) >= 2 and np.all(tvs[-2:] < _TV_TOL) and in_window[-1] > 0.5:
         verdict = "Converges"
     else:
         verdict = "Undecided"

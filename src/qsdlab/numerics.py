@@ -59,6 +59,8 @@ _TREND_MIN_LEVELS = 8
 _TREND_RATIO = 0.9997
 # equispaced probes of a panel's log-integrand that size its sub-panel count
 _N_PROBE = 7
+# level cap of each side of `improper_integral`
+_IMPROPER_MAX_LEVELS = 200
 
 
 class QsdlabError(Exception):
@@ -226,8 +228,7 @@ def tail_integral(logf, c: float, endpoint: float, tol: float = 1e-9,
 
 
 def improper_integral(logf, a: float, b: float, tol: float = 1e-9,
-                      split: Optional[float] = None,
-                      max_levels: int = 200) -> IntegralVerdict:
+                      split: Optional[float] = None) -> IntegralVerdict:
     """Integrate exp(logf) over the open interval (a, b); endpoints may be
     singular or infinite.  The sum of the two tail integrals from the split
     point: a Finite value, the Divergent verdict of the first side that
@@ -248,7 +249,7 @@ def improper_integral(logf, a: float, b: float, tol: float = 1e-9,
         raise ValueError("split point must be interior")
     sides = []
     for endpoint in (a, b):
-        side = tail_integral(logf, split, endpoint, tol, max_levels)
+        side = tail_integral(logf, split, endpoint, tol, _IMPROPER_MAX_LEVELS)
         if not side.finite:
             return side
         sides.append(side)

@@ -157,6 +157,8 @@ def _tail_cumulative(grid: np.ndarray, fs: np.ndarray) -> np.ndarray:
 # relative to the radius r
 _N_CORE = 1200
 _EPS0_REL = 1e-8
+# samples of each continuation from the core edge to a shot's right end
+_N_SAMPLES = 600
 
 
 class _UBuilder:
@@ -239,14 +241,13 @@ class _UBuilder:
             f"contraction radius collapsed below {self.r0 * 0.5 ** 60:.3g} "
             f"at lam = {lam}; left endpoint unsuitable for the construction")
 
-    def build(self, lam: float, x_to: Optional[float] = None,
-              n_samples: int = 600) -> USolution:
+    def build(self, lam: float, x_to: Optional[float] = None) -> USolution:
         lv, factor, u, w, residual = self._solve(lam)
         delta = lv["delta"]
         if x_to is not None and x_to > delta:
             traj = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
                                        init=(float(u[-1]), 0.0),
-                                       n_samples=n_samples)
+                                       n_samples=_N_SAMPLES)
         else:
             traj = _sampled(np.array([delta]), u[-1:], np.zeros(1))
         return USolution(lam=lam, delta=delta, contraction_factor=factor,
@@ -288,8 +289,7 @@ class _UBuilder:
             f"fixed-point iteration stalled at increment {inc:.3g} "
             f"(lam = {lam}, delta = {lv['delta']:.4g})")
 
-    def phi(self, lam: float, x_to: Optional[float] = None,
-            n_samples: int = 600) -> PhiSolution:
+    def phi(self, lam: float, x_to: Optional[float] = None) -> PhiSolution:
         lv, _, u, w, _ = self._solve(lam)
         grid, delta = lv["grid"], lv["delta"]
         integ = lv["inv_rho"] / u ** 2
@@ -305,7 +305,7 @@ class _UBuilder:
         if x_to is None or not x_to > delta:
             return PhiSolution(lam=lam, samples=core)
         traj = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
-                                   init=core.final, n_samples=n_samples)
+                                   init=core.final, n_samples=_N_SAMPLES)
         return PhiSolution(lam=lam, samples=OdeTrajectory(
             grid=np.concatenate((grid, traj.grid[1:])),
             values=np.concatenate((core.values, traj.values[1:])),
@@ -340,8 +340,8 @@ def _sgn(v: float) -> int:
 
 
 def eigen_shoot(model: DiffusionModel, K: int = 1,
-                truncations: Optional[Sequence[float]] = None,
-                n_samples: int = 600) -> SpectralResult:
+                truncations: Optional[Sequence[float]] = None
+                ) -> SpectralResult:
     """Lowest K eigenvalues of the absorbed generator by shooting.
 
     For each right truncation T the k-th eigenvalue of the sealed problem
@@ -376,7 +376,7 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
 
         def shot(lam: float):
             if lam not in cache:
-                ph = ub.phi(lam, x_to=t_cut, n_samples=n_samples)
+                ph = ub.phi(lam, x_to=t_cut)
                 # the stored samples differ from phi by positive factors
                 count = ph.samples.sign_changes()
                 miss = float(ph.samples.final[1])
@@ -430,7 +430,7 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     t_max = truncations[-1]
     funcs = []
     for k in range(K):
-        ph = ub.phi(roots_by_t[t_max][k], x_to=t_max, n_samples=n_samples)
+        ph = ub.phi(roots_by_t[t_max][k], x_to=t_max)
         funcs.append(_normalize_phi(ph, ss))
     return SpectralResult(eigenvalues=eigenvalues, eigenfunctions=funcs,
                           truncation=tuple(truncations),

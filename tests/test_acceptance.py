@@ -171,7 +171,7 @@ def test_04_stationary_law_reproduction():
     red, tr = reduce_unit_diffusion(zoo_build("logistic_N", LOG111))
     cfg = SimConfig(dt=5e-3, n=100_000, t_max=50.0, seed=2026,
                     bridge=True, resample=False)
-    res = run_ensemble(red, float(red.x_ref), cfg, keep_snapshots=False)
+    res = run_ensemble(red, float(red.x_ref), cfg)
     N = np.asarray(tr.inverse(res.final_positions), dtype=float)
     # these parameters force Gamma(shape 1, scale 1/2) = Exponential(rate 2)
     edges = np.linspace(0.0, float(np.quantile(N, 0.999)), 41)
@@ -196,14 +196,12 @@ def test_05_killed_logistic_qsd_end_to_end():
 
     rate_cfg = SimConfig(dt=2e-3, n=200_000, t_max=5.0, seed=2027,
                          bridge=True, resample=False)
-    curve = survival_curve(run_ensemble(m, float(m.x_ref), rate_cfg,
-                                        keep_snapshots=False))
+    curve = survival_curve(run_ensemble(m, float(m.x_ref), rate_cfg))
     in_ci = curve.rate_ci[0] <= lam0 <= curve.rate_ci[1]
 
     cond_cfg = SimConfig(dt=5e-3, n=200_000, t_max=8.0, seed=2028,
                          bridge=True, resample=True)
-    pos = run_ensemble(m, float(m.x_ref), cond_cfg,
-                       keep_snapshots=False).final_positions
+    pos = run_ensemble(m, float(m.x_ref), cond_cfg).final_positions
     dens = qsd_density(spec, scale_speed(m))
     lo = max(dens.support[0], float(np.quantile(pos, 1e-4)))
     hi = min(dens.support[1], float(np.quantile(pos, 1 - 1e-4)))
@@ -226,8 +224,7 @@ def test_06_bessel_exact_kernel_oracle():
     nu, x0, t = 1.5, 1.0, 0.5
     cfg = SimConfig(dt=1e-4, n=200_000, t_max=t, seed=2029,
                     bridge=True, resample=False)
-    res = run_ensemble(zoo_build("bessel", {"nu": -nu}), x0, cfg,
-                       keep_snapshots=False)
+    res = run_ensemble(zoo_build("bessel", {"nu": -nu}), x0, cfg)
     ys = res.final_positions
     p_surv = float(gammainc(nu, x0 ** 2 / (2.0 * t)))
     z_tot = abs(res.n_survivors / cfg.n - p_surv) / math.sqrt(
@@ -298,8 +295,8 @@ def test_08_module_invariant_bundle():
     s1, s2 = eigen_schrodinger(log, K=2), eigen_schrodinger(log, K=2)
     cfg = SimConfig(dt=0.01, n=300, t_max=0.3, seed=5, bridge=True,
                     resample=False)
-    r1 = run_ensemble(bes, 1.0, cfg, keep_snapshots=False)
-    r2 = run_ensemble(bes, 1.0, cfg, keep_snapshots=False)
+    r1 = run_ensemble(bes, 1.0, cfg)
+    r2 = run_ensemble(bes, 1.0, cfg)
     det = (np.array_equal(s1.eigenvalues, s2.eigenvalues)
            and np.array_equal(r1.final_positions, r2.final_positions)
            and r1.n_absorbed == r2.n_absorbed)

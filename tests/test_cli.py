@@ -574,6 +574,45 @@ def test_unknown_zoo_name_exits_3(tmp_path, capsys):
     assert json.loads(diag.read_text())["error"] == "ModelValidationError"
 
 
+def test_bad_expression_in_a_model_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "custom", "drift_expr": "foo(x)",
+                                "domain": [0.0, "inf"]}))
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "classify",
+               "--model-json", str(path)])
+    assert rc == 3 and capsys.readouterr().out == ""
+    found = json.loads(diag.read_text())
+    assert found["error"] == "ExpressionError"
+    assert "'foo(x)'" in found["message"]
+
+
+def test_unknown_key_in_a_model_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "custom", "drift_expr": "-x",
+                                "domian": [0.0, "inf"]}))
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "classify",
+               "--model-json", str(path)])
+    assert rc == 3 and capsys.readouterr().out == ""
+    assert "'domian'" in json.loads(diag.read_text())["message"]
+
+
+@pytest.mark.parametrize("content", [None, '{"name": ', "\xff"],
+                         ids=["missing", "not-json", "not-utf8"])
+def test_unreadable_model_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    if content is not None:
+        path.write_bytes(content.encode("latin-1"))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--model-json", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qsdlab: error: cannot read --model-json")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -614,9 +653,13 @@ def test_usage_errors_exit_2(capsys):
     (["classify", "--zoo", "bessel", "--param", "nu"], "needs key=value"),
     (["classify", "--zoo", "bessel", "--param", "nu=x"],
      "--param nu needs a number, got 'x'"),
+    # run_ensemble used to clamp these into [dt, t_max]
+    (["simulate", "--zoo", "bessel", "--param", "nu=-1.5", "--t-max", "1",
+      "--dt", "0.01", "--n", "100", "--record", "0.5", "3", "-1"],
+     "--record 3 is outside (0, t_max = 1]"),
 ], ids=["fd-three-truncations", "schrodinger-truncation",
         "compare-truncation", "k-zero", "shoot-grid-size", "no-model",
-        "param-without-value", "param-not-a-number"])
+        "param-without-value", "param-not-a-number", "record-outside-run"])
 def test_dropped_or_malformed_inputs_exit_2(argv, says, monkeypatch, capsys):
     def no_simulation(*args, **kwargs):
         raise AssertionError("the usage check must come before the probe")

@@ -45,7 +45,21 @@ def test_double_star_is_power_alias():
     assert f(3.0) == pytest.approx(18.0)
 
 
-@pytest.mark.parametrize("bad", ["", "x +", "foo(x)", "1..2", "(x", "x y"])
+@pytest.mark.parametrize("src, value", [
+    ("007", 7.0),                     # leading zeros, which Python refuses
+    ("00.5", 0.5),
+    ("1e-05", 1e-05),
+    ("2^-x^2", 0.0625),               # 2^(-(x^2)) at x = 2
+    ("x**2^0.5", 2.665144142690225),  # 2^(2^0.5): ** and ^ associate right
+])
+def test_accepted_spellings(src, value):
+    assert compile_expression(src)(2.0) == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [
+    "", "x +", "foo(x)", "1..2", "(x", "x y", "x # c", "ｘ+1", "1_0", "0x10",
+    "1j", "x % 2", "x // 2", "x < 1", "abs(x, 2)", "'a'",
+    pytest.param("-" * 1000 + "x", id="1000-minus-signs")])
 def test_rejects_malformed(bad):
     with pytest.raises(ExpressionError):
         compile_expression(bad)

@@ -270,3 +270,30 @@ def test_json_bad_endpoint_is_diagnosed():
            "domain": [0.0, None], "x_ref": 1.0}
     with pytest.raises(ModelValidationError, match="endpoint"):
         model_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, says", [
+    # a misspelt domain used to run the model on the default whole line
+    ({"name": "custom", "drift_expr": "-x", "domian": [0.0, "inf"]},
+     "'domian'"),
+    # a JSON model carries no diffusion; this one used to be dropped
+    ({"name": "custom", "drift_expr": "-x", "diffusion_expr": "2"},
+     "'diffusion_expr'"),
+    ({"name": "bessel", "params": {"nu": -1.5}, "drift_expr": "-x"},
+     "'drift_expr'"),
+    # a zoo family has one domain; another one used to be ignored
+    ({"name": "bessel", "params": {"nu": -1.5}, "domain": ["-inf", "inf"]},
+     "not the domain of zoo model 'bessel'"),
+    ({"name": "custom", "drift_expr": "-x", "domain": [0.0]},
+     "pair of endpoints"),
+], ids=["misspelt-key", "diffusion-expr", "expr-on-zoo", "zoo-domain",
+        "one-endpoint"])
+def test_json_document_outside_the_schema_is_rejected(doc, says):
+    with pytest.raises(ModelValidationError, match=says):
+        model_from_json(doc)
+
+
+def test_json_zoo_document_keeps_its_own_domain():
+    doc = model_to_json(zoo_build("logistic_X_killed",
+                                  {"mu": 1.0, "c": 1.0, "sigma": 1.0}))
+    assert model_from_json(doc).domain == (-math.inf, math.inf)

@@ -82,3 +82,83 @@ def test_the_checker_sees_a_dead_private_name():
 
 def test_no_dead_private_names():
     assert _dead_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def _callee(func) -> str:
+    """The name a call or decorator goes by: `f` for f(...), obj.f(...)."""
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+
+
+def _unset_keyword_defaults(defining: dict, calling: dict) -> list:
+    """Parameters with a default, and dataclass or NamedTuple fields with a
+    default, that are defined in `defining` (file name -> source) and that
+    no call of that name in `calling` passes, by keyword or by position.  A
+    call is matched by the callee's name only (a class for its `__init__`
+    and fields); forwarding through `*args` or `**kwargs` passes nothing."""
+    settable = []                 # (file, line, callee, name, position)
+    for fname, source in defining.items():
+        tree = ast.parse(source)
+        methods = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            record = (any(_callee(d.func if isinstance(d, ast.Call) else d)
+                          == "dataclass" for d in node.decorator_list)
+                      or any(_callee(b) == "NamedTuple" for b in node.bases))
+            fields = [s for s in node.body if record
+                      and isinstance(s, ast.AnnAssign)
+                      and isinstance(s.target, ast.Name)]
+            settable.extend((fname, s.lineno, node.name, s.target.id, i)
+                            for i, s in enumerate(fields) if s.value)
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(_callee(d) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    methods[fn] = (node.name, 0 if static else 1)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls, skip = methods.get(node, (None, 0))
+            callee = cls if node.name == "__init__" else node.name
+            args = node.args.posonlyargs + node.args.args
+            with_default = args[len(args) - len(node.args.defaults):]
+            settable.extend((fname, node.lineno, callee, a.arg,
+                             args.index(a) - skip) for a in with_default)
+            settable.extend((fname, node.lineno, callee, a.arg, None)
+                            for a, d in zip(node.args.kwonlyargs,
+                                            node.args.kw_defaults) if d)
+    passed = set()                # (callee, keyword) and (callee, position)
+    for source in calling.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                callee = _callee(node.func)
+                passed.update((callee, k.arg) for k in node.keywords if k.arg)
+                for i, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    passed.add((callee, i))
+    return sorted((f, line, callee, name)
+                  for f, line, callee, name, i in settable
+                  if (callee, name) not in passed and (callee, i) not in passed)
+
+
+def test_the_checker_sees_an_unset_keyword_default():
+    a = ("from dataclasses import dataclass\n"
+         "def f(x, y=1, z=2, *, w=3):\n    pass\n"
+         "@dataclass\nclass C:\n    p: int = 0\n    q: int = 1\n"
+         "    def m(self, k=1):\n        pass\n")
+    b = ("f(0, 5)\nf(0, w=4)\nf(0, **opts)\nC(7)\n"
+         "C(0).m(*args)\n")
+    assert _unset_keyword_defaults({"a.py": a}, {"a.py": a, "b.py": b}) == [
+        ("a.py", 2, "f", "z"), ("a.py", 7, "C", "q"), ("a.py", 8, "m", "k")]
+
+
+def test_no_unset_keyword_defaults():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    calling = {p.name: p.read_text() for p in PACKAGE}
+    for d in ("tests", "perfbench"):
+        calling.update({f"{d}/{p.name}": p.read_text()
+                        for p in sorted((root / d).glob("*.py"))})
+    assert _unset_keyword_defaults(
+        {p.name: p.read_text() for p in PACKAGE}, calling) == []
