@@ -30,13 +30,22 @@ from .model import DiffusionModel, ScaleSpeed, scale_speed
 from .numerics import (_LOG_CLIP, DIVERGENCE_THRESHOLD,
                        IndeterminateIntegralError, IntegralVerdict,
                        LevelAccumulator, QsdlabError, _level_verdict,
-                       _log_integral, _side_levels, improper_integral,
-                       logsumexp_panels, tail_integral)
+                       _richardson, improper_integral, logsumexp_panels,
+                       tail_integral)
 
 REGULAR, EXIT, ENTRANCE, NATURAL = "Regular", "Exit", "Entrance", "Natural"
 
 _FELLER_MAX_LEVELS = 120     # level cap of a classification integral
-_POSITIVITY_TOL = 1e-8       # tolerance of the positivity scan's speed tails
+_POSITIVITY_TOL = 1e-8       # tolerance of the positivity level rules
+# The positivity ladder stops at its first knot past a + d where |log rho|
+# reaches the cap: further out log S and log R are so large that their sum
+# keeps too few digits of P (a reach of 2^40 left the unit pull's 1/4 wrong
+# in the 7th digit), while a cap of 700 leaves limits at infinity coarse.
+_POSITIVITY_LOG_CAP = 3000.0
+_POSITIVITY_MAX_J = 47        # and never past the knot a + d 2^47 (~1.4e14 d)
+# accepted Richardson error of a sup reached in the limit, relative to A:
+# the sandwich 1/(8A) <= lambda0 <= 1/(2A) is a factor of 4 wide anyway
+_POSITIVITY_LIMIT_RTOL = 1e-3
 
 
 class ClassificationError(QsdlabError):
@@ -77,14 +86,6 @@ class ClassificationResult:
 # log-space quadrature helpers
 # ---------------------------------------------------------------------------
 
-def _graded_breaks(a: float, b: float, m: int = 12) -> np.ndarray:
-    """Breakpoints on [a, b] refined geometrically toward both ends."""
-    g = np.concatenate(([0.0], 2.0 ** np.arange(-m, 0.0),
-                        1.0 - 2.0 ** np.arange(-2.0, -m - 1.0, -1.0), [1.0]))
-    g = np.unique(g)
-    return a + (b - a) * g
-
-
 def _inner_log_integral(logf, lo: float, hi: float) -> float:
     """log of int_lo^hi exp(logf) on a graded-plus-uniform panel set,
     evaluated in one vectorized pass.  The grading depth follows the endpoint
@@ -106,7 +107,10 @@ def _inner_log_integral(logf, lo: float, hi: float) -> float:
                 rise = abs(vb - va) / h * span
                 if rise > 2.0:
                     m = max(m, min(44, int(math.ceil(math.log2(rise))) + 3))
-    breaks = np.unique(np.concatenate((_graded_breaks(lo, hi, m=m),
+    # graded geometrically toward both ends, plus a uniform set
+    g = np.concatenate(([0.0], 2.0 ** np.arange(-m, 0.0),
+                        1.0 - 2.0 ** np.arange(-2.0, -m - 1.0, -1.0), [1.0]))
+    breaks = np.unique(np.concatenate((lo + span * g,
                                        np.linspace(lo, hi, 17))))
     piece = logsumexp_panels(logf, breaks, n=16)
     peak = piece.max()
@@ -200,8 +204,13 @@ class PositivityReport:
 def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:
     """A = sup_{x>a} (int_a^x rho^{-1}) (int_x^inf rho); finite A certifies a
     spectral gap with 1/(8A) <= lambda0 <= 1/(2A) for the Dirichlet-at-a
-    generator.  The sup runs over a doubling grid with golden-section
-    refinement around the running maximum; products are formed in log space."""
+    generator.  Both factors accumulate in log space over one ladder of
+    knots a + d 2^j, d = max(1, |a|), j = -20, -19, ...; the speed tail past
+    the last knot is left out, so the product is read at every knot but that
+    one.
+    An interior maximum is refined by golden section.  One at the far end is
+    a divergence under the shared level rules, or a limit P = A - c/x + ...
+    taken by Richardson over the last three knots, with argmax None."""
     if not model.unit_diffusion:
         raise QsdlabError("positivity_criterion needs a unit-diffusion model")
     ss = scale_speed(model)
@@ -212,113 +221,59 @@ def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:
         raise QsdlabError(f"a = {a} not admissible for domain {model.domain}")
     Lp = lambda x: np.asarray(ss.log_speed(x), dtype=float)    # log rho
     Lm = lambda x: -np.asarray(ss.log_speed(x), dtype=float)   # log rho^{-1}
-
-    # 1. speed tail must be integrable somewhere, else A = inf immediately
-    probe = max(a + 1.0, model.x_ref + 1.0)
-    if not tail_integral(Lp, probe, math.inf, _POSITIVITY_TOL).finite:
-        return PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
+    infinite = PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
                                 lambda0_upper=0.0, positive=False)
 
-    # 2. grid scan of the product in log space
-    def lse(u, v):
-        m = max(u, v)
-        if math.isinf(m) and m < 0:
-            return -math.inf
-        return m + math.log(math.exp(u - m) + math.exp(v - m))
+    # the speed tail must be integrable somewhere, else A = inf immediately
+    probe = max(a + 1.0, model.x_ref + 1.0)
+    if not tail_integral(Lp, probe, math.inf, _POSITIVITY_TOL).finite:
+        return infinite
 
-    # sliver of the scale integral just above a (graded in case a is the
-    # singular left endpoint of the domain)
-    x0 = a + max(1e-6, 1e-6 * abs(a))
-    first = a + 0.125 * max(1.0, abs(a))
-    breaks = _graded_breaks(x0, first, m=24)
-    logS = -math.inf
-    for j in range(len(breaks) - 1):
-        logS = lse(logS, _log_integral(Lm, breaks[j], breaks[j + 1]))
+    xs = [a]
+    for j in range(-20, _POSITIVITY_MAX_J + 1):
+        xs.append(a + max(1.0, abs(a)) * 2.0 ** j)
+        if j > 0 and not abs(float(Lp(xs[-1]))) < _POSITIVITY_LOG_CAP:
+            break
+    xs = np.array(xs)
+    # logS[i] = log int_a^xs[i] rho^{-1}, logR[i] = log int_xs[i]^xs[-1] rho
+    logS = np.logaddexp.accumulate([-math.inf] + [
+        _inner_log_integral(Lm, lo, hi) for lo, hi in zip(xs[:-1], xs[1:])])
+    logR = np.logaddexp.accumulate([-math.inf] + [
+        _inner_log_integral(Lp, lo, hi)
+        for lo, hi in zip(xs[-2::-1], xs[:0:-1])])[::-1]
+    logP = logS + logR                       # -inf at both ends of the ladder
+    if not np.isfinite(logP[1:-1]).all():
+        raise IndeterminateIntegralError("tail product is not finite")
+    k = int(np.argmax(logP))
+    best = float(logP[k])
+    # a plateau flat to the rounding of log S + log R counts as the far end
+    flat = 8.0 * np.finfo(float).eps * (abs(logS[-2]) + abs(logR[-2]))
 
-    # grow the scan window (sqrt(2) steps early for bracketing resolution,
-    # doubling later) while the quadrature stays reliable: stop once a single
-    # step spans an exponent range beyond what the sub-panel budget resolves
-    # -- by then an exponential-order density has either plateaued or been
-    # caught by the divergence rule, and super-exponential ones peak early
-    xs = [first]
-    logSs = [logS]
-    x = first
-    while True:
-        factor = math.sqrt(2.0) if len(xs) < 16 else 2.0
-        nx = a + factor * (x - a)
-        if abs(float(Lm(nx)) - float(Lm(x))) > 1500.0:
-            break
-        logS = lse(logS, _log_integral(Lm, x, nx))
-        xs.append(nx)
-        logSs.append(logS)
-        x = nx
-        if len(xs) > 120 or nx > 1e14:
-            break
-
-    # tail of the speed integral beyond the scan window
-    log_tail_end = -math.inf
-    acc2 = LevelAccumulator(_POSITIVITY_TOL)
-    for lvl2, (lo, hi) in enumerate(_side_levels(xs[-1], math.inf)):
-        seg = _log_integral(Lp, lo, hi)
-        log_tail_end = lse(log_tail_end, seg)
-        v = acc2.add(math.exp(min(seg, _LOG_CLIP)))
-        if v == "finite":
-            break
-        if v == "divergent" or lvl2 > 200:
-            # cannot normally happen: the tail was already certified finite
+    if logP[-3:-1].max() >= best - flat:
+        P = np.exp(np.minimum(logP[1:-1], _LOG_CLIP))
+        acc = LevelAccumulator(_POSITIVITY_TOL)
+        trend = [acc.add(v) for v in np.diff(P)][-1]
+        if best > math.log(DIVERGENCE_THRESHOLD) or trend == "divergent":
+            return infinite
+        A, err = map(float, _richardson(P[-3:], xs[-4:-1]))
+        if not err <= _POSITIVITY_LIMIT_RTOL * A:
             raise IndeterminateIntegralError(
-                "speed tail beyond the scan window did not converge")
-
-    logRs = np.full(len(xs), -math.inf)
-    logR = log_tail_end
-    logRs[-1] = logR
-    for j in range(len(xs) - 2, -1, -1):
-        logR = lse(logR, _log_integral(Lp, xs[j], xs[j + 1]))
-        logRs[j] = logR
-
-    logP = np.array(logSs) + logRs
-    jstar = int(np.argmax(logP))
-    best = float(logP[jstar])
-
-    if jstar == len(logP) - 1:
-        # maximum at the window edge: certified growth, a plateau (sup
-        # attained in the limit), or genuinely unresolved
-        if (best > math.log(DIVERGENCE_THRESHOLD) and len(logP) >= 4
-                and np.all(np.diff(logP[-4:]) > 0)):
-            return PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
-                                    lambda0_upper=0.0, positive=False)
-        if len(logP) >= 2 and abs(logP[-1] - logP[-2]) <= 1e-10:
-            A = math.exp(best)
-            argmax = None
-        else:
-            raise IndeterminateIntegralError(
-                "tail product neither plateaued nor certified divergent "
-                f"within the scan window (last log products {list(logP[-3:])})")
+                "tail product neither converged nor certified divergent "
+                f"(last products {P[-3:].tolist()}, limit {A} +- {err})")
+        argmax = None
     else:
-        # interior maximum: golden-section refinement on log P
-        def logP_at(xq):
-            if xq <= xs[0]:
-                # below the first grid knot: scale part integrated directly
-                bq = _graded_breaks(x0, xq, m=24)
-                s_val = -math.inf
-                for j in range(len(bq) - 1):
-                    s_val = lse(s_val, _log_integral(Lm, bq[j], bq[j + 1]))
-                r_val = lse(logRs[0], _log_integral(Lp, xq, xs[0]))
-                return s_val + r_val
-            # S and R re-anchored from the nearest grid knots
-            jl = int(np.searchsorted(xs, xq)) - 1
-            jl = max(0, min(jl, len(xs) - 2))
-            s_val = lse(logSs[jl], _log_integral(Lm, xs[jl], xq))
-            r_val = lse(logRs[jl + 1], _log_integral(Lp, xq, xs[jl + 1]))
-            return s_val + r_val
+        def logP_at(xq):                     # xs[i] < xq < xs[i + 1]
+            i = int(np.searchsorted(xs, xq)) - 1
+            return float(
+                np.logaddexp(logS[i], _inner_log_integral(Lm, xs[i], xq))
+                + np.logaddexp(logR[i + 1],
+                               _inner_log_integral(Lp, xq, xs[i + 1])))
 
-        lo = xs[jstar - 1] if jstar >= 1 else x0 + 0.02 * (xs[0] - x0)
-        hi = xs[jstar + 1]
+        lo, hi = xs[k - 1], xs[k + 1]
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c1 = hi - invphi * (hi - lo)
-        c2 = lo + invphi * (hi - lo)
+        c1, c2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
         f1, f2 = logP_at(c1), logP_at(c2)
-        for _ in range(60):
+        while hi - lo >= 1e-10 * max(1.0, abs(hi)):
             if f1 < f2:
                 lo, c1, f1 = c1, c2, f2
                 c2 = lo + invphi * (hi - lo)
@@ -327,13 +282,9 @@ def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:
                 hi, c2, f2 = c2, c1, f1
                 c1 = hi - invphi * (hi - lo)
                 f1 = logP_at(c1)
-            if hi - lo < 1e-10 * max(1.0, abs(hi)):
-                break
-        best = max(best, f1, f2)
-        A = math.exp(best)
-        argmax = 0.5 * (lo + hi)
+        A = math.exp(max(best, f1, f2))
+        argmax = float(0.5 * (lo + hi))
 
-    A = float(A)
     return PositivityReport(A=A, a=a, lambda0_lower=1.0 / (8.0 * A),
                             lambda0_upper=1.0 / (2.0 * A), positive=True,
                             argmax=argmax)

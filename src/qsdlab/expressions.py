@@ -11,7 +11,9 @@ NUMBER is a decimal literal, leading zeros allowed (007 is 7).  `ast.parse`
 reads the source and a whitelist compiler turns the tree into closures: no
 eval(), and any node, name or literal outside the grammar is refused.
 
-Compiled expressions evaluate on floats and numpy arrays alike.
+Compiled expressions evaluate on floats and numpy arrays alike, both by
+numpy's rules: overflow, a zero divisor or a negative base under a
+fractional power gives inf or nan, never an exception or a complex number.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ Number = Union[float, np.ndarray]
 _FUNCS = {name: getattr(np, name) for name in
           ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs")}
 
-_CONSTS = {"pi": math.pi, "e": math.e}
+_CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
            ast.Mult: operator.mul, ast.Div: operator.truediv,
@@ -62,7 +64,7 @@ def _compile(node: ast.AST, text: str) -> Callable[[Number], Number]:
     if isinstance(node, ast.Constant):
         literal = ast.get_source_segment(text, node)
         if _DECIMAL.fullmatch(literal):
-            val = float(literal)
+            val = np.float64(float(literal))
             return lambda x: val
         raise ExpressionError(f"{literal!r} is not a decimal number")
     if isinstance(node, ast.Name):
@@ -94,10 +96,8 @@ def compile_expression(src: str) -> Callable[[Number], Number]:
     try:
         f = _compile(ast.parse(text, mode="eval").body, text)
         # force early failure on bad expressions
-        try:
-            f(1.2345)
-        except ZeroDivisionError:
-            pass
+        with np.errstate(all="ignore"):
+            f(np.float64(1.2345))
     except SyntaxError:
         raise ExpressionError(f"cannot parse expression {src!r}") from None
     except (RecursionError, MemoryError):
@@ -108,10 +108,12 @@ def compile_expression(src: str) -> Callable[[Number], Number]:
         raise ExpressionError(f"{exc} in expression {src!r}") from None
 
     def fx(x):
+        if np.ndim(x) == 0:
+            return f(np.float64(x))
         out = f(x)
         # constants collapse to scalars; keep the input's shape so the
         # callable stays safely vectorized
-        if np.ndim(out) == 0 and np.ndim(x) > 0:
+        if np.ndim(out) == 0:
             return np.full(np.shape(x), float(out))
         return out
 

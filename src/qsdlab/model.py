@@ -412,14 +412,19 @@ def model_from_json(doc: dict) -> DiffusionModel:
         raise ModelValidationError(
             f"domain must be a pair of endpoints, got {raw!r}")
     dom = tuple(_endpoint_from_json(v) for v in raw)
+    x_ref = doc.get("x_ref")       # a JSON number; true and "1" are not
+    if x_ref is not None and not (type(x_ref) in (int, float)
+                                  and math.isfinite(x_ref)):
+        raise ModelValidationError(f"x_ref must be a finite number, "
+                                   f"got {x_ref!r}")
     if name != "custom":
         from .zoo import zoo_build
         built = zoo_build(name, doc.get("params", {}))
         if "domain" in doc and dom != built.domain:
             raise ModelValidationError(
                 f"domain {raw!r} is not the domain of zoo model {name!r}")
-        if doc.get("x_ref") is not None:
-            built = replace(built, x_ref=float(doc["x_ref"]))
+        if x_ref is not None:
+            built = replace(built, x_ref=float(x_ref))
         return built
     if "drift_expr" not in doc or not doc["drift_expr"]:
         raise ModelValidationError("custom model requires drift_expr")
@@ -428,7 +433,7 @@ def model_from_json(doc: dict) -> DiffusionModel:
     if doc.get("killing_expr"):
         killing = ScalarField.from_expression(doc["killing_expr"], dom)
     return DiffusionModel(drift=drift, killing=killing, domain=dom,
-                          x_ref=doc.get("x_ref"), name="custom")
+                          x_ref=x_ref, name="custom")
 
 
 def model_json_str(model: DiffusionModel) -> str:

@@ -159,3 +159,58 @@ def test_assumption_check_domain_guard():
     m = zoo_build("logistic_X_killed", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
     with pytest.raises(QsdlabError):
         assumption1_check(m)
+
+
+
+def _custom(expr, domain=(0.0, math.inf), x_ref=1.0):
+    return DiffusionModel(drift=ScalarField.from_expression(expr, domain),
+                          domain=domain, x_ref=x_ref)
+
+
+def _pbessel(**params):
+    return zoo_build("perturbed_bessel", params)
+
+
+# (id, model, a, reference A, kind).  "interior": max_x (int_a^x rho^-1)
+# (int_x^inf rho) with both integrals and the stationary point of their
+# product evaluated by mpmath (quad and findroot at 30 digits) for
+# rho = e^{-x^2} (drift -x), e^{-2x^3/3} (drift -x^2) and x^-2 e^{-x^2}
+# (perturbed_bessel nu=-1.5, c1=1).  "pull" and "limit": the sup is reached
+# only as x -> inf, where a constant pull c gives P -> 1/(4c^2) whatever the
+# power-law factor of rho.  "inf": rho is not integrable (drift +1), or P is
+# unbounded (~x/4 for drift -1/sqrt(x), ~x^2 for the last two).
+_POSITIVITY_REFERENCES = [
+    ("drift -x", lambda: _custom("-x"), 0.0, 0.2394064475188621, "interior"),
+    ("drift -x^2", lambda: _custom("-x^2"), 0.0, 0.2760422118024827,
+     "interior"),
+    ("drift -x from a=1", lambda: _custom("-x", (1.0, math.inf), 2.0), 1.0,
+     0.0783069998773022, "interior"),
+    ("pbessel nu=-1.5 c1=1", lambda: _pbessel(nu=-1.5, c1=1.0), 0.0,
+     0.05654056103821802, "interior"),
+    ("unit pull", lambda: _custom("-1"), 0.0, 0.25, "pull"),
+    ("drift -1-1/(2x)", lambda: _custom("-1 - 1/(2*x)"), 0.0, 0.25, "limit"),
+    *[(f"pbessel nu={nu} c0=1", lambda nu=nu: _pbessel(nu=nu, c0=1.0), 0.0,
+       0.25, "limit") for nu in (-1.0, -1.5, -2.0, -3.0, -5.0)],
+    *[(f"pbessel nu=-1.5 c0={c0}", lambda c0=c0: _pbessel(nu=-1.5, c0=c0),
+       0.0, 1.0 / (4.0 * c0 * c0), "limit") for c0 in (0.5, 2.0)],
+    ("drift -0.5/x-0.1", lambda: _custom("-0.5/x - 0.1"), 0.0, 25.0, "limit"),
+    ("drift -1/sqrt(x)", lambda: _custom("-1/sqrt(x)"), 0.0, math.inf, "inf"),
+    ("drift +1", lambda: _custom("1"), 0.0, math.inf, "inf"),
+    ("bessel nu=-1.5", lambda: zoo_build("bessel", {"nu": -1.5}), 0.0,
+     math.inf, "inf"),
+    ("drift -1/(x+1)", lambda: _custom("-1/(x+1)"), 0.0, math.inf, "inf"),
+]
+_POSITIVITY_TOLERANCE = {"interior": {"rel": 1e-9},
+                         "pull": {"rel": 0.0, "abs": 1e-12},
+                         "limit": {"rel": 1e-3}, "inf": {}}
+
+
+@pytest.mark.parametrize("build, a, ref, kind",
+                         [pytest.param(*row[1:], id=row[0])
+                          for row in _POSITIVITY_REFERENCES])
+def test_positivity_against_references(build, a, ref, kind):
+    rep = positivity_criterion(build(), a=a)
+    assert rep.A == pytest.approx(ref, **_POSITIVITY_TOLERANCE[kind])
+    assert rep.positive == (kind != "inf")
+    # an argmax only where the sup is attained
+    assert (rep.argmax is not None) == (kind == "interior")

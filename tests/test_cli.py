@@ -251,6 +251,18 @@ def test_compare_outward_push_degrades_to_dichotomy(tmp_path, capsys):
     assert "spectrum" not in doc              # no eigenproblem was attempted
 
 
+def test_compare_full_mode_with_a_constant_pull(capsys):
+    # a constant pull c0 at infinity: the tail product reaches its sup
+    # 1/(4 c0^2) only in the limit, and that certificate is enough
+    rc, doc = run_cli(capsys, ["compare", "--zoo", "perturbed_bessel",
+                               "--param", "nu=-1.5", "--param", "c0=1",
+                               "--n", "4000", "--t-max", "3", "--seed", "3"])
+    assert rc == 0
+    assert doc["positivity"]["positive"] is True
+    assert doc["positivity"]["argmax"] is None
+    assert doc["mode"] == "full"
+
+
 def test_compare_full_mode_on_killed_logistic(capsys):
     rc, doc = run_cli(capsys, ["compare", "--zoo", "logistic_X_killed",
                                *LOGISTIC, "--n", "6000", "--dt", "5e-3",
@@ -572,6 +584,19 @@ def test_unknown_zoo_name_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 3
     assert json.loads(diag.read_text())["error"] == "ModelValidationError"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_expression_in_a_model_file_is_no_crash(tmp_path, capsys):
+    # x^10000 overflows at every probe point; numpy rules give -inf there,
+    # where Python float arithmetic raised an uncaught OverflowError
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "custom", "drift_expr": "-x^10000",
+                                "domain": [0.0, "inf"]}))
+    rc = main(["--diagnostic", str(tmp_path / "diag.json"), "classify",
+               "--model-json", str(path)])
+    capsys.readouterr()
+    assert rc in (0, 3)
 
 
 def test_bad_expression_in_a_model_file_exits_3(tmp_path, capsys):

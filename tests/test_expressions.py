@@ -63,3 +63,18 @@ def test_accepted_spellings(src, value):
 def test_rejects_malformed(bad):
     with pytest.raises(ExpressionError):
         compile_expression(bad)
+
+
+@pytest.mark.parametrize("src", ["-x^10000", "(-x)^0.5", "log(-x)",
+                                 "1/(x-1.2345)", "x^2", "10^400"])
+def test_scalar_follows_the_array_rules(src):
+    # Python float arithmetic would raise OverflowError or ZeroDivisionError,
+    # or return a complex number, where numpy gives inf or nan
+    with np.errstate(all="ignore"):
+        f = compile_expression(src)
+        for x in (1.2345, 2.0, -3.0):
+            scalar, array = f(x), f(np.array([x]))
+            assert not np.iscomplexobj(scalar) and np.ndim(scalar) == 0
+            # bit for bit, but any nan equals any nan
+            assert ((np.isnan(scalar) and np.isnan(array[0]))
+                    or np.float64(scalar).tobytes() == array.tobytes())

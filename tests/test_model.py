@@ -286,8 +286,11 @@ def test_json_bad_endpoint_is_diagnosed():
      "not the domain of zoo model 'bessel'"),
     ({"name": "custom", "drift_expr": "-x", "domain": [0.0]},
      "pair of endpoints"),
+    ({"name": "custom", "drift_expr": "-x", "domain": [0.0, "inf"],
+      "x_ref": "a"}, "x_ref"),
+    ({"name": "bessel", "params": {"nu": -1.5}, "x_ref": "a"}, "x_ref"),
 ], ids=["misspelt-key", "diffusion-expr", "expr-on-zoo", "zoo-domain",
-        "one-endpoint"])
+        "one-endpoint", "custom-x-ref", "zoo-x-ref"])
 def test_json_document_outside_the_schema_is_rejected(doc, says):
     with pytest.raises(ModelValidationError, match=says):
         model_from_json(doc)
