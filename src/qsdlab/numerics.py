@@ -563,6 +563,10 @@ SL_RESCALE_AT = 1e100
 # turn, so memory stays bounded and an overflow still stops the shot before
 # the cells of later chunks are built.
 SL_SCAN_CELLS = 1 << 16
+# Cells one shot may build, about 9x the widest shot the tests freeze (3494
+# cells per chunk at lam = 1e5 on (1, 6)); past it the shot is refused
+# before the cells of the offending run are built, so memory stays bounded.
+SL_MAX_CELLS = 1 << 20
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
@@ -597,8 +601,9 @@ def _cell_counts(scale_speed, kappa, lam: float,
 
 
 def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
-                  h: np.ndarray) -> np.ndarray:
-    """Fourth-order Magnus maps of the cells [left, left + h], shape (n, 2, 2).
+                  h: np.ndarray) -> tuple:
+    """Fourth-order Magnus maps of the cells [left, left + h], as their four
+    component arrays (m00, m01, m10, m11), each of shape (n,).
 
     With A = [[0, b], [c, 0]], b = 1/rho and c = -2(lam - kappa) rho sampled
     at the two Gauss points, Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]
@@ -625,24 +630,24 @@ def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
     sin_part = np.where(tiny, 1.0 + d / 6.0,
                         np.where(hyper, np.sinh(s), np.sin(s))
                         / np.where(tiny, 1.0, s))
-    maps = np.empty((n, 2, 2))
-    maps[:, 0, 0] = cos_part + sin_part * p
-    maps[:, 0, 1] = sin_part * q
-    maps[:, 1, 0] = sin_part * r
-    maps[:, 1, 1] = cos_part - sin_part * p
-    return maps
+    return (cos_part + sin_part * p, sin_part * q, sin_part * r,
+            cos_part - sin_part * p)
 
 
 def _chunk_maps(scale_speed, kappa, lam: float, segs: np.ndarray,
                 n_cells: np.ndarray) -> np.ndarray:
     """Transfer maps from the start of each chunk (row of `segs`) to its
-    sample points, shape (rows, samples - 1, 2, 2).
+    sample points, shape (rows, samples - 1, 4), the last axis holding the
+    components (m00, m01, m10, m11).
 
     All cells are evaluated in one array call and composed by one
     Hillis-Steele scan over a stack with one row per chunk, padded with
     identity maps after the chunk's real cells; the padding comes after every
     real cell, so each real prefix is formed from the same products in the
-    same order as a scan of its chunk alone."""
+    same order as a scan of its chunk alone.  The stack is held as four
+    component arrays, and each 2x2 product is written out as eight multiplies
+    and four adds on them: no BLAS call runs, so the bits do not depend on
+    the host's OpenBLAS kernel."""
     # interval k of the flattened rows owns n_cells.flat[k] equal cells
     # starting at segs[:, :-1].flat[k]
     counts = n_cells.ravel()
@@ -653,16 +658,20 @@ def _chunk_maps(scale_speed, kappa, lam: float, segs: np.ndarray,
             + (np.arange(ends[-1]) - (ends - counts)[owner]) * h)
     chunk_ends = np.cumsum(n_cells, axis=1)
     real = np.arange(chunk_ends[:, -1].max()) < chunk_ends[:, -1:]
-    prefix = np.zeros(real.shape + (2, 2))
-    prefix[..., 0, 0] = prefix[..., 1, 1] = 1.0
-    prefix[real] = _magnus_cells(scale_speed, kappa, lam, left, h)
-    # prefix[i, j] maps the start of chunk i to the right end of its cell j
+    prefix = np.zeros((4,) + real.shape)
+    prefix[0] = prefix[3] = 1.0
+    prefix[:, real] = _magnus_cells(scale_speed, kappa, lam, left, h)
+    # prefix[:, i, j] maps the start of chunk i to the right end of its cell j
     shift = 1
-    while shift < prefix.shape[1]:
-        prefix = np.concatenate(
-            (prefix[:, :shift], prefix[:, shift:] @ prefix[:, :-shift]), axis=1)
+    while shift < real.shape[1]:
+        l00, l01, l10, l11 = prefix[:, :, shift:]
+        e00, e01, e10, e11 = prefix[:, :, :-shift]
+        l00[...], l01[...], l10[...], l11[...] = (
+            l00 * e00 + l01 * e10, l00 * e01 + l01 * e11,
+            l10 * e00 + l11 * e10, l10 * e01 + l11 * e11)
         shift *= 2
-    return prefix[np.arange(len(segs))[:, None], chunk_ends - 1]
+    return prefix.transpose(1, 2, 0)[np.arange(len(segs))[:, None],
+                                     chunk_ends - 1]
 
 
 def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
@@ -682,7 +691,12 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
     evaluated in one array call and composed by one segmented prefix scan
     (`_chunk_maps`) per run of chunks whose padded stack fits SL_SCAN_CELLS,
     which is the whole shot unless the cells run into the hundred
-    thousands; only the chunk-start states are carried from chunk to chunk.
+    thousands; only the chunk-start states are carried from chunk to chunk,
+    as two floats.  The maps are kept as component arrays and multiplied
+    out entry by entry, so the continuation makes no BLAS call and its bits
+    do not depend on the OpenBLAS kernel the host dispatches.  A shot that
+    would build more than SL_MAX_CELLS cells raises QsdlabError, naming the
+    chunk, before that chunk's cells are built.
 
     The state is renormalized by a positive factor between chunks whenever
     it grows past SL_RESCALE_AT, so eigenvalue miss functions keep valid signs
@@ -696,9 +710,10 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
     segs = np.linspace(edges[:-1], edges[1:], per_chunk, axis=1)
     n_cells = _cell_counts(scale_speed, kappa, lam, segs)
     chunk_cells = n_cells.sum(axis=1).tolist()
+    running = np.cumsum(chunk_cells)
     vals = np.empty((SL_CHUNKS, per_chunk, 2))
     logs = np.empty(SL_CHUNKS)
-    state = np.array(init, dtype=float)
+    s0, s1 = (float(v) for v in init)
     log_scale = 0.0
     start = 0
     while start < SL_CHUNKS:
@@ -710,20 +725,27 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
             if (stop + 1 - start) * widest > SL_SCAN_CELLS:
                 break
             stop += 1
+        if running[stop - 1] > SL_MAX_CELLS:
+            i = int(np.argmax(running > SL_MAX_CELLS))
+            raise QsdlabError(
+                f"integration needs {chunk_cells[i]} Magnus cells in chunk "
+                f"{i + 1} of {SL_CHUNKS} (x = {segs[i, 0]:.6g} to "
+                f"{segs[i, -1]:.6g}), {running[i]} in all so far, past "
+                f"SL_MAX_CELLS = {SL_MAX_CELLS} per shot")
         # overflow surfaces as a non-finite state and is raised below
         with np.errstate(over="ignore", invalid="ignore"):
             maps = _chunk_maps(scale_speed, kappa, lam, segs[start:stop],
                                n_cells[start:stop])
             # the chunk-start states are sequential: each is the previous
             # chunk's end, divided by its largest entry past SL_RESCALE_AT
-            for i in range(start, stop):
-                vals[i, 0] = state
-                vals[i, 1:] = maps[i - start] @ state
+            for i, m in enumerate(maps, start):
+                vals[i, 0] = s0, s1
+                vals[i, 1:] = m[:, 0::2] * s0 + m[:, 1::2] * s1
                 logs[i] = log_scale
-                state = vals[i, -1].copy()
-                peak = float(np.max(np.abs(state)))
+                s0, s1 = vals[i, -1].tolist()
+                peak = max(abs(s0), abs(s1))
                 if peak > SL_RESCALE_AT:
-                    state /= peak
+                    s0, s1 = s0 / peak, s1 / peak
                     log_scale += math.log(peak)
         finite = np.all(np.isfinite(vals[start:stop]), axis=2)
         if not np.all(finite):
@@ -739,7 +761,7 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
     grid = np.concatenate((segs[0, :1], segs[:, 1:].ravel()))
     values = np.concatenate((vals[0, :1], vals[:, 1:].reshape(-1, 2)))
     lscale = np.concatenate((logs[:1], np.repeat(logs, per_chunk - 1)))
-    final = (float(state[0]), float(state[1]))
+    final = (s0, s1)
     if not forward:
         order = np.argsort(grid)
         grid, values, lscale = grid[order], values[order], lscale[order]

@@ -4,17 +4,28 @@ Everything here has a closed-form oracle; the divergence-policy cases pin the
 exact refusal behavior on the borderline family y^(-p) near p = 1.
 """
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import qsdlab
+
 from qsdlab.model import DiffusionModel, ScalarField, scale_speed
 from qsdlab.numerics import (
+    SL_CHUNKS,
+    SL_MAX_CELLS,
     BracketError,
     IndeterminateIntegralError,
     QsdlabError,
     StepUnderflowError,
     TabulatedAntiderivative,
+    _cell_counts,
+    _chunk_maps,
+    _magnus_cells,
     _richardson,
     brent_root,
     cumulative_parabolic,
@@ -354,38 +365,51 @@ def test_sl_rescaling_keeps_true_values():
                             n_samples=64)
 
 
-def test_sl_continuation_values_frozen():
-    # exact sums recorded from the chunk-by-chunk continuation; the one-pass
-    # scan forms every product in the same order, so they match bit for bit
+def _sl_frozen_cases():
+    """The continuation runs whose bits are frozen:
+    (model, lam, x_from, x_to, n_samples), each launched from (1, 0)."""
     pb = zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0})
     be = zoo_build("bessel", {"nu": -1.5})
-    killed = _driftless(0.75)
-    cases = [
+    return [
         # perturbed_bessel from its left-end radius to the widest truncation
-        (pb, 3.0, 0.75, 7.547, 600,
-         (-5.381485591799657e+23, 0.0,
-          (-8.557128611398706e+22, -0.011107413297480237), 0.0)),
-        (be, 50.0, 1.0, 6.0, 600,
-         (-109.2001623906918, 0.0,
-          (5.816033655648646, 0.4372914235142308), 0.0)),
+        (pb, 3.0, 0.75, 7.547, 600),
+        (be, 50.0, 1.0, 6.0, 600),
         # lam = -50 grows like e^{10x}: the positive rescaling fires
-        (be, -50.0, 1.0, 30.0, 600,
-         (6.710090073245666e+103, 25717.931368515998,
-          (5.0342270994424445e+23, 5.612293310356567e+21), 238.1289941529259)),
-        (killed, 3.0, 1.0, 6.0, 900,
-         (-324.0291174415249, 0.0,
-          (-0.3792379350927157, 1.9628559928429286), 0.0)),
+        (be, -50.0, 1.0, 30.0, 600),
+        (_driftless(0.75), 3.0, 1.0, 6.0, 900),
         # 3494 cells per chunk: more than one scan run per shot
-        (be, 1e5, 1.0, 6.0, 64,
-         (65.92628681231255, 0.0, (4.408008162984785, 50.58735431587429), 0.0)),
+        (be, 1e5, 1.0, 6.0, 64),
     ]
-    for m, lam, a, b, n, (vals, logs, final, final_log) in cases:
-        traj = integrate_sl_system(m, scale_speed(m), lam, a, b, (1.0, 0.0),
-                                   n_samples=n)
-        assert math.fsum(traj.values.ravel()) == vals, (m.name, lam)
-        assert math.fsum(traj.log_scale) == logs, (m.name, lam)
-        assert traj.final == final, (m.name, lam)
-        assert traj.final_log_scale == final_log, (m.name, lam)
+
+
+def _sl_digest(m, lam, a, b, n):
+    """Exact sums of a continuation run's samples and log scales, and its
+    final state and log scale."""
+    traj = integrate_sl_system(m, scale_speed(m), lam, a, b, (1.0, 0.0),
+                               n_samples=n)
+    return (math.fsum(traj.values.ravel()), math.fsum(traj.log_scale),
+            traj.final, traj.final_log_scale)
+
+
+def test_sl_continuation_values_frozen():
+    # exact sums recorded from the chunk-by-chunk continuation; the one-pass
+    # scan forms every product in the same order, so they match bit for bit.
+    # Each product is two roundings and one add, as an OpenBLAS kernel
+    # without FMA forms it (OPENBLAS_CORETYPE=Prescott): the values hold on
+    # any host, and the composition never calls BLAS
+    want = [
+        (-5.381485591799659e+23, 0.0,
+         (-8.557128611398709e+22, -0.01110741329748024), 0.0),
+        (-109.20016239069194, 0.0,
+         (5.816033655648637, 0.4372914235142323), 0.0),
+        (6.710090073245706e+103, 25717.931368515998,
+         (5.034227099442442e+23, 5.612293310356566e+21), 238.1289941529259),
+        (-324.0291174415254, 0.0,
+         (-0.37923793509271897, 1.9628559928429365), 0.0),
+        (65.92628681231204, 0.0, (4.408008162984782, 50.58735431587385), 0.0),
+    ]
+    for case, digest in zip(_sl_frozen_cases(), want, strict=True):
+        assert _sl_digest(*case) == digest, (case[0].name, case[1])
     m = _driftless()
     with pytest.raises(StepUnderflowError) as err:
         integrate_sl_system(m, scale_speed(m), -2e7, 1.0, 6.0, (1.0, 0.0),
@@ -400,8 +424,8 @@ def test_sl_continuation_values_frozen():
         integrate_sl_system(m, scale_speed(m), 0.0, 1.0, 6.0, (1.0, 0.0),
                             n_samples=64)
     assert err.value.last_point == 4.046875
-    assert err.value.last_state == (1.1443278750041225e+155,
-                                    6.457602010913294e+158)
+    assert err.value.last_state == (1.144327875004119e+155,
+                                    6.457602010913271e+158)
 
 
 def test_sl_grid_monotone_guard():
@@ -409,6 +433,85 @@ def test_sl_grid_monotone_guard():
     ss = scale_speed(m)
     with pytest.raises(Exception):
         integrate_sl_system(m, ss, 1.0, 2.0, 2.0, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("killed,lam", [(False, 3.0), (True, 0.5)],
+                         ids=["pbessel oscillating", "killed growing"])
+def test_chunk_scan_against_chunks_alone_and_a_plain_product(killed, lam):
+    # uneven cell counts, so the stacked chunks carry identity padding
+    m = (_driftless(0.75) if killed
+         else zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}))
+    ss, kappa = scale_speed(m), m.killing
+    edges = np.linspace(0.75, 3.0, 4)
+    segs = np.linspace(edges[:-1], edges[1:], 5, axis=1)
+    n_cells = np.array([[1, 7, 2, 30], [13, 1, 1, 4], [40, 22, 9, 17]])
+    maps = _chunk_maps(ss, kappa, lam, segs, n_cells)
+    assert maps.shape == (3, 4, 4)
+    for i in range(3):
+        # the padding after a chunk's real cells changes none of its bits
+        alone = _chunk_maps(ss, kappa, lam, segs[i:i + 1], n_cells[i:i + 1])
+        assert np.array_equal(alone[0], maps[i])
+        prod = np.eye(2)
+        for j, n in enumerate(n_cells[i]):
+            h = np.full(n, (segs[i, j + 1] - segs[i, j]) / n)
+            cells = _magnus_cells(ss, kappa, lam,
+                                  segs[i, j] + np.arange(n) * h, h)
+            for cell in np.stack(cells, axis=-1).reshape(n, 2, 2):
+                prod = cell @ prod
+            assert np.max(np.abs(maps[i, j].reshape(2, 2) - prod)) <= (
+                1e-12 * np.max(np.abs(prod))), (i, j)
+    # every prefix is a product of determinant-1 maps
+    a00, a01, a10, a11 = np.moveaxis(maps, -1, 0)
+    size = np.abs(a00 * a11) + np.abs(a01 * a10)
+    assert np.all(np.abs(a00 * a11 - a01 * a10 - 1.0) <= 1e-13 * size)
+
+
+_HOST_PROBE = """
+import math, sys
+sys.path.insert(0, sys.argv[1])
+from test_numerics import _sl_digest, _sl_frozen_cases
+from qsdlab.spectral import eigen_shoot
+from qsdlab.zoo import zoo_build
+res = eigen_shoot(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}), K=2)
+print(repr([_sl_digest(*case) for case in _sl_frozen_cases()]))
+print(repr((res.truncation, res.eigenvalues.tolist(), res.extrapolation_error,
+            [math.fsum(phi.samples.values.ravel())
+             for phi in res.eigenfunctions])))
+"""
+
+
+def test_shooting_bits_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # the continuation composes its maps without BLAS, so forcing OpenBLAS
+    # onto a kernel without FMA moves no bit of a shot; where the variable
+    # has no effect (another BLAS, or a host without that kernel) the two
+    # runs agree trivially
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qsdlab.__file__))
+    out = [subprocess.run([sys.executable, "-c", _HOST_PROBE,
+                           os.path.dirname(os.path.abspath(__file__))],
+                          cwd=tmp_path, env=dict(env, **extra),
+                          capture_output=True, text=True, check=True,
+                          timeout=300).stdout
+           for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert out[0] == out[1]
+    assert out[0].count("\n") == 2
+
+
+def test_a_shot_past_the_cell_budget_is_refused_before_it_is_built():
+    # bessel nu = -3/2 at lam = 1e9 oscillates with k = 44721 on (1, 6) and
+    # never overflows: nothing but the budget stops its 1.1e7 cells
+    m = zoo_build("bessel", {"nu": -1.5})
+    ss = scale_speed(m)
+    edges = np.linspace(1.0, 6.0, SL_CHUNKS + 1)
+    segs = np.linspace(edges[:-1], edges[1:], 3, axis=1)
+    assert _cell_counts(ss, None, 1e9, segs).sum() > 10 * SL_MAX_CELLS
+    start = time.perf_counter()
+    with pytest.raises(QsdlabError,
+                       match=r"349386 Magnus cells in chunk 4 of 32 "
+                             r"\(x = 1.46875 to 1.625\), 1397544 in all") as err:
+        integrate_sl_system(m, ss, 1e9, 1.0, 6.0, (1.0, 0.0), n_samples=64)
+    assert not isinstance(err.value, StepUnderflowError)
+    assert time.perf_counter() - start < 10.0
 
 
 # ---------------------------------------------------------------- Richardson

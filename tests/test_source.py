@@ -162,3 +162,40 @@ def test_no_unset_keyword_defaults():
                         for p in sorted((root / d).glob("*.py"))})
     assert _unset_keyword_defaults(
         {p.name: p.read_text() for p in PACKAGE}, calling) == []
+
+
+_BLAS_CALLS = {"matmul", "dot", "einsum"}
+
+
+def _blas_uses(source: str, functions: set) -> list:
+    """Matrix products in the named top-level functions of `source`: the `@`
+    operator, and `matmul`, `dot` or `einsum` by name or attribute."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)):
+                found.append((fn.name, node.lineno, "@"))
+            elif (isinstance(node, (ast.Name, ast.Attribute))
+                  and _callee(node) in _BLAS_CALLS):
+                found.append((fn.name, node.lineno, _callee(node)))
+    return found
+
+
+def test_the_checker_sees_a_matrix_product():
+    src = ("import numpy as np\n"
+           "def f(a, b):\n    a @= b\n    return np.dot(a, b)\n"
+           "def g(a, b):\n    return a.dot(b) + np.einsum('ij,jk', a, b)\n"
+           "def h(a, b):\n    return a @ b\n")
+    assert _blas_uses(src, {"f", "g"}) == [
+        ("f", 3, "@"), ("f", 4, "dot"), ("g", 6, "dot"), ("g", 6, "einsum")]
+
+
+def test_the_shooting_continuation_calls_no_blas():
+    # the maps are multiplied out on component arrays, so a shot's bits do
+    # not depend on which OpenBLAS kernel the host dispatches
+    source = (pathlib.Path(qsdlab.__file__).parent / "numerics.py").read_text()
+    assert _blas_uses(source, {"_magnus_cells", "_chunk_maps",
+                               "integrate_sl_system"}) == []
