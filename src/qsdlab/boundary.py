@@ -134,14 +134,13 @@ def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         ts = mid + half * gl_x
         Lts = np.asarray(L(ts), dtype=float)
-        fs = np.empty_like(ts)
-        for i, t in enumerate(ts):
+        total = 0.0     # a fixed-order sum: no BLAS kernel picks the bits
+        for t, Lt, w in zip(ts, Lts, gl_w):
             inner_lo, inner_hi = (t, c) if t < c else (c, t)
-            Lt = Lts[i]
             logf = (lambda s, Lt=Lt: sign * (L(s) - Lt))
-            fs[i] = math.exp(min(_inner_log_integral(logf, inner_lo, inner_hi),
-                                 _LOG_CLIP))
-        return float(half * np.dot(gl_w, fs))
+            log_f = _inner_log_integral(logf, inner_lo, inner_hi)
+            total += w * math.exp(min(log_f, _LOG_CLIP))
+        return float(half * total)
 
     name = f"{'left' if endpoint < c else 'right'}_{kind}"
     return _level_verdict(name, panel, c, endpoint, tol, _FELLER_MAX_LEVELS)

@@ -28,7 +28,7 @@ import scipy
 from . import __version__
 from .boundary import classify, positivity_criterion
 from .model import (CONVENTION_NOTE, DiffusionModel, model_from_json,
-                    reduce_unit_diffusion, scale_speed)
+                    reduce_unit_diffusion)
 from .montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
                          run_ensemble, survival_curve, tv_distance)
 from .numerics import QsdlabError
@@ -213,7 +213,7 @@ def _cmd_qsd(args, doc: dict) -> None:
     doc.update(lambda0=_jsonable(spec.lambda0),
                settings={"method": spec.method, "points": args.points,
                          **_env_settings()})
-    dens = qsd_density(spec, scale_speed(red))
+    dens = qsd_density(spec)
     xs = np.linspace(dens.support[0], dens.support[1], args.points)
     ys = dens.density(xs)
     doc.update(Z=dens.Z, support=list(dens.support), tail_mass=dens.tail_mass)
@@ -416,7 +416,7 @@ def _cmd_compare(args, doc: dict) -> None:
         doc["rate_matches_lambda0"] = bool(
             curve.rate_ci[0] <= spec.lambda0 <= curve.rate_ci[1])
 
-    dens = qsd_density(spec, scale_speed(red))
+    dens = qsd_density(spec)
     sample = probe.final_positions
     lo = max(dens.support[0], float(np.quantile(sample, 1e-4)))
     hi = min(dens.support[1], float(np.quantile(sample, 1 - 1e-4)))

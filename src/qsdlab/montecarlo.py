@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import DiffusionModel
-from .numerics import QsdlabError
+from .numerics import QsdlabError, _line_fit
 
 __all__ = ["SimConfig", "EnsembleResult", "SurvivalCurve", "DichotomyVerdict",
            "run_ensemble", "survival_curve", "histogram_masses",
@@ -272,7 +272,7 @@ def _counts_at(sorted_death: np.ndarray, t_grid: np.ndarray, n: int) -> np.ndarr
 
 def _fit_rate(t: np.ndarray, frac: np.ndarray) -> tuple:
     y = np.log(frac)
-    slope, intercept = np.polyfit(t, y, 1)
+    slope, intercept = _line_fit(t, y)
     resid = y - (slope * t + intercept)
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0

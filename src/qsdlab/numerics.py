@@ -259,7 +259,7 @@ def improper_integral(logf, a: float, b: float, tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# Richardson extrapolation
+# Richardson extrapolation, least-squares line
 # ---------------------------------------------------------------------------
 
 def _richardson(values, weights) -> tuple:
@@ -279,6 +279,14 @@ def _richardson(values, weights) -> tuple:
     if len(extr) >= 2:
         return extr[-1], np.abs(extr[-1] - extr[-2])
     return extr[-1], np.abs(v[-1] - v[-2]) / (w[-1] / w[-2] - 1.0)
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares (slope, intercept) from centred sums, without LAPACK."""
+    xm, ym = float(np.mean(x)), float(np.mean(y))
+    dx = x - xm
+    slope = float(np.sum(dx * (y - ym)) / np.sum(dx * dx))
+    return slope, ym - slope * xm
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +316,8 @@ def _gauss(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * x[None, :]
     vals = f(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ w)
+    # summed node by node in a fixed order, so no BLAS kernel picks the bits
+    return half * sum(vals[:, j] * w[j] for j in range(n))
 
 
 def gauss_panels(f, breakpoints: np.ndarray, n: int = 16) -> np.ndarray:

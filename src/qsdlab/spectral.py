@@ -8,7 +8,8 @@ discretization, handles the killed-on-the-line regime through the
 Schrodinger form, and assembles quasistationary densities, Doob transforms
 of the conditioned process, and heat-kernel expansions.
 
-Eigenfunction conventions: L2(rho)-normalized, lowest one nonnegative.  The
+Eigenfunctions: L2(rho)-normalized `PhiSolution` records (phi, rho phi' and
+rho on one grid), on every route positive where |phi| rho peaks.  The
 stored drift is the SDE drift mu (see model.CONVENTION_NOTE).
 """
 
@@ -23,9 +24,9 @@ import numpy as np
 from .model import (DiffusionModel, ScalarField, ScaleSpeed, scale_speed,
                     schrodinger_potential)
 from .numerics import (OdeTrajectory, QsdlabError, TabulatedAntiderivative,
-                       _richardson, brent_root, cumulative_parabolic,
-                       improper_integral, integrate_sl_system, tail_integral,
-                       tridiagonal_lowest)
+                       _line_fit, _richardson, brent_root,
+                       cumulative_parabolic, improper_integral,
+                       integrate_sl_system, tail_integral, tridiagonal_lowest)
 
 __all__ = [
     "ClassificationMismatchError", "USolution", "PhiSolution",
@@ -51,7 +52,7 @@ class USolution:
     lam: float
     delta: float
     contraction_factor: float
-    samples: OdeTrajectory            # continuation beyond delta
+    samples: Optional[OdeTrajectory]  # continuation beyond delta, if asked
     core_grid: np.ndarray             # graded grid on (l, delta]
     core_u: np.ndarray
     core_w: np.ndarray                # rho u' on the core grid (= 2 lam J)
@@ -60,26 +61,33 @@ class USolution:
 
 @dataclass(frozen=True)
 class PhiSolution:
-    """Principal eigen-candidate phi(lam, .) vanishing at the left endpoint,
-    sampled on the merged core + continuation grid."""
+    """phi(lam, .), its flux w = rho phi' and the speed density rho, sampled
+    on one strictly increasing grid."""
     lam: float
-    samples: OdeTrajectory
-
-    def _flat(self):
-        ls = np.clip(self.samples.log_scale, -700.0, 700.0)
-        return self.samples.values * np.exp(ls)[:, None]
+    grid: np.ndarray
+    phi: np.ndarray
+    w: np.ndarray
+    rho: np.ndarray
 
     def __call__(self, x):
-        vals = self._flat()[:, 0]
-        return np.interp(x, self.samples.grid, vals, left=0.0, right=0.0)
+        return np.interp(x, self.grid, self.phi, left=0.0, right=0.0)
 
 
-def _sampled(grid: np.ndarray, phi, w) -> OdeTrajectory:
-    """Unscaled samples of the pair (phi, rho phi') on `grid`."""
-    return OdeTrajectory(grid=grid, values=np.column_stack((phi, w)),
-                         log_scale=np.zeros(len(grid)),
-                         final=(float(phi[-1]), float(w[-1])),
-                         final_log_scale=0.0)
+def _flattened(lam: float, traj: OdeTrajectory, ss: ScaleSpeed) -> PhiSolution:
+    """The record of a shot, its chunk scales multiplied out."""
+    scale = np.exp(np.clip(traj.log_scale, -700.0, 700.0))[:, None]
+    flat = traj.values * scale
+    return PhiSolution(lam=lam, grid=traj.grid, phi=flat[:, 0], w=flat[:, 1],
+                       rho=ss.speed_density(traj.grid))
+
+
+def _eigenpair(lam: float, grid: np.ndarray, phi: np.ndarray, w: np.ndarray,
+               rho: np.ndarray) -> PhiSolution:
+    """The record of one eigenfunction, signed positive where |phi| rho
+    peaks."""
+    if phi[np.argmax(np.abs(phi) * rho)] < 0:
+        phi, w = -phi, -w
+    return PhiSolution(lam=float(lam), grid=grid, phi=phi, w=w, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -244,12 +252,11 @@ class _UBuilder:
     def build(self, lam: float, x_to: Optional[float] = None) -> USolution:
         lv, factor, u, w, residual = self._solve(lam)
         delta = lv["delta"]
+        traj = None
         if x_to is not None and x_to > delta:
             traj = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
                                        init=(float(u[-1]), 0.0),
                                        n_samples=_N_SAMPLES)
-        else:
-            traj = _sampled(np.array([delta]), u[-1:], np.zeros(1))
         return USolution(lam=lam, delta=delta, contraction_factor=factor,
                          samples=traj, core_grid=lv["grid"], core_u=u,
                          core_w=w, residual=residual)
@@ -289,7 +296,9 @@ class _UBuilder:
             f"fixed-point iteration stalled at increment {inc:.3g} "
             f"(lam = {lam}, delta = {lv['delta']:.4g})")
 
-    def phi(self, lam: float, x_to: Optional[float] = None) -> PhiSolution:
+    def phi(self, lam: float, x_to: Optional[float] = None) -> OdeTrajectory:
+        """The shot: (phi, rho phi') on the core grid, continued to x_to
+        when x_to lies beyond the core edge."""
         lv, _, u, w, _ = self._solve(lam)
         grid, delta = lv["grid"], lv["delta"]
         integ = lv["inv_rho"] / u ** 2
@@ -301,16 +310,20 @@ class _UBuilder:
             if p > -0.99:
                 tail0 = integ[0] * x0g / (p + 1.0)
         j2 = cumulative_parabolic(grid, integ) + tail0
-        core = _sampled(grid, u * j2, w * j2 + 1.0 / u)
+        core = np.column_stack((u * j2, w * j2 + 1.0 / u))
+        traj = OdeTrajectory(grid=grid, values=core,
+                             log_scale=np.zeros(len(grid)),
+                             final=tuple(map(float, core[-1])),
+                             final_log_scale=0.0)
         if x_to is None or not x_to > delta:
-            return PhiSolution(lam=lam, samples=core)
-        traj = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
-                                   init=core.final, n_samples=_N_SAMPLES)
-        return PhiSolution(lam=lam, samples=OdeTrajectory(
-            grid=np.concatenate((grid, traj.grid[1:])),
-            values=np.concatenate((core.values, traj.values[1:])),
-            log_scale=np.concatenate((core.log_scale, traj.log_scale[1:])),
-            final=traj.final, final_log_scale=traj.final_log_scale))
+            return traj
+        cont = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
+                                   init=traj.final, n_samples=_N_SAMPLES)
+        return OdeTrajectory(
+            grid=np.concatenate((grid, cont.grid[1:])),
+            values=np.concatenate((core, cont.values[1:])),
+            log_scale=np.concatenate((traj.log_scale, cont.log_scale[1:])),
+            final=cont.final, final_log_scale=cont.final_log_scale)
 
 
 def build_u(model: DiffusionModel, lam: float,
@@ -325,7 +338,8 @@ def build_phi(model: DiffusionModel, lam: float,
               x_to: Optional[float] = None) -> PhiSolution:
     """Principal candidate phi = u * int_0^x u^-2 rho^-1, vanishing at the
     left endpoint, with rho phi' = (rho u') int u^-2 rho^-1 + 1/u."""
-    return _UBuilder(model).phi(lam, x_to=x_to)
+    ub = _UBuilder(model)
+    return _flattened(lam, ub.phi(lam, x_to=x_to), ub.ss)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +347,6 @@ def build_phi(model: DiffusionModel, lam: float,
 # ---------------------------------------------------------------------------
 
 _DEFAULT_LOGRHO_CAPS = (30.0, 42.0, 60.0)
-
-
-def _sgn(v: float) -> int:
-    return -1 if v < 0 else 1
 
 
 def eigen_shoot(model: DiffusionModel, K: int = 1,
@@ -351,9 +361,9 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     by `brent_root`, the in-repo port of Brent's zeroin; the reported
     eigenvalues are Richardson-extrapolated in 1/T^2 across the truncation
     ladder.  Eigenfunctions are the sealed solutions at the widest
-    truncation, L2(rho)-normalized.  `evidence` holds the roots and the
-    number of distinct lam shot at each truncation; the eigenfunctions take
-    K more shots.
+    truncation, L2(rho)-normalized from the shots the bracketing already
+    took there.  `evidence` holds the roots and the number of distinct lam
+    shot at each truncation.
     """
     if K < 1:
         raise QsdlabError("K must be >= 1")
@@ -376,13 +386,13 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
 
         def shot(lam: float):
             if lam not in cache:
-                ph = ub.phi(lam, x_to=t_cut)
+                traj = ub.phi(lam, x_to=t_cut)
                 # the stored samples differ from phi by positive factors
-                count = ph.samples.sign_changes()
-                miss = float(ph.samples.final[1])
-                expected = 1 if count % 2 == 0 else -1
-                sc = count + (0 if _sgn(miss) == expected else 1)
-                cache[lam] = (sc, miss, ph)
+                count = traj.sign_changes()
+                miss = float(traj.final[1])
+                # one more when the sign of the miss disagrees with the parity
+                sc = count + int((miss < 0) != (count % 2 == 1))
+                cache[lam] = (sc, miss, traj)
             return cache[lam]
 
         sc0, m0, _ = shot(0.0)
@@ -427,11 +437,10 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     eigenvalues, errors = _richardson([roots_by_t[t] for t in truncations],
                                       [t ** 2 for t in truncations])
 
-    t_max = truncations[-1]
-    funcs = []
-    for k in range(K):
-        ph = ub.phi(roots_by_t[t_max][k], x_to=t_max)
-        funcs.append(_normalize_phi(ph, ss))
+    # brent_root returns a lam it has shot, so the widest truncation's
+    # cache holds every eigenfunction
+    funcs = [_normalized(_flattened(lam, cache[lam][2], ss))
+             for lam in roots_by_t[truncations[-1]]]
     return SpectralResult(eigenvalues=eigenvalues, eigenfunctions=funcs,
                           truncation=tuple(truncations),
                           extrapolation_error=float(np.max(errors)),
@@ -444,20 +453,12 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
                                      for t in truncations}})
 
 
-def _normalize_phi(ph: PhiSolution, ss: ScaleSpeed) -> PhiSolution:
-    grid = ph.samples.grid
-    flat = ph._flat()
-    vals, wvals = flat[:, 0], flat[:, 1]
-    rho = ss.speed_density(grid)
-    nrm2 = float(np.trapezoid(vals ** 2 * rho, grid))
+def _normalized(ph: PhiSolution) -> PhiSolution:
+    nrm2 = float(np.trapezoid(ph.phi ** 2 * ph.rho, ph.grid))
     if not nrm2 > 0:
         raise QsdlabError("cannot normalize a vanishing eigenfunction")
     nrm = math.sqrt(nrm2)
-    # sign convention: positive near the left endpoint
-    probe = vals[np.nonzero(vals)[0][0]] if np.any(vals) else 1.0
-    s = 1.0 if probe >= 0 else -1.0
-    return PhiSolution(lam=ph.lam, samples=_sampled(grid, s * vals / nrm,
-                                                    s * wvals / nrm))
+    return _eigenpair(ph.lam, ph.grid, ph.phi / nrm, ph.w / nrm, ph.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -608,16 +609,10 @@ def eigen_fd_oracle(model: DiffusionModel, grid_size: int = 1600,
                                    left_bc, right_bc, graded)
     ext, errs = _richardson((coarse, fine), (1.0, 4.0))
 
-    rho_nodes = ss.speed_density(nodes)
-    funcs = []
-    for k in range(K):
-        f = fs[:, k]
-        i_first = int(np.argmax(np.abs(f) > 1e-12 * np.max(np.abs(f))))
-        if f[i_first] < 0:
-            f = -f
-        w = rho_nodes * np.gradient(f, nodes)
-        funcs.append(PhiSolution(lam=float(ext[k]),
-                                 samples=_sampled(nodes, f, w)))
+    rho = ss.speed_density(nodes)
+    funcs = [_eigenpair(ext[k], nodes, fs[:, k],
+                        rho * np.gradient(fs[:, k], nodes), rho)
+             for k in range(K)]
     return SpectralResult(eigenvalues=ext, eigenfunctions=funcs,
                           truncation=(lo, hi),
                           extrapolation_error=float(np.max(errs)),
@@ -698,19 +693,14 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
 
     half_logr = 0.5 * np.asarray(ss.log_speed(inner), dtype=float)
     mu_vals = np.asarray(model.drift(inner), dtype=float)
+    rho = ss.speed_density(inner)
     funcs = []
     for k in range(K):
         psi = psis[:, k]
-        if k == 0:
-            if np.trapezoid(psi, inner) < 0:
-                psi = -psi
-        elif psi[np.argmax(np.abs(psi))] < 0:
-            psi = -psi
         phi = psi * np.exp(np.clip(-half_logr, -700.0, 700.0))
         dpsi = np.gradient(psi, inner)
         w = np.exp(np.clip(half_logr, -700.0, 700.0)) * (dpsi - mu_vals * psi)
-        funcs.append(PhiSolution(lam=float(ext[k]),
-                                 samples=_sampled(inner, phi, w)))
+        funcs.append(_eigenpair(ext[k], inner, phi, w, rho))
     if model.killing is not None:
         if not (ext[0] > 0 and (K < 2 or ext[1] > ext[0])):
             raise QsdlabError(
@@ -728,15 +718,13 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
 # quasistationary density, Doob transform, heat kernel
 # ---------------------------------------------------------------------------
 
-def qsd_density(spectral: SpectralResult, ss: ScaleSpeed) -> QsdDensity:
+def qsd_density(spectral: SpectralResult) -> QsdDensity:
     """Quasistationary density phi0 * rho normalized to a probability; the
     tail mass beyond the computational window is bounded by an exponential
     fit and must stay below 1e-6 of the total."""
     ph = spectral.eigenfunctions[0]
-    grid = ph.samples.grid
-    vals = ph._flat()[:, 0]
-    rho = ss.speed_density(grid)
-    g = vals * rho
+    grid = ph.grid
+    g = ph.phi * ph.rho
     neg = -float(np.sum(g[g < 0]))
     g = np.clip(g, 0.0, None)
     cum = cumulative_parabolic(grid, g)
@@ -752,7 +740,7 @@ def qsd_density(spectral: SpectralResult, ss: ScaleSpeed) -> QsdDensity:
     gs, xs = g[-n_fit:], grid[-n_fit:]
     pos = gs > 0
     if np.sum(pos) >= 3:
-        slope = np.polyfit(xs[pos], np.log(gs[pos]), 1)[0]
+        slope = _line_fit(xs[pos], np.log(gs[pos]))[0]
         if slope < 0:
             tail = float(g[-1] / -slope) if g[-1] > 0 else 0.0
     else:

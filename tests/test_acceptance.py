@@ -202,7 +202,7 @@ def test_05_killed_logistic_qsd_end_to_end():
     cond_cfg = SimConfig(dt=5e-3, n=200_000, t_max=8.0, seed=2028,
                          bridge=True, resample=True)
     pos = run_ensemble(m, float(m.x_ref), cond_cfg).final_positions
-    dens = qsd_density(spec, scale_speed(m))
+    dens = qsd_density(spec)
     lo = max(dens.support[0], float(np.quantile(pos, 1e-4)))
     hi = min(dens.support[1], float(np.quantile(pos, 1 - 1e-4)))
     edges = np.linspace(lo, hi, 41)
@@ -307,15 +307,14 @@ def test_08_module_invariant_bundle():
     ph = build_phi(bes, lam, x_to=6.0)
     n = len(u.samples.grid)
     uf = u.samples.values * np.exp(u.samples.log_scale)[:, None]
-    pf = ph._flat()[-n:]
-    wron = float(np.max(np.abs(uf[:, 0] * pf[:, 1]
-                               - uf[:, 1] * pf[:, 0] - 1.0)))
+    wron = float(np.max(np.abs(uf[:, 0] * ph.w[-n:]
+                               - uf[:, 1] * ph.phi[-n:] - 1.0)))
 
     # orthonormality of the shooting eigenfunctions in the speed measure
     sh = eigen_shoot(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}),
                      K=2)
     ss = scale_speed(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}))
-    base = sh.eigenfunctions[0].samples.grid
+    base = sh.eigenfunctions[0].grid
     rho = ss.speed_density(base)
     G = np.array([[np.trapezoid(sh.eigenfunctions[i](base)
                                 * sh.eigenfunctions[j](base) * rho, base)
@@ -323,7 +322,7 @@ def test_08_module_invariant_bundle():
     gram = float(np.max(np.abs(G - np.eye(2))))
 
     # QSD normalization
-    dens = qsd_density(s1, scale_speed(log))
+    dens = qsd_density(s1)
     total = float(np.trapezoid(dens.density(dens.grid), dens.grid))
     z_ok = abs(dens.Z - 1.28097) / 1.28097 < 1e-3
 

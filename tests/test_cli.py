@@ -24,7 +24,7 @@ import qsdlab.cli
 import qsdlab.montecarlo
 import qsdlab.spectral
 from qsdlab.cli import main
-from qsdlab.model import CONVENTION_NOTE, reduce_unit_diffusion, scale_speed
+from qsdlab.model import CONVENTION_NOTE, ScaleSpeed, reduce_unit_diffusion
 from qsdlab.montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
                                tv_distance)
 from qsdlab.numerics import QsdlabError
@@ -183,6 +183,22 @@ def test_qsd_csv_output(tmp_path, capsys):
     assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=5e-3)
 
 
+def test_qsd_on_a_model_file_builds_one_scale_speed(tmp_path, monkeypatch,
+                                                    capsys):
+    # the density reads rho from the solve's eigenpair record, so an
+    # expression model's log-rho table is built once
+    built = []
+    init = ScaleSpeed.__init__
+    monkeypatch.setattr(ScaleSpeed, "__init__",
+                        lambda self, m: built.append(m) or init(self, m))
+    path = tmp_path / "pull.json"
+    path.write_text(json.dumps(PULL))
+    rc, doc = run_cli(capsys, ["qsd", "--model-json", str(path)])
+    assert rc == 0
+    assert doc["Z"] > 0
+    assert len(built) == 1
+
+
 # ------------------------------------------------------------- simulate
 
 def test_simulate_is_deterministic(tmp_path, capsys):
@@ -303,8 +319,7 @@ def test_compare_takes_the_tv_sample_from_the_probe(tmp_path, monkeypatch,
     m = zoo_build("logistic_X_killed", {"mu": 1, "c": 1, "sigma": 1})
     pos = dichotomy_probe(m, 0.0, SimConfig(dt=0.01, n=3000, t_max=4.0,
                                             seed=5)).final_positions
-    dens = qsd_density(eigen_schrodinger(m, K=2, grid_size=6000),
-                       scale_speed(m))
+    dens = qsd_density(eigen_schrodinger(m, K=2, grid_size=6000))
     lo = max(dens.support[0], float(np.quantile(pos, 1e-4)))
     hi = min(dens.support[1], float(np.quantile(pos, 1 - 1e-4)))
     edges = np.linspace(lo, hi, 31)
@@ -785,3 +800,30 @@ def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
                                        "int_s_sqrt_rho_finite": True,
                                        "log_iv_finite": True,
                                        "loaded": []}
+
+
+# ------------------------------------------------------------- host independence
+
+def test_reports_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # the quadrature sums run node by node and the line fits are closed
+    # forms, so no report calls BLAS or LAPACK and forcing OpenBLAS onto a
+    # kernel without FMA moves no byte; where the variable has no effect
+    # (another BLAS, or a host without that kernel) the runs agree trivially
+    path = tmp_path / "pull.json"
+    path.write_text(json.dumps(dict(PULL, drift_expr="-1 - 1/(2*x)")))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qsdlab.__file__))
+    for argv in (["classify", "--zoo", "population_N", *LOGISTIC,
+                  "--param", "gamma=1"],
+                 ["simulate", "--zoo", "bessel", "--param", "nu=-1.5",
+                  "--n", "4000", "--t-max", "3", "--seed", "3",
+                  "--fit-survival"],
+                 ["spectrum", "--model-json", str(path), "--k", "2",
+                  "--oracle"]):
+        out = [subprocess.run([sys.executable, "-m", "qsdlab.cli", *argv],
+                              cwd=tmp_path, env=dict(env, **extra),
+                              capture_output=True, check=True,
+                              timeout=300).stdout
+               for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+        assert out[0] == out[1], argv
+        assert json.loads(out[0])

@@ -475,7 +475,7 @@ from qsdlab.zoo import zoo_build
 res = eigen_shoot(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}), K=2)
 print(repr([_sl_digest(*case) for case in _sl_frozen_cases()]))
 print(repr((res.truncation, res.eigenvalues.tolist(), res.extrapolation_error,
-            [math.fsum(phi.samples.values.ravel())
+            [(math.fsum(phi.phi), math.fsum(phi.w))
              for phi in res.eigenfunctions])))
 """
 

@@ -199,3 +199,12 @@ def test_the_shooting_continuation_calls_no_blas():
     source = (pathlib.Path(qsdlab.__file__).parent / "numerics.py").read_text()
     assert _blas_uses(source, {"_magnus_cells", "_chunk_maps",
                                "integrate_sl_system"}) == []
+
+
+def test_the_quadrature_calls_no_blas():
+    # the Gauss sums run node by node in a fixed order, so a custom model's
+    # log rho and the classification integrals do not depend on the kernel
+    root = pathlib.Path(qsdlab.__file__).parent
+    assert _blas_uses((root / "numerics.py").read_text(), {"_gauss"}) == []
+    assert _blas_uses((root / "boundary.py").read_text(),
+                      {"_nested_feller_integral"}) == []

@@ -80,23 +80,19 @@ def test_phi_matches_closed_form_and_series():
     lam = 2.0
     k = math.sqrt(2 * lam)
     ph = build_phi(m, lam, x_to=6.0)
-    grid = ph.samples.grid
-    flat = ph._flat()
-    want = _phi_star(k, grid)
+    want = _phi_star(k, ph.grid)
     # relative away from phi's interior zeros, absolute at the envelope scale
     # near them
-    assert np.allclose(flat[:, 0], want, rtol=1e-6,
+    assert np.allclose(ph.phi, want, rtol=1e-6,
                        atol=1e-6 * np.max(np.abs(want)))
     # Dirichlet data (0, 1) emerges at the accessible endpoint: rho phi' -> 1
-    assert flat[0, 1] == pytest.approx(1.0, abs=1e-6)
+    assert ph.w[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_phi_at_lambda_zero_is_the_scale_function():
     m = zoo_build("bessel", {"nu": -1.5})
     ph = build_phi(m, 0.0, x_to=3.0)
-    grid = ph.samples.grid
-    flat = ph._flat()
-    assert np.allclose(flat[:, 0], grid ** 3 / 3.0, rtol=1e-8)
+    assert np.allclose(ph.phi, ph.grid ** 3 / 3.0, rtol=1e-8)
 
 
 def test_wronskian_constant_along_continuation():
@@ -109,10 +105,9 @@ def test_wronskian_constant_along_continuation():
     u = build_u(m, lam, x_to=6.0)
     ph = build_phi(m, lam, x_to=6.0)
     n = len(u.samples.grid)
-    assert np.array_equal(ph.samples.grid[-n:], u.samples.grid)
+    assert np.array_equal(ph.grid[-n:], u.samples.grid)
     uf = u.samples.values * np.exp(u.samples.log_scale)[:, None]
-    pf = ph._flat()[-n:]
-    W = uf[:, 0] * pf[:, 1] - uf[:, 1] * pf[:, 0]
+    W = uf[:, 0] * ph.w[-n:] - uf[:, 1] * ph.phi[-n:]
     assert np.max(np.abs(W - 1.0)) < 1e-7
 
 
@@ -226,7 +221,7 @@ def test_shoot_is_deterministic():
 
 def test_shoot_eigenfunctions_orthonormal(shoot_pb15):
     ss = scale_speed(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}))
-    base = shoot_pb15.eigenfunctions[0].samples.grid
+    base = shoot_pb15.eigenfunctions[0].grid
     rho = ss.speed_density(base)
     G = np.empty((3, 3))
     for i in range(3):
@@ -235,6 +230,18 @@ def test_shoot_eigenfunctions_orthonormal(shoot_pb15):
             fj = shoot_pb15.eigenfunctions[j](base)
             G[i, j] = np.trapezoid(fi * fj * rho, base)
     assert np.max(np.abs(G - np.eye(3))) < 1e-4
+
+
+def test_shoot_eigenfunctions_are_the_sealed_shots_at_the_roots(shoot_pb15):
+    # taken from the widest truncation's shots, they equal a fresh shot at
+    # each root, normalized, up to sign
+    t_max = shoot_pb15.truncation[-1]
+    for ph in shoot_pb15.eigenfunctions:
+        shot = build_phi(zoo_build(*PB15), ph.lam, x_to=t_max)
+        nrm = math.sqrt(np.trapezoid(shot.phi ** 2 * shot.rho, shot.grid))
+        assert np.array_equal(ph.grid, shot.grid)
+        assert np.array_equal(np.abs(ph.phi), np.abs(shot.phi / nrm))
+        assert np.array_equal(ph.rho, shot.rho)
 
 
 def test_shot_counter_matches_continuation_calls(monkeypatch):
@@ -246,9 +253,9 @@ def test_shot_counter_matches_continuation_calls(monkeypatch):
     shots = res.evidence["shots_by_truncation"]
     assert list(shots) == list(res.evidence["roots_by_truncation"])
     assert list(shots.values()) == [21, 21, 21]
-    # one continuation per distinct lam and truncation, plus one per
-    # eigenfunction at the widest truncation
-    assert len(lams) == sum(shots.values()) + 2
+    # one continuation per distinct lam and truncation; the eigenfunctions
+    # come from the widest truncation's shots
+    assert len(lams) == sum(shots.values())
     assert "evidence" not in res.to_json()
 
 
@@ -374,11 +381,30 @@ def test_schrodinger_guards():
         eigen_schrodinger(m)
 
 
+# ------------------------------------------------------------ eigenpair record
+
+@pytest.mark.parametrize("solve,name_params", [
+    (lambda m: eigen_shoot(m, K=2), PB15),
+    (lambda m: eigen_fd_oracle(m, K=2), PB15),
+    (lambda m: eigen_schrodinger(m, K=2), ("logistic_X_killed", LOG111)),
+], ids=["shoot", "fd", "schrodinger"])
+def test_every_route_fills_one_eigenpair_record(solve, name_params):
+    m = zoo_build(*name_params)
+    res = solve(m)
+    assert len(res.eigenfunctions) == 2
+    for ph in res.eigenfunctions:
+        assert isinstance(ph, PhiSolution)
+        assert ph.grid.shape == ph.phi.shape == ph.w.shape == ph.rho.shape
+        # rho is the model's speed density on the record's grid, bit for bit
+        assert np.array_equal(ph.rho, scale_speed(m).speed_density(ph.grid))
+        # one sign rule: phi is positive where |phi| rho peaks
+        assert ph.phi[np.argmax(np.abs(ph.phi) * ph.rho)] > 0
+
+
 # ------------------------------------------------------------ QSD
 
 def test_qsd_density_normalization(schr_logistic):
-    ss = scale_speed(zoo_build("logistic_X_killed", LOG111))
-    dens = qsd_density(schr_logistic, ss)
+    dens = qsd_density(schr_logistic)
     assert dens.Z == pytest.approx(1.28097, rel=1e-3)
     grid = dens.grid
     total = np.trapezoid(dens.density(grid), grid)
@@ -397,12 +423,11 @@ def test_qsd_eigen_invariance_dual_route(schr_logistic):
     # reproduce eigenvalue and QSD shape; the window is narrower than the
     # conjugated-form one because the FD route carries the rho weight
     m = zoo_build("logistic_X_killed", LOG111)
-    ss = scale_speed(m)
     fd = eigen_fd_oracle(m, K=1, truncation=(-10.0, 4.5),
                          left_bc="dirichlet", right_bc="dirichlet")
     assert abs(fd.eigenvalues[0] - schr_logistic.eigenvalues[0]) < 1e-6
-    d_schr = qsd_density(schr_logistic, ss)
-    d_fd = qsd_density(fd, ss)
+    d_schr = qsd_density(schr_logistic)
+    d_fd = qsd_density(fd)
     edges = np.linspace(-8.0, 4.0, 61)
     tv = 0.5 * np.sum(np.abs(d_schr.bin_masses(edges) - d_fd.bin_masses(edges)))
     assert tv < 1e-4
