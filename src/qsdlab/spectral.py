@@ -101,8 +101,14 @@ class SpectralResult:
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
-        if len(ev) > 1 and not np.all(np.diff(ev) > 0):
-            raise QsdlabError(f"eigenvalues not strictly increasing: {ev}")
+        bad = np.flatnonzero(~(np.diff(ev) > 0))
+        if len(bad):
+            i = int(bad[0]) + 1
+            ladder = ", ".join(f"{t:.6g}" for t in np.atleast_1d(self.truncation))
+            raise QsdlabError(
+                f"eigenvalues not strictly increasing: eigenvalues[{i}] = "
+                f"{float(ev[i])!r} after eigenvalues[{i - 1}] = "
+                f"{float(ev[i - 1])!r} (truncation {ladder})")
 
     @property
     def lambda0(self) -> float:
@@ -198,6 +204,8 @@ class _UBuilder:
             raise QsdlabError(f"cannot seed a construction radius from {model.x_ref}")
         self.r0 = r0
         self._levels: dict = {}
+        # the shot's left-end core per lam: (delta, core trajectory)
+        self._cores: dict = {}
         # accessibility probe: the double integral must be stable against the
         # inner cutoff, otherwise the left endpoint is not accessible and no
         # contraction radius exists
@@ -298,30 +306,33 @@ class _UBuilder:
 
     def phi(self, lam: float, x_to: Optional[float] = None) -> OdeTrajectory:
         """The shot: (phi, rho phi') on the core grid, continued to x_to
-        when x_to lies beyond the core edge."""
-        lv, _, u, w, _ = self._solve(lam)
-        grid, delta = lv["grid"], lv["delta"]
-        integ = lv["inv_rho"] / u ** 2
-        # sub-cutoff mass of the scale integral from a local power fit
-        tail0 = 0.0
-        x0g, x1g = grid[0] - self.left, grid[1] - self.left
-        if integ[0] > 0 and integ[1] > 0:
-            p = math.log(integ[1] / integ[0]) / math.log(x1g / x0g)
-            if p > -0.99:
-                tail0 = integ[0] * x0g / (p + 1.0)
-        j2 = cumulative_parabolic(grid, integ) + tail0
-        core = np.column_stack((u * j2, w * j2 + 1.0 / u))
-        traj = OdeTrajectory(grid=grid, values=core,
-                             log_scale=np.zeros(len(grid)),
-                             final=tuple(map(float, core[-1])),
-                             final_log_scale=0.0)
+        when x_to lies beyond the core edge.  The core depends on lam alone
+        and is kept per lam, so a lam shot again against another truncation
+        runs only the continuation."""
+        if lam not in self._cores:
+            lv, _, u, w, _ = self._solve(lam)
+            grid = lv["grid"]
+            integ = lv["inv_rho"] / u ** 2
+            # sub-cutoff mass of the scale integral from a local power fit
+            tail0 = 0.0
+            x0g, x1g = grid[0] - self.left, grid[1] - self.left
+            if integ[0] > 0 and integ[1] > 0:
+                p = math.log(integ[1] / integ[0]) / math.log(x1g / x0g)
+                if p > -0.99:
+                    tail0 = integ[0] * x0g / (p + 1.0)
+            j2 = cumulative_parabolic(grid, integ) + tail0
+            core = np.column_stack((u * j2, w * j2 + 1.0 / u))
+            self._cores[lam] = (lv["delta"], OdeTrajectory(
+                grid=grid, values=core, log_scale=np.zeros(len(grid)),
+                final=tuple(map(float, core[-1])), final_log_scale=0.0))
+        delta, traj = self._cores[lam]
         if x_to is None or not x_to > delta:
             return traj
         cont = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
                                    init=traj.final, n_samples=_N_SAMPLES)
         return OdeTrajectory(
-            grid=np.concatenate((grid, cont.grid[1:])),
-            values=np.concatenate((core, cont.values[1:])),
+            grid=np.concatenate((traj.grid, cont.grid[1:])),
+            values=np.concatenate((traj.values, cont.values[1:])),
             log_scale=np.concatenate((traj.log_scale, cont.log_scale[1:])),
             final=cont.final, final_log_scale=cont.final_log_scale)
 
@@ -360,10 +371,26 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     rho phi'(T) disagrees with the count parity -- and polished on the miss
     by `brent_root`, the in-repo port of Brent's zeroin; the reported
     eigenvalues are Richardson-extrapolated in 1/T^2 across the truncation
-    ladder.  Eigenfunctions are the sealed solutions at the widest
-    truncation, L2(rho)-normalized from the shots the bracketing already
-    took there.  `evidence` holds the roots and the number of distinct lam
-    shot at each truncation.
+    ladder.
+
+    The first truncation is searched cold: every count the isolation reads
+    is a shot.  Each later truncation replays the same isolation warm from
+    the previous truncation's roots r_j: a lam outside the guard band
+    |lam - r_j| <= b_j of every root reads the count #{r_j < lam} without a
+    shot, where b_j = 1e-6 (1 + r_j), widened after the second truncation
+    to four times the root's last move.  Only the final bracket's ends are
+    shot.  When they count k - 1 and k, they confirm every decision of the
+    replay (the count is monotone in lam), and Brent runs on that bracket;
+    a root that then lands inside its band confirms that every count read
+    without a shot was exact, so bracket, Brent inputs and root are the
+    cold search's.  Otherwise the truncation is searched cold again,
+    reusing every shot already taken.  The left-end core of a shot depends
+    on lam alone and is solved once per lam for the whole ladder.
+
+    Eigenfunctions are the sealed solutions at the widest truncation,
+    L2(rho)-normalized from the shots the bracketing already took there.
+    `evidence` holds the roots and the number of distinct lam shot at each
+    truncation.
     """
     if K < 1:
         raise QsdlabError("K must be >= 1")
@@ -381,6 +408,7 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
         raise QsdlabError(f"truncation ladder not increasing: {truncations}")
 
     roots_by_t, shots_by_t = {}, {}
+    prev = band = None
     for t_cut in truncations:
         cache: dict = {}
 
@@ -401,36 +429,71 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
                 f"shooting baseline violated at T = {t_cut:.4g}: "
                 f"count-augmented index {sc0}, miss {m0:.3g} at lam = 0")
 
-        roots = []
-        for k in range(1, K + 1):
-            # expand until the augmented count reaches k
-            hi = max(1.0, 2.0 * (roots[-1] if roots else 0.0))
-            grow = 0
-            while shot(hi)[0] < k:
-                hi *= 2.0
-                grow += 1
-                if grow > 60:
-                    raise QsdlabError(
-                        f"{K} eigenvalues not found below the search ceiling "
-                        f"(T = {t_cut:.4g})")
-            lo = max([l for l in cache if cache[l][0] < k], default=0.0)
-            # bisect until the augmented count steps by exactly one
-            for _ in range(200):
-                if cache[hi][0] - cache[lo][0] == 1 \
-                        and hi - lo <= 0.02 * (1.0 + hi):
-                    break
-                mid = 0.5 * (lo + hi)
-                if shot(mid)[0] < k:
-                    lo = mid
+        def search(prev: Optional[list]) -> Optional[list]:
+            """The K roots at this truncation.  With `prev`, a lam outside
+            the guard band around every previous root reads the count
+            #{prev < lam} without a shot; None when a shot refutes that."""
+            seen = {0.0: sc0}   # lam -> augmented count, as the search read it
+
+            def count(lam: float) -> int:
+                if lam not in seen:
+                    seen[lam] = (shot(lam)[0] if prev is None
+                                 or any(abs(lam - r) <= b
+                                        for r, b in zip(prev, band))
+                                 else sum(r < lam for r in prev))
+                return seen[lam]
+
+            def miss(lam: float) -> float:
+                seen[lam], m, _ = shot(lam)
+                return m
+
+            roots = []
+            for k in range(1, K + 1):
+                # expand until the augmented count reaches k
+                hi = max(1.0, 2.0 * (roots[-1] if roots else 0.0))
+                grow = 0
+                while count(hi) < k:
+                    if grow == 60:
+                        raise QsdlabError(
+                            f"eigenvalue {k} of {K} not found below the "
+                            f"search ceiling {hi:.4g} (T = {t_cut:.4g})")
+                    hi *= 2.0
+                    grow += 1
+                lo = max([l for l in seen if seen[l] < k], default=0.0)
+                # bisect until the augmented count steps by exactly one
+                for _ in range(200):
+                    if seen[hi] - seen[lo] == 1 \
+                            and hi - lo <= 0.02 * (1.0 + hi):
+                        break
+                    mid = 0.5 * (lo + hi)
+                    if count(mid) < k:
+                        lo = mid
+                    else:
+                        hi = mid
                 else:
-                    hi = mid
-            else:
-                raise QsdlabError("eigenvalue isolation failed to converge")
-            root = brent_root(lambda lam: shot(lam)[1], (lo, hi),
-                              tol=1e-11 * (1.0 + hi))
-            roots.append(root)
+                    raise QsdlabError(
+                        f"isolation of eigenvalue {k} failed to converge at "
+                        f"T = {t_cut:.4g} (bracket [{lo:.10g}, {hi:.10g}])")
+                # shot counts k - 1 and k at the ends confirm every decision
+                # above, the count being monotone in lam; a root inside its
+                # band confirms that every count read without a shot was exact
+                if prev is not None and (shot(lo)[0] != k - 1
+                                         or shot(hi)[0] != k):
+                    return None
+                root = brent_root(miss, (lo, hi), tol=1e-11 * (1.0 + hi))
+                if prev is not None and not abs(root - prev[k - 1]) < band[k - 1]:
+                    return None
+                roots.append(root)
+            return roots
+
+        roots = search(prev) or search(None)
         roots_by_t[t_cut] = roots
         shots_by_t[t_cut] = len(cache)
+        # guard bands for the next truncation: 1e-6 (1 + r), widened to four
+        # times the last move of the root
+        band = [max(1e-6 * (1.0 + r), 4.0 * abs(r - p))
+                for r, p in zip(roots, prev or roots)]
+        prev = roots
 
     # t ** 2 of a float is libm pow, which can differ from t * t in the last
     # bit; the frozen eigenvalues were recorded with it

@@ -166,6 +166,7 @@ def test_03_eigensolver_oracle_equivalence():
 # 4. stationary law of the unkilled logistic model
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_04_stationary_law_reproduction():
     t0 = time.monotonic()
     red, tr = reduce_unit_diffusion(zoo_build("logistic_N", LOG111))
@@ -188,6 +189,7 @@ def test_04_stationary_law_reproduction():
 # 5. killed-logistic QSD end to end
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_05_killed_logistic_qsd_end_to_end():
     t0 = time.monotonic()
     m = zoo_build("logistic_X_killed", LOG111)
@@ -219,6 +221,7 @@ def test_05_killed_logistic_qsd_end_to_end():
 # 6. exact Bessel kernel against the simulated sub-Markov histogram
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_06_bessel_exact_kernel_oracle():
     t0 = time.monotonic()
     nu, x0, t = 1.5, 1.0, 0.5

@@ -252,11 +252,71 @@ def test_shot_counter_matches_continuation_calls(monkeypatch):
     res = eigen_shoot(zoo_build(*PB15), K=2)
     shots = res.evidence["shots_by_truncation"]
     assert list(shots) == list(res.evidence["roots_by_truncation"])
-    assert list(shots.values()) == [21, 21, 21]
+    # the later truncations replay the first one's bracketing warm and shoot
+    # the baseline, the two ends of each bracket and Brent's points
+    assert list(shots.values()) == [21, 11, 11]
     # one continuation per distinct lam and truncation; the eigenfunctions
     # come from the widest truncation's shots
     assert len(lams) == sum(shots.values())
     assert "evidence" not in res.to_json()
+
+
+def test_left_end_core_is_solved_once_per_lam(monkeypatch):
+    solved, shot = [], []
+    real_solve, real_cont = _UBuilder._solve, spectral.integrate_sl_system
+    monkeypatch.setattr(_UBuilder, "_solve",
+                        lambda self, lam: solved.append(lam)
+                        or real_solve(self, lam))
+    monkeypatch.setattr(spectral, "integrate_sl_system",
+                        lambda *a, **kw: shot.append(a[2]) or real_cont(*a, **kw))
+    eigen_shoot(zoo_build(*PB15), K=2)
+    # lam = 0 and the bracket ends recur at every truncation
+    assert len(shot) > len(set(shot))
+    assert sorted(solved) == sorted(set(shot))
+
+
+def _custom_ou_shifted():
+    return DiffusionModel(
+        drift=ScalarField.from_expression("-(x+1)", (-1.0, math.inf)),
+        domain=(-1.0, math.inf), x_ref=0.0, name="custom")
+
+
+# roots_by_truncation of the custom model, recorded from the cold search at
+# every truncation (the code before the warm ladder); its log rho is a
+# tabulated antiderivative whose last bits depend on the order of queries,
+# so a ladder [T, 1.5 T] is no reference for it
+_CUSTOM_COLD_ROOTS = {
+    "4.56776": [0.9999999999022293, 3.0000000005815894],
+    "5.55744": [0.999999999959626, 3.0000000006416356],
+    "6.81025": [0.9999999999839078, 3.0000000012364327],
+}
+
+
+@pytest.mark.parametrize("build,K,warm", [
+    (lambda: zoo_build(*PB15), 2, [True, True]),
+    (lambda: zoo_build("perturbed_bessel", {"nu": -1.5, "c0": 1.0}), 2,
+     [False, None]),
+    (lambda: zoo_build(*PB15), 6, [False, True]),
+    (_custom_ou_shifted, 2, [True, True]),
+], ids=["pb15 K=2", "pbessel c0=1 K=2", "pb15 K=6", "custom -(x+1)"])
+def test_warm_ladder_roots_equal_the_cold_search(build, K, warm):
+    res = eigen_shoot(build(), K=K)
+    roots = res.evidence["roots_by_truncation"]
+    shots = res.evidence["shots_by_truncation"]
+    for i, t in enumerate(res.truncation):
+        key = f"{t:.6g}"
+        # the first truncation of any ladder is searched cold
+        cold = eigen_shoot(build(), K=K, truncations=[t, 1.5 * t]).evidence
+        if build is not _custom_ou_shifted:
+            assert roots[key] == cold["roots_by_truncation"][key]
+        assert shots[key] <= cold["shots_by_truncation"][key] + 2
+        # which truncations the replay served (True), which it searched
+        # cold again (False); None: either, so long as the roots hold
+        if i > 0 and warm[i - 1] is not None:
+            assert (shots[key] < cold["shots_by_truncation"][key]) \
+                == warm[i - 1]
+    if build is _custom_ou_shifted:
+        assert roots == _CUSTOM_COLD_ROOTS
 
 
 def test_shoot_ladder_and_extrapolation_bits_frozen():
@@ -517,3 +577,10 @@ def test_spectral_result_rejects_unordered_eigenvalues(shoot_pb15):
         SpectralResult(eigenvalues=np.array([2.0, 1.0]),
                        eigenfunctions=list(shoot_pb15.eigenfunctions[:2]),
                        truncation=(1.0, 2.0), extrapolation_error=0.0)
+    # one line naming where the order breaks, not the whole array
+    with pytest.raises(QsdlabError) as err:
+        SpectralResult(eigenvalues=[1.0, 3.0, 2.0], eigenfunctions=[],
+                       truncation=(5.0, 6.5, 8.25), extrapolation_error=0.0)
+    assert str(err.value) == (
+        "eigenvalues not strictly increasing: eigenvalues[2] = 2.0 after "
+        "eigenvalues[1] = 3.0 (truncation 5, 6.5, 8.25)")
