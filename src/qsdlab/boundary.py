@@ -12,10 +12,12 @@ interior reference c:
 Regular / Exit / Entrance / Natural.  Both integrands are evaluated in paired
 log space, exp(L(s) - L(t)) with L = log rho, so no intermediate rho value is
 ever formed and doubly-exponential speed densities cannot overflow.  The
-outer level march, its Finite/Divergent rules and the one-sided log-space
-tail integral (certain absorption, speed tails) are the shared engine in
-`numerics`; this module adds only the nested inner quadrature and the
-positivity scan.
+quadrature is all in `numerics`: the outer level march and its
+Finite/Divergent rules, the Gauss sum of each outer panel (`_gauss`), and
+the one log-space panel rule (`_log_integral`) that integrates each inner
+integral, the one-sided tails (certain absorption, speed tails) and the
+stretches of the positivity ladder.  This module composes them into the
+nested integrals and the positivity scan.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from .model import DiffusionModel, ScaleSpeed, scale_speed
 from .numerics import (_LOG_CLIP, DIVERGENCE_THRESHOLD,
                        IndeterminateIntegralError, IntegralVerdict,
-                       LevelAccumulator, QsdlabError, _level_verdict,
-                       _richardson, improper_integral, logsumexp_panels,
+                       LevelAccumulator, QsdlabError, _gauss, _level_verdict,
+                       _log_integral, _richardson, improper_integral,
                        tail_integral)
 
 REGULAR, EXIT, ENTRANCE, NATURAL = "Regular", "Exit", "Entrance", "Natural"
@@ -83,41 +85,8 @@ class ClassificationResult:
 
 
 # ---------------------------------------------------------------------------
-# log-space quadrature helpers
+# classification integrals
 # ---------------------------------------------------------------------------
-
-def _inner_log_integral(logf, lo: float, hi: float) -> float:
-    """log of int_lo^hi exp(logf) on a graded-plus-uniform panel set,
-    evaluated in one vectorized pass.  The grading depth follows the endpoint
-    slopes of logf: the paired-exponent integrands develop boundary layers of
-    width ~1/|logf'| at the moving endpoint, and far out along the outer
-    march those layers get orders of magnitude thinner than the interval, so
-    a fixed depth would step right over them and silently drop the level's
-    mass.  The uniform panels catch an interior peak.  Cheap enough to be
-    called once per outer quadrature node."""
-    if hi <= lo:
-        return -math.inf
-    span = hi - lo
-    m = 13
-    h = span * 1e-6
-    if lo + 2.0 * h < hi - 2.0 * h:
-        for a, b in ((lo + h, lo + 2.0 * h), (hi - 2.0 * h, hi - h)):
-            va, vb = float(logf(a)), float(logf(b))
-            if math.isfinite(va) and math.isfinite(vb):
-                rise = abs(vb - va) / h * span
-                if rise > 2.0:
-                    m = max(m, min(44, int(math.ceil(math.log2(rise))) + 3))
-    # graded geometrically toward both ends, plus a uniform set
-    g = np.concatenate(([0.0], 2.0 ** np.arange(-m, 0.0),
-                        1.0 - 2.0 ** np.arange(-2.0, -m - 1.0, -1.0), [1.0]))
-    breaks = np.unique(np.concatenate((lo + span * g,
-                                       np.linspace(lo, hi, 17))))
-    piece = logsumexp_panels(logf, breaks, n=16)
-    peak = piece.max()
-    if not np.isfinite(peak):
-        return -math.inf
-    return float(peak + np.log(np.exp(piece - peak).sum()))
-
 
 def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
                             kind: str, tol: float = 1e-9) -> IntegralVerdict:
@@ -126,21 +95,18 @@ def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
     kind = "access":  outer weight rho^{-1}, inner weight rho
     kind = "second":  outer weight rho,      inner weight rho^{-1}
     """
-    L = lambda x: np.asarray(ss.log_speed(x), dtype=float)
     sign = +1.0 if kind == "access" else -1.0
-    gl_x, gl_w = np.polynomial.legendre.leggauss(24)
+
+    def outer(ts):
+        # one inner integral per outer Gauss node t, between t and c
+        return np.array([
+            math.exp(min(_log_integral(
+                lambda s, Lt=Lt: sign * (ss.log_speed(s) - Lt),
+                min(t, c), max(t, c)), _LOG_CLIP))
+            for t, Lt in zip(ts, ss.log_speed(ts))])
 
     def panel(lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ts = mid + half * gl_x
-        Lts = np.asarray(L(ts), dtype=float)
-        total = 0.0     # a fixed-order sum: no BLAS kernel picks the bits
-        for t, Lt, w in zip(ts, Lts, gl_w):
-            inner_lo, inner_hi = (t, c) if t < c else (c, t)
-            logf = (lambda s, Lt=Lt: sign * (L(s) - Lt))
-            log_f = _inner_log_integral(logf, inner_lo, inner_hi)
-            total += w * math.exp(min(log_f, _LOG_CLIP))
-        return float(half * total)
+        return float(_gauss(outer, np.array([lo]), np.array([hi]), 24)[0])
 
     name = f"{'left' if endpoint < c else 'right'}_{kind}"
     return _level_verdict(name, panel, c, endpoint, tol, _FELLER_MAX_LEVELS)
@@ -176,8 +142,7 @@ def classify(model: DiffusionModel, tol: float = 1e-9) -> ClassificationResult:
     tail = None
     if left.kind in (REGULAR, EXIT):
         tail = tail_integral(
-            lambda x: -np.asarray(ss.log_speed(x), dtype=float), c, r, tol,
-            name="scale_tail")
+            lambda x: -ss.log_speed(x), c, r, tol, name="scale_tail")
         absorption = not tail.finite
     return ClassificationResult(left=left, right=right,
                                 absorption_certain=absorption,
@@ -218,8 +183,8 @@ def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:
         raise QsdlabError("positivity_criterion expects an infinite right end")
     if not (l <= a < r):
         raise QsdlabError(f"a = {a} not admissible for domain {model.domain}")
-    Lp = lambda x: np.asarray(ss.log_speed(x), dtype=float)    # log rho
-    Lm = lambda x: -np.asarray(ss.log_speed(x), dtype=float)   # log rho^{-1}
+    Lp = ss.log_speed                       # log rho
+    Lm = lambda x: -ss.log_speed(x)         # log rho^{-1}
     infinite = PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
                                 lambda0_upper=0.0, positive=False)
 
@@ -236,9 +201,9 @@ def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:
     xs = np.array(xs)
     # logS[i] = log int_a^xs[i] rho^{-1}, logR[i] = log int_xs[i]^xs[-1] rho
     logS = np.logaddexp.accumulate([-math.inf] + [
-        _inner_log_integral(Lm, lo, hi) for lo, hi in zip(xs[:-1], xs[1:])])
+        _log_integral(Lm, lo, hi) for lo, hi in zip(xs[:-1], xs[1:])])
     logR = np.logaddexp.accumulate([-math.inf] + [
-        _inner_log_integral(Lp, lo, hi)
+        _log_integral(Lp, lo, hi)
         for lo, hi in zip(xs[-2::-1], xs[:0:-1])])[::-1]
     logP = logS + logR                       # -inf at both ends of the ladder
     if not np.isfinite(logP[1:-1]).all():
@@ -264,9 +229,9 @@ def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:
         def logP_at(xq):                     # xs[i] < xq < xs[i + 1]
             i = int(np.searchsorted(xs, xq)) - 1
             return float(
-                np.logaddexp(logS[i], _inner_log_integral(Lm, xs[i], xq))
+                np.logaddexp(logS[i], _log_integral(Lm, xs[i], xq))
                 + np.logaddexp(logR[i + 1],
-                               _inner_log_integral(Lp, xq, xs[i + 1])))
+                               _log_integral(Lp, xq, xs[i + 1])))
 
         lo, hi = xs[k - 1], xs[k + 1]
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -304,8 +269,7 @@ def assumption1_check(model: DiffusionModel) -> dict:
     b2_minus_bp = model.drift(xs) ** 2 + model.drift.d(xs)   # b=-mu: b^2-b' = mu^2+mu'
     inf_generic = float(np.min(b2_minus_bp))
 
-    log_integrand = lambda sv: (np.log(sv) + 0.5 * np.asarray(
-        ss.log_speed(sv), dtype=float))
+    log_integrand = lambda sv: np.log(sv) + 0.5 * ss.log_speed(sv)
     try:
         res = improper_integral(log_integrand, 0.0, 1.0, tol=1e-8, split=0.5)
         eint_finite = res.finite
@@ -326,9 +290,8 @@ def assumption1_check(model: DiffusionModel) -> dict:
         cprime = c1 + 2.0 * c2 * xs
         inf_c = float(np.min(cvals ** 2 - cprime))
         inf_cs = float(np.min((cvals / xs)[xs >= 1.0]))
-        tail = tail_integral(
-            lambda x: -np.asarray(ss.log_speed(x), dtype=float),
-            model.x_ref, math.inf)
+        tail = tail_integral(lambda x: -ss.log_speed(x), model.x_ref,
+                             math.inf)
         certain = not tail.finite
         route_bessel = bool(nu <= -1.0 and math.isfinite(inf_c)
                             and math.isfinite(inf_cs) and certain)

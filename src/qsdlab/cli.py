@@ -45,7 +45,8 @@ def _env_settings() -> dict:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if out:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
@@ -54,6 +55,8 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 
 def _jsonable(x):
+    """`x` with numpy values as Python ones and nonfinite floats as the
+    strings "nan", "inf" and "-inf", so that strict JSON can hold it."""
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
@@ -118,14 +121,13 @@ def _reduced(model: DiffusionModel):
         return model, None, {"reduced": False}
     red, tr = reduce_unit_diffusion(model)
     return red, tr, {"reduced": True,
-                     "reduced_domain": [_jsonable(red.domain[0]),
-                                        _jsonable(red.domain[1])],
+                     "reduced_domain": list(red.domain),
                      "note": "analysis runs in the unit-diffusion coordinate"}
 
 
 def _model_report(model: DiffusionModel) -> dict:
-    return {"name": model.name, "params": _jsonable(model.params),
-            "domain": [_jsonable(model.domain[0]), _jsonable(model.domain[1])],
+    return {"name": model.name, "params": model.params,
+            "domain": list(model.domain),
             "killed": model.killing is not None}
 
 
@@ -169,7 +171,7 @@ def _spectral(model: DiffusionModel, args):
 # on a QsdlabError `main` can save what was already found.
 
 def _cmd_zoo(args, doc: dict) -> None:
-    doc["models"] = {name: {"params": _jsonable(entry.params),
+    doc["models"] = {name: {"params": entry.params,
                             "doc": entry.doc} for name, entry in ZOO.items()}
 
 
@@ -178,7 +180,7 @@ def _cmd_classify(args, doc: dict) -> None:
     red, _, red_info = _reduced(model)
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                settings={"tol": args.tol, **_env_settings()}, **red_info)
-    doc["classification"] = _jsonable(classify(red, tol=args.tol).to_json())
+    doc["classification"] = classify(red, tol=args.tol).to_json()
 
 
 def _cmd_spectrum(args, doc: dict) -> None:
@@ -187,7 +189,7 @@ def _cmd_spectrum(args, doc: dict) -> None:
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                **red_info)
     spec = _spectral(red, args)()
-    doc.update(spectrum=_jsonable(spec.to_json()), gap=_jsonable(spec.gap),
+    doc.update(spectrum=spec.to_json(), gap=spec.gap,
                settings={"method": spec.method, "k": len(spec.eigenvalues),
                          **_env_settings()})
     if args.oracle and spec.method != "fd":
@@ -199,7 +201,7 @@ def _cmd_spectrum(args, doc: dict) -> None:
         kk = min(len(spec.eigenvalues), len(oracle.eigenvalues))
         diff = float(np.max(np.abs(spec.eigenvalues[:kk]
                                    - oracle.eigenvalues[:kk])))
-        doc["oracle"] = {"eigenvalues": _jsonable(oracle.eigenvalues),
+        doc["oracle"] = {"eigenvalues": oracle.eigenvalues,
                          "max_difference": diff,
                          "agrees_rel": diff <= 1e-4 * (1.0 + abs(spec.lambda0))}
 
@@ -210,7 +212,7 @@ def _cmd_qsd(args, doc: dict) -> None:
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                **red_info)
     spec = _spectral(red, args)()
-    doc.update(lambda0=_jsonable(spec.lambda0),
+    doc.update(lambda0=spec.lambda0,
                settings={"method": spec.method, "points": args.points,
                          **_env_settings()})
     dens = qsd_density(spec)
@@ -221,8 +223,8 @@ def _cmd_qsd(args, doc: dict) -> None:
         _write_csv(args.csv, ["x", "density"], zip(xs, ys))
         doc["csv"] = args.csv
     else:
-        doc["x"] = _jsonable(xs)
-        doc["density"] = _jsonable(ys)
+        doc["x"] = xs
+        doc["density"] = ys
 
 
 def _sim_config(args) -> SimConfig:
@@ -254,10 +256,10 @@ def _cmd_simulate(args, doc: dict) -> None:
                **red_info)
     record = [float(t) for t in args.record] if args.record else [cfg.t_max]
     res = run_ensemble(red, x0, cfg, record_times=record)
-    doc["result"] = _jsonable(res.to_json())
+    doc["result"] = res.to_json()
     if args.fit_survival:
         curve = survival_curve(res)
-        doc["survival"] = _jsonable(curve.to_json())
+        doc["survival"] = curve.to_json()
     if args.csv_hist:
         pos = res.final_positions
         if tr is not None:
@@ -381,13 +383,13 @@ def _cmd_compare(args, doc: dict) -> None:
                settings={"x0": x0, "dt": args.dt, "n": args.n,
                          "t_max": args.t_max, "seed": args.seed,
                          **_env_settings()}, **red_info)
-    doc["classification"] = _jsonable(classify(red).to_json())
+    doc["classification"] = classify(red).to_json()
 
     degraded = False
     if not killed_line:
         try:
             pos = positivity_criterion(red, a=l if math.isfinite(l) else red.x_ref)
-            doc["positivity"] = _jsonable(pos.to_json())
+            doc["positivity"] = pos.to_json()
             degraded = not pos.positive
         except QsdlabError as exc:
             doc["positivity"] = {"error": str(exc)}
@@ -397,7 +399,7 @@ def _cmd_compare(args, doc: dict) -> None:
     with (contextlib.nullcontext() if degraded else
           _Forked(lambda: _plain_fit(red, x0, cfg))) as plain:
         probe = dichotomy_probe(red, x0, cfg)
-        doc["dichotomy"] = _jsonable(probe.to_json())
+        doc["dichotomy"] = probe.to_json()
 
         if degraded or probe.verdict == "Escapes":
             doc["mode"] = "dichotomy-only"
@@ -405,14 +407,14 @@ def _cmd_compare(args, doc: dict) -> None:
             return
 
         spec = solve()
-        doc["spectrum"] = _jsonable(spec.to_json())
-        doc["gap"] = _jsonable(spec.gap)
+        doc["spectrum"] = spec.to_json()
+        doc["gap"] = spec.gap
 
         curve = plain.result()
     if isinstance(curve, QsdlabError):
         doc["survival"] = {"error": str(curve)}
     else:
-        doc["survival"] = _jsonable(curve.to_json())
+        doc["survival"] = curve.to_json()
         doc["rate_matches_lambda0"] = bool(
             curve.rate_ci[0] <= spec.lambda0 <= curve.rate_ci[1])
 
@@ -518,7 +520,7 @@ def main(argv=None) -> int:
                 "partial": doc}
         try:
             with open(args.diagnostic, "w", newline="\n") as fh:
-                json.dump(diag, fh, indent=2, sort_keys=True)
+                json.dump(_jsonable(diag), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError:
             pass

@@ -171,7 +171,7 @@ class Transform(NamedTuple):
 
 class ScaleSpeed:
     """Speed density rho = exp(2 int_{x_ref}^x mu) and scale density 1/rho,
-    with log_speed either a zoo closed form or a cached quadrature."""
+    with log rho either a zoo closed form or a cached quadrature."""
 
     def __init__(self, model: DiffusionModel):
         if not model.unit_diffusion:
@@ -179,19 +179,21 @@ class ScaleSpeed:
                 "scale_speed needs a unit-diffusion model; reduce first")
         self.model = model
         if model.log_speed_closed is not None:
-            self.log_speed = model.log_speed_closed
+            self._log_speed = model.log_speed_closed
         else:
             two_mu = lambda x: 2.0 * np.asarray(model.drift(x), dtype=float)
-            self.log_speed = TabulatedAntiderivative(two_mu, model.x_ref,
-                                                     domain=model.domain)
+            self._log_speed = TabulatedAntiderivative(two_mu, model.x_ref,
+                                                      domain=model.domain)
+
+    def log_speed(self, x) -> np.ndarray:
+        """log rho at x, as a float array of x's shape."""
+        return np.asarray(self._log_speed(x), dtype=float)
 
     def speed_density(self, x):
-        return np.exp(np.clip(np.asarray(self.log_speed(x), dtype=float),
-                              -700.0, 709.0))
+        return np.exp(np.clip(self.log_speed(x), -700.0, 709.0))
 
     def scale_density(self, x):
-        return np.exp(np.clip(-np.asarray(self.log_speed(x), dtype=float),
-                              -700.0, 709.0))
+        return np.exp(np.clip(-self.log_speed(x), -700.0, 709.0))
 
 
 def scale_speed(model: DiffusionModel) -> ScaleSpeed:

@@ -23,9 +23,12 @@ Every improper integral -- `improper_integral`, `tail_integral` and the
 nested classification integrals in `boundary` -- marches panels from an
 interior point toward the endpoint (`_side_levels`) and feeds the per-level
 increments to LevelAccumulator, so all of them share identical
-Finite/Divergent rules.  Integrands are passed as vectorized logs and each
-panel is integrated in log space on Gauss panels (`_log_integral`), so no
-integrand value can overflow:
+Finite/Divergent rules.  Integrands are passed as vectorized logs.  One
+log-space rule, `_log_integral`, integrates every stretch of them: these
+levels, the inner classification integrals and the positivity ladder in
+`boundary`.  It sums 16-point Gauss panels, graded toward both ends by the
+endpoint slopes plus a uniform set, in log space, so no integrand value can
+overflow.  The level rules:
 
 * Finite: two consecutive refinement levels contribute less than
   tol*(1+|S|)/8 each.
@@ -57,8 +60,6 @@ _LOG_CLIP = math.log(1e250)
 # ratios are all at least _TREND_RATIO
 _TREND_MIN_LEVELS = 8
 _TREND_RATIO = 0.9997
-# equispaced probes of a panel's log-integrand that size its sub-panel count
-_N_PROBE = 7
 # level cap of each side of `improper_integral`
 _IMPROPER_MAX_LEVELS = 200
 
@@ -174,16 +175,42 @@ def _side_levels(m, endpoint):
 
 
 def _log_integral(logf, lo: float, hi: float) -> float:
-    """log of int_lo^hi exp(logf), with sub-panel count adapted to the
-    exponent range so each Gauss panel sees O(1) exponent variation."""
+    """log of int_lo^hi exp(logf) on a graded-plus-uniform set of 16-point
+    Gauss panels, evaluated in one vectorized pass.  The grading depth
+    follows the endpoint slopes of logf: the paired-exponent integrands of
+    the classification develop boundary layers of width ~1/|logf'| at the
+    moving endpoint, and far out along a level march those layers get orders
+    of magnitude thinner than the interval, so a fixed depth would step
+    right over them and silently drop the panel's mass.  The uniform panels
+    catch an interior peak."""
     if hi <= lo:
         return -math.inf
-    probes = logf(np.linspace(lo, hi, _N_PROBE))
-    probes = probes[np.isfinite(probes)]
-    spread = (probes.max() - probes.min()) if len(probes) else 0.0
-    n_sub = int(np.clip(math.ceil(spread), 8, 512))
-    edges = np.linspace(lo, hi, n_sub + 1)
-    piece = logsumexp_panels(logf, edges, n=16)
+    span = hi - lo
+    m = 13
+    h = span * 1e-6
+    if lo + 2.0 * h < hi - 2.0 * h:
+        for a, b in ((lo + h, lo + 2.0 * h), (hi - 2.0 * h, hi - h)):
+            va, vb = float(logf(a)), float(logf(b))
+            if math.isfinite(va) and math.isfinite(vb):
+                rise = abs(vb - va) / h * span
+                if rise > 2.0:
+                    m = max(m, min(44, int(math.ceil(math.log2(rise))) + 3))
+    # graded geometrically toward both ends, plus a uniform set
+    g = np.concatenate(([0.0], 2.0 ** np.arange(-m, 0.0),
+                        1.0 - 2.0 ** np.arange(-2.0, -m - 1.0, -1.0), [1.0]))
+    breaks = np.unique(np.concatenate((lo + span * g,
+                                       np.linspace(lo, hi, 17))))
+    # per-panel logs of the Gauss sums, each shifted by its largest term
+    x, w = _gl_nodes(16)
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    nodes = mid[:, None] + half[:, None] * x[None, :]
+    lv = logf(nodes.ravel()).reshape(nodes.shape) + np.log(w)[None, :]
+    top = lv.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        piece = (top + np.log(np.exp(lv - top[:, None]).sum(axis=1))
+                 + np.log(half))
+    piece = np.where(np.isfinite(top), piece, -np.inf)
     peak = piece.max()
     if not np.isfinite(peak):
         return -math.inf
@@ -324,21 +351,6 @@ def gauss_panels(f, breakpoints: np.ndarray, n: int = 16) -> np.ndarray:
     """Vectorized per-panel Gauss-Legendre integrals between consecutive
     breakpoints; returns the array of panel values."""
     return _gauss(f, breakpoints[:-1], breakpoints[1:], n)
-
-
-def logsumexp_panels(logf, breakpoints: np.ndarray, n: int = 16) -> np.ndarray:
-    """log of per-panel integrals of exp(logf), computed without overflow."""
-    x, w = _gl_nodes(n)
-    lo = breakpoints[:-1]
-    hi = breakpoints[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    lv = logf(nodes.ravel()).reshape(nodes.shape) + np.log(w)[None, :]
-    peak = lv.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        out = peak + np.log(np.exp(lv - peak[:, None]).sum(axis=1)) + np.log(half)
-    return np.where(np.isfinite(peak), out, -np.inf)
 
 
 def cumulative_parabolic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -590,8 +602,7 @@ def _cell_counts(scale_speed, kappa, lam: float,
     pilot = np.empty((segs.shape[0], 2 * segs.shape[1] - 1))
     pilot[:, 0::2] = segs
     pilot[:, 1::2] = 0.5 * (segs[:, :-1] + segs[:, 1:])
-    log_rho = np.asarray(scale_speed.log_speed(pilot.ravel()),
-                         dtype=float).reshape(pilot.shape)
+    log_rho = scale_speed.log_speed(pilot.ravel()).reshape(pilot.shape)
     halves = np.abs(np.diff(log_rho, axis=1))
     swing = 2.0 * np.maximum(halves[:, 0::2], halves[:, 1::2])
     kap = (np.asarray(kappa(pilot.ravel()), dtype=float).reshape(pilot.shape)
@@ -1035,6 +1046,7 @@ def tridiagonal_lowest(diag, off, K: int) -> tuple:
         x = _tridiagonal_solve(d, c, shifts, x, pivmin)
         for k in range(1, K):
             for j in range(first[k], k):
-                x[k] -= (x[k] @ x[j]) / (x[j] @ x[j]) * x[j]
+                # fsum, not a BLAS dot: the bits do not depend on the kernel
+                x[k] -= math.fsum(x[k] * x[j]) / math.fsum(x[j] * x[j]) * x[j]
     x /= np.linalg.norm(x, axis=1)[:, None]
     return vals, x.T

@@ -220,7 +220,7 @@ class _UBuilder:
 
     def _grid(self, radius: float, eps_rel: float):
         grid = self.left + np.geomspace(eps_rel * radius, radius, _N_CORE)
-        logr = np.asarray(self.ss.log_speed(grid), dtype=float)
+        logr = self.ss.log_speed(grid)
         rho = np.exp(np.clip(logr, -700.0, 709.0))
         inv_rho = np.exp(np.clip(-logr, -700.0, 709.0))
         return grid, rho, inv_rho
@@ -720,8 +720,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
     pot = schrodinger_potential(model)
 
     # both tails of int rho, in log space
-    log_rho = lambda x: np.asarray(ss.log_speed(x), dtype=float)
-    if not all(tail_integral(log_rho, float(model.x_ref), end,
+    if not all(tail_integral(ss.log_speed, float(model.x_ref), end,
                              tol=1e-8).finite
                for end in (-math.inf, math.inf)):
         raise QsdlabError("speed density not integrable on the line; "
@@ -754,7 +753,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
     fine, psis, inner = solve(grid_size + 1)
     ext, errs = _richardson((coarse, fine), (1.0, 4.0))
 
-    half_logr = 0.5 * np.asarray(ss.log_speed(inner), dtype=float)
+    half_logr = 0.5 * ss.log_speed(inner)
     mu_vals = np.asarray(model.drift(inner), dtype=float)
     rho = ss.speed_density(inner)
     funcs = []
@@ -837,7 +836,7 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
     if not (math.isfinite(l) and math.isinf(r)):
         raise QsdlabError("doob_h_transform expects domain (l, inf)")
     ss = scale_speed(model)
-    log_scale = lambda x: -np.asarray(ss.log_speed(x), dtype=float)
+    log_scale = lambda x: -ss.log_speed(x)
     tail = improper_integral(log_scale, model.x_ref, math.inf, tol=1e-10)
     if not tail.finite:
         return DoobResult(model=model, h=None, noop=True,
@@ -892,10 +891,8 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
         t = t_fun(x)
         return np.asarray(dmu0(x), dtype=float) - 2.0 * np.asarray(mu0(x), dtype=float) * t - t ** 2
 
-    base_log_speed = ss.log_speed
-
     def log_speed_h(x):
-        return (np.asarray(base_log_speed(x), dtype=float)
+        return (ss.log_speed(x)
                 + 2.0 * (np.log(h_right(x)) - math.log(h_tot)))
 
     new = DiffusionModel(

@@ -96,6 +96,13 @@ def test_speed_density_closed_vs_quadrature():
                        rtol=1e-8)
     assert np.allclose(ss_c.scale_density(xs) * ss_c.speed_density(xs), 1.0,
                        rtol=1e-12)
+    # log rho is a float array of the argument's shape on both routes, so
+    # callers use it as it comes
+    for ss in (ss_c, ss_q):
+        for x in (2.0, xs):
+            out = ss.log_speed(x)
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+            assert out.shape == np.shape(x)
 
 
 def test_speed_density_reference_normalization():

@@ -5,6 +5,7 @@ The two distributional checks run against exact laws (constant killing rate
 failures mean real bias, not a stale regression constant.  Everything else is
 determinism, bookkeeping, and the long-time dichotomy verdicts.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_survival_curve_recovers_exponential_rate():
 
 def test_survival_curve_rejects_resampled_runs():
     res = _synthetic_result(rate=1.0)
-    object.__setattr__(res.config, "resample", True)
+    res.config = dataclasses.replace(res.config, resample=True)
     with pytest.raises(QsdlabError):
         survival_curve(res)
 

@@ -25,6 +25,7 @@ from qsdlab.numerics import (
     TabulatedAntiderivative,
     _cell_counts,
     _chunk_maps,
+    _log_integral,
     _magnus_cells,
     _richardson,
     brent_root,
@@ -112,6 +113,41 @@ def test_gauss_panels_per_panel_polynomial_exactness():
     panels = gauss_panels(lambda x: 3 * x ** 2, edges, n=8)
     assert panels.shape == (3,)
     assert np.allclose(panels, np.diff(edges ** 3), rtol=1e-14, atol=1e-14)
+
+
+# the one log-space panel rule: each case has a closed form, and the rule
+# meets it to a few ulps, so each tolerance is 1e-13 relative
+
+def test_log_integral_steep_layer_at_the_left_end():
+    # int_0^5 e^{-1000 x} dx = (1 - e^{-5000}) / 1000: all the mass within
+    # 1/1000 of the left end of a panel 5000 layer widths long
+    got = math.exp(_log_integral(lambda x: -1000.0 * x, 0.0, 5.0))
+    assert got == pytest.approx(1e-3, rel=1e-13)
+
+
+def test_log_integral_steep_layer_at_the_right_end():
+    got = math.exp(_log_integral(lambda x: -1000.0 * (5.0 - x), 0.0, 5.0))
+    assert got == pytest.approx(1e-3, rel=1e-13)
+
+
+def test_log_integral_broad_interior_bump():
+    # int_0^10 e^{-(x - 5)^2} dx = sqrt(pi) erf(5): the peak is far from
+    # both ends, where only the uniform panels see it
+    got = math.exp(_log_integral(lambda x: -(x - 5.0) ** 2, 0.0, 10.0))
+    assert got == pytest.approx(math.sqrt(math.pi) * math.erf(5.0),
+                                rel=1e-13)
+
+
+def test_log_integral_with_a_log_integrand_of_minus_inf():
+    # exp(logf) vanishes on [0, 1), whose panels drop out of the sum; the
+    # edge 1 is a panel break, so int_0^2 is int_1^2 e^{-x} dx
+    logf = lambda x: np.where(x < 1.0, -np.inf, -x)
+    got = math.exp(_log_integral(logf, 0.0, 2.0))
+    assert got == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-13)
+    # -inf everywhere, or an empty interval, is the log of 0
+    assert _log_integral(lambda x: np.full_like(x, -np.inf), 0.0, 1.0) \
+        == -math.inf
+    assert _log_integral(lambda x: -x, 1.0, 1.0) == -math.inf
 
 
 def test_cumulative_parabolic_quadratic_exact():
@@ -736,6 +772,54 @@ def test_tridiagonal_lowest_clusters_stay_orthogonal():
         tx[:-1] += e[:, None] * vecs[1:]
         tx[1:] += e[:, None] * vecs[:-1]
         assert np.max(np.abs(tx - vecs * vals)) <= 8 * n * eps * tnorm
+
+
+def _joined_blocks(n=60, coupling=1e-9):
+    """Two copies of one tridiagonal block joined by a weak coupling: every
+    eigenvalue of the block splits into a pair a few 1e-9 apart, so the
+    lowest pairs are clusters the vectors must be re-orthogonalized in."""
+    block = 2.0 + (np.arange(n) / n) ** 2
+    d = np.concatenate((block, block))
+    e = np.concatenate((np.full(n - 1, -1.0), [coupling], np.full(n - 1, -1.0)))
+    return d, e
+
+
+_CLUSTER_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_numerics import _joined_blocks
+from qsdlab.numerics import tridiagonal_lowest
+vals, vecs = tridiagonal_lowest(*_joined_blocks(), 4)
+print(vals.tobytes().hex())
+print(vecs.tobytes().hex())
+"""
+
+
+def test_tridiagonal_lowest_joined_blocks_are_orthonormal_on_any_kernel(
+        tmp_path):
+    d, e = _joined_blocks()
+    vals, vecs = _solve_twice(d, e, 4)
+    ref = _lapack_lowest(d, e, 4)[0]
+    assert vals[1] - vals[0] < 1e-3 * abs(vals[0])     # a cluster
+    assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref))
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(4))) <= 1e-12
+    tx = d[:, None] * vecs
+    tx[:-1] += e[:, None] * vecs[1:]
+    tx[1:] += e[:, None] * vecs[:-1]
+    eps, tnorm = np.finfo(float).eps, _norm_bound(d, e)
+    assert np.max(np.abs(tx - vecs * vals)) <= 8 * len(d) * eps * tnorm
+    # the re-orthogonalization sums by fsum, not a BLAS dot, so forcing
+    # OpenBLAS onto a kernel without FMA moves no bit of the vectors
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qsdlab.__file__))
+    out = [subprocess.run([sys.executable, "-c", _CLUSTER_PROBE,
+                           os.path.dirname(os.path.abspath(__file__))],
+                          cwd=tmp_path, env=dict(env, **extra),
+                          capture_output=True, text=True, check=True,
+                          timeout=300).stdout
+           for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert out[0] == out[1]
+    assert out[0].split("\n")[1] == vecs.tobytes().hex()
 
 
 def test_tridiagonal_lowest_rejects_bad_input():

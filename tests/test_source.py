@@ -202,9 +202,48 @@ def test_the_shooting_continuation_calls_no_blas():
 
 
 def test_the_quadrature_calls_no_blas():
-    # the Gauss sums run node by node in a fixed order, so a custom model's
-    # log rho and the classification integrals do not depend on the kernel
+    # the Gauss sums run node by node in a fixed order and the clustered
+    # eigenvectors are re-orthogonalized by fsum, so a custom model's log
+    # rho, the classification integrals and the eigenvectors of the FE and
+    # Schrodinger solves do not depend on the kernel
     root = pathlib.Path(qsdlab.__file__).parent
-    assert _blas_uses((root / "numerics.py").read_text(), {"_gauss"}) == []
+    assert _blas_uses((root / "numerics.py").read_text(),
+                      {"_gauss", "_log_integral", "tridiagonal_lowest"}) == []
     assert _blas_uses((root / "boundary.py").read_text(),
                       {"_nested_feller_integral"}) == []
+
+
+def _quadrature_rules(sources: dict) -> list:
+    """(file, line, name) of every reference to `leggauss` and of every
+    function whose name contains `log_integral`, in `sources` (file name ->
+    source)."""
+    found = []
+    for fname, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and _callee(node) == "leggauss") or (
+                    isinstance(node, ast.ImportFrom)
+                    and any(a.name == "leggauss" for a in node.names)):
+                found.append((fname, node.lineno, "leggauss"))
+            elif (isinstance(node, ast.FunctionDef)
+                  and "log_integral" in node.name):
+                found.append((fname, node.lineno, node.name))
+    return sorted(found)
+
+
+def test_the_checker_sees_a_quadrature_rule():
+    a = ("import numpy as np\nx, w = np.polynomial.legendre.leggauss(8)\n"
+         "def _inner_log_integral(f, lo, hi):\n    pass\n")
+    b = "from numpy.polynomial.legendre import leggauss\nleggauss(4)\n"
+    assert _quadrature_rules({"a.py": a, "b.py": b}) == [
+        ("a.py", 2, "leggauss"), ("a.py", 3, "_inner_log_integral"),
+        ("b.py", 1, "leggauss"), ("b.py", 2, "leggauss")]
+
+
+def test_one_quadrature_rule_lives_in_numerics():
+    # Gauss nodes and the log-space panel rule are defined once, in
+    # numerics; every other module integrates through them
+    found = _quadrature_rules({p.name: p.read_text() for p in MODULES})
+    assert [f for f in found if f[0] != "numerics.py"] == []
+    assert [name for f, _, name in found
+            if name != "leggauss"] == ["_log_integral"]

@@ -56,8 +56,8 @@ def test_closed_log_speed_matches_quadrature(name, params):
     l, _ = work.domain
     lo = work.x_ref - 4.0 if math.isinf(l) else l + 1e-3
     xs = np.linspace(lo, work.x_ref + 4.0, 23)
-    assert np.allclose(np.asarray(ss_c.log_speed(xs), dtype=float),
-                       ss_q.log_speed(xs), atol=1e-8), name
+    assert np.allclose(ss_c.log_speed(xs), ss_q.log_speed(xs),
+                       atol=1e-8), name
 
 
 def test_bessel_drift_formula():
