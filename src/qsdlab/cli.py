@@ -89,6 +89,19 @@ def _usage(message: str):
     raise SystemExit(2)
 
 
+def _check_ranges(args) -> None:
+    """Refuse a size or tolerance option that no route can use, before any
+    work is done."""
+    for opt, least in (("points", 1), ("bins", 1), ("grid_size", 4)):
+        val = getattr(args, opt, None)
+        if val is not None and val < least:
+            _usage(f"--{opt.replace('_', '-')} must be at least {least}, "
+                   f"got {val}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        _usage(f"--tol must be a positive finite number, got {tol}")
+
+
 def _parse_params(pairs) -> dict:
     out = {}
     for pair in pairs or []:
@@ -511,6 +524,7 @@ _HANDLERS = {"zoo": _cmd_zoo, "classify": _cmd_classify,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _check_ranges(args)
     doc: dict = {}
     try:
         _HANDLERS[args.command](args, doc)

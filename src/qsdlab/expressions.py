@@ -14,6 +14,8 @@ eval(), and any node, name or literal outside the grammar is refused.
 Compiled expressions evaluate on floats and numpy arrays alike, both by
 numpy's rules: overflow, a zero divisor or a negative base under a
 fractional power gives inf or nan, never an exception or a complex number.
+`^` is `np.power` for floats too, so a float and an array element get the
+same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ _CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
            ast.Mult: operator.mul, ast.Div: operator.truediv,
-           ast.Pow: operator.pow}
+           ast.Pow: np.power}
 
 # refused before parsing: Python would read '#' as a comment and fold a
 # full-width letter into its ASCII form

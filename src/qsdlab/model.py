@@ -61,13 +61,15 @@ class ScalarField:
     domain: tuple = (-math.inf, math.inf)
     expr: Optional[str] = None     # mini-grammar source, when built from one
 
-    def __call__(self, x):
-        return self.eval(x)
+    def __call__(self, x) -> np.ndarray:
+        """The coefficient at x, as a float array of x's shape."""
+        return np.asarray(self.eval(x), dtype=float)
 
-    def d(self, x):
-        if self.deriv is not None:
-            return self.deriv(x)
-        return _fd_derivative(self.eval, x)
+    def d(self, x) -> np.ndarray:
+        """The derivative at x, as a float array of x's shape."""
+        d = (self.deriv(x) if self.deriv is not None
+             else _fd_derivative(self.eval, x))
+        return np.asarray(d, dtype=float)
 
     @staticmethod
     def from_expression(src: str, domain=(-math.inf, math.inf)) -> "ScalarField":
@@ -78,13 +80,8 @@ class ScalarField:
     def constant(c: float) -> "ScalarField":
         c = float(c)
 
-        def cf(x):
-            return c if np.isscalar(x) else np.full(np.shape(x), c)
-
-        def dcf(x):
-            return 0.0 if np.isscalar(x) else np.zeros(np.shape(x))
-
-        return ScalarField(eval=cf, deriv=dcf, expr=repr(c))
+        return ScalarField(eval=lambda x: np.full(np.shape(x), c),
+                           deriv=lambda x: np.zeros(np.shape(x)), expr=repr(c))
 
 
 def _default_x_ref(domain):
@@ -122,11 +119,14 @@ class DiffusionModel:
         if not (l < self.x_ref < r):
             raise ModelValidationError(
                 f"x_ref {self.x_ref} outside domain {self.domain}")
-        for x in self._sample_points(16):
-            if self.killing is not None and self.killing(x) < 0:
-                raise ModelValidationError(f"negative killing rate at x={x}")
-            if self.diffusion is not None and self.diffusion(x) <= 0:
-                raise ModelValidationError(f"non-positive diffusion at x={x}")
+        xs = self._sample_points(16)
+        with np.errstate(all="ignore"):           # a NaN fails either test
+            bad_k = self.killing is not None and ~(self.killing(xs) >= 0)
+            bad_s = self.diffusion is not None and ~(self.diffusion(xs) > 0)
+        for bad, what in ((bad_k, "negative or undefined killing rate"),
+                          (bad_s, "non-positive or undefined diffusion")):
+            if np.any(bad):
+                raise ModelValidationError(f"{what} at x={xs[np.argmax(bad)]}")
 
     def _sample_points(self, n):
         l, r = self.domain
@@ -181,7 +181,7 @@ class ScaleSpeed:
         if model.log_speed_closed is not None:
             self._log_speed = model.log_speed_closed
         else:
-            two_mu = lambda x: 2.0 * np.asarray(model.drift(x), dtype=float)
+            two_mu = lambda x: 2.0 * model.drift(x)
             self._log_speed = TabulatedAntiderivative(two_mu, model.x_ref,
                                                       domain=model.domain)
 
@@ -240,10 +240,10 @@ def reduce_unit_diffusion(model: DiffusionModel):
     l, r = model.domain
 
     def inv_sigma(x):
-        return 1.0 / np.asarray(sig(x), dtype=float)
+        return 1.0 / sig(x)
 
     def log_inv_sigma(x):
-        return -np.log(np.asarray(sig(x), dtype=float))
+        return -np.log(sig(x))
 
     # decide the anchor of F; shift = F(x_ref) = int_l^x_ref 1/sigma if there
     anchored_left = False

@@ -61,6 +61,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise QsdlabError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(self.t_max):
+            raise QsdlabError(f"t_max must be finite, got {self.t_max}")
         if self.n < 2:
             raise QsdlabError(f"need at least 2 particles, got {self.n}")
         if self.t_max < self.dt:
@@ -127,7 +129,7 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
     death = np.full(n, np.inf)
     clock = np.zeros(n) if kappa is not None else None
     thresh = rng.standard_exponential(n) if kappa is not None else None
-    kap_x = np.asarray(kappa(x), float) if kappa is not None else None
+    kap_x = kappa(x) if kappa is not None else None
     # killing is evaluated at endpoint-clipped positions: a proposal past a
     # finite end is absorbed, but kappa may be undefined there
     lo_c = l + 1e-12 * (1.0 + abs(l)) if fin_l else -np.inf
@@ -156,7 +158,7 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
         m = len(x)
         z = rng.standard_normal(m)
         u = rng.random(m) if use_bridge else None
-        prop = x + np.asarray(model.drift(x), float) * dt + sqrt_dt * z
+        prop = x + model.drift(x) * dt + sqrt_dt * z
 
         hit = None
         if fin_l or fin_r:
@@ -184,7 +186,7 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
             dead |= hit
         if kappa is not None:
             prop_in = np.clip(prop, lo_c, hi_c) if fin_l or fin_r else prop
-            kap_new = np.asarray(kappa(prop_in), float)
+            kap_new = kappa(prop_in)
             clock += 0.5 * dt * (kap_x + kap_new)
             kap_x = kap_new
             dead |= clock > thresh

@@ -605,8 +605,8 @@ def _cell_counts(scale_speed, kappa, lam: float,
     log_rho = scale_speed.log_speed(pilot.ravel()).reshape(pilot.shape)
     halves = np.abs(np.diff(log_rho, axis=1))
     swing = 2.0 * np.maximum(halves[:, 0::2], halves[:, 1::2])
-    kap = (np.asarray(kappa(pilot.ravel()), dtype=float).reshape(pilot.shape)
-           if kappa is not None else 0.0)
+    kap = (kappa(pilot.ravel()).reshape(pilot.shape) if kappa is not None
+           else 0.0)
     gap = np.broadcast_to(np.abs(lam - kap), pilot.shape)
     gap = np.maximum(np.maximum(gap[:, :-1:2], gap[:, 1::2]), gap[:, 2::2])
     turn = np.sqrt(2.0 * gap) * np.abs(np.diff(segs, axis=1))
@@ -634,7 +634,7 @@ def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
     nodes = np.concatenate([left + g * h for g in _GAUSS_NODES])
     rho = scale_speed.speed_density(nodes)
     inv_rho = scale_speed.scale_density(nodes)
-    kap = np.asarray(kappa(nodes), dtype=float) if kappa is not None else 0.0
+    kap = kappa(nodes) if kappa is not None else 0.0
     c = -2.0 * (lam - kap) * rho
     n = len(left)
     b1, b2, c1, c2 = inv_rho[:n], inv_rho[n:], c[:n], c[n:]

@@ -556,21 +556,19 @@ def _march_cap(fun: Callable[[float], float], start: float, direction: float,
 def _fd_window(model: DiffusionModel, ss: ScaleSpeed,
                truncation) -> tuple:
     l, r = model.domain
+
+    def cap(sign):
+        return _march_cap(lambda x: abs(float(ss.log_speed(x))), model.x_ref,
+                          sign, 60.0)
+
     if truncation is not None and np.ndim(truncation) == 1:
         lo, hi = float(truncation[0]), float(truncation[1])
-        return lo, hi
-    if math.isfinite(l):
-        lo = l
     else:
-        lo = _march_cap(lambda x: abs(float(ss.log_speed(x))), model.x_ref,
-                        -1.0, 60.0)
-    if truncation is not None:
-        hi = float(truncation)
-    elif math.isfinite(r):
-        hi = r
-    else:
-        hi = _march_cap(lambda x: abs(float(ss.log_speed(x))), model.x_ref,
-                        +1.0, 60.0)
+        lo = l if math.isfinite(l) else cap(-1.0)
+        if truncation is not None:
+            hi = float(truncation)
+        else:
+            hi = r if math.isfinite(r) else cap(+1.0)
     if not hi > lo:
         raise QsdlabError(f"empty FD window ({lo}, {hi})")
     return lo, hi
@@ -608,7 +606,7 @@ def _fd_once(model: DiffusionModel, ss: ScaleSpeed, lo: float, hi: float,
     mass[:-1] += 0.5 * rhob * h
     mass[1:] += 0.5 * rhob * h
     if model.killing is not None:
-        kdiag = kdiag + np.asarray(model.killing(nodes), dtype=float) * mass
+        kdiag = kdiag + model.killing(nodes) * mass
     i0 = 1 if left_bc == "dirichlet" else 0
     i1 = m - 1 if right_bc == "dirichlet" else m
     sel = slice(i0, i1)
@@ -726,7 +724,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
         raise QsdlabError("speed density not integrable on the line; "
                           "no quasistationary regime for this solver")
     if model.killing is not None:
-        qs = np.asarray(pot.q(np.array([-10.0, -15.0, -20.0, -30.0])), float)
+        qs = pot.q(np.array([-10.0, -15.0, -20.0, -30.0]))
         if not (np.all(np.diff(qs) < 0) and qs[-1] < -100.0):
             raise QsdlabError(
                 f"conjugated potential does not diverge to -inf on the left "
@@ -743,7 +741,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
         nodes = np.linspace(t_l, t_r, n)
         h = nodes[1] - nodes[0]
         inner = nodes[1:-1]
-        vv = np.asarray(pot.V(inner), dtype=float)
+        vv = pot.V(inner)
         main = 1.0 / h ** 2 + vv
         off = np.full(len(inner) - 1, -0.5 / h ** 2)
         vals, vecs = tridiagonal_lowest(main, off, K)
@@ -754,7 +752,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
     ext, errs = _richardson((coarse, fine), (1.0, 4.0))
 
     half_logr = 0.5 * ss.log_speed(inner)
-    mu_vals = np.asarray(model.drift(inner), dtype=float)
+    mu_vals = model.drift(inner)
     rho = ss.speed_density(inner)
     funcs = []
     for k in range(K):
@@ -885,11 +883,11 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
     mu0, dmu0 = model.drift, model.drift.d
 
     def drift_eval(x):
-        return np.asarray(mu0(x), dtype=float) + t_fun(x)
+        return mu0(x) + t_fun(x)
 
     def drift_deriv(x):
         t = t_fun(x)
-        return np.asarray(dmu0(x), dtype=float) - 2.0 * np.asarray(mu0(x), dtype=float) * t - t ** 2
+        return dmu0(x) - 2.0 * mu0(x) * t - t ** 2
 
     def log_speed_h(x):
         return (ss.log_speed(x)

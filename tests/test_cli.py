@@ -697,9 +697,26 @@ def test_usage_errors_exit_2(capsys):
     (["simulate", "--zoo", "bessel", "--param", "nu=-1.5", "--t-max", "1",
       "--dt", "0.01", "--n", "100", "--record", "0.5", "3", "-1"],
      "--record 3 is outside (0, t_max = 1]"),
+    # these used to end in a traceback (exit 1) or in a silent answer
+    (["qsd", "--zoo", "bessel", "--param", "nu=-1.5", "--points", "-3"],
+     "--points must be at least 1, got -3"),
+    (["spectrum", "--zoo", "perturbed_bessel", "--param", "nu=-1.5",
+      "--param", "c1=1", "--method", "fd", "--grid-size", "2"],
+     "--grid-size must be at least 4, got 2"),
+    (["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC, "--grid-size",
+      "3"], "--grid-size must be at least 4, got 3"),
+    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, "--n", "4000",
+      "--t-max", "3", "--seed", "7", "--bins", "0"],
+     "--bins must be at least 1, got 0"),
+    (["classify", "--zoo", "bessel", "--param", "nu=-1.5", "--tol", "-1"],
+     "--tol must be a positive finite number, got -1.0"),
+    (["classify", "--zoo", "bessel", "--param", "nu=-1.5", "--tol", "nan"],
+     "--tol must be a positive finite number, got nan"),
 ], ids=["fd-three-truncations", "schrodinger-truncation",
         "compare-truncation", "k-zero", "shoot-grid-size", "no-model",
-        "param-without-value", "param-not-a-number", "record-outside-run"])
+        "param-without-value", "param-not-a-number", "record-outside-run",
+        "points-negative", "fd-grid-size-2", "schrodinger-grid-size-3",
+        "compare-bins-0", "tol-negative", "tol-nan"])
 def test_dropped_or_malformed_inputs_exit_2(argv, says, monkeypatch, capsys):
     def no_simulation(*args, **kwargs):
         raise AssertionError("the usage check must come before the probe")

@@ -58,17 +58,25 @@ def test_model_rejects_x_ref_outside_domain():
                        x_ref=2.0)
 
 
-def test_model_rejects_negative_killing():
-    with pytest.raises(ModelValidationError):
-        DiffusionModel(drift=ScalarField.constant(0.0),
-                       killing=ScalarField(eval=lambda x: x - 5.0),
+# x - 5 is negative on part of the sample, sqrt(x - 2) undefined there
+# (NaN passes a test for a negative value)
+BAD_COEFFICIENTS = [ScalarField(eval=lambda x: x - 5.0),
+                    ScalarField.from_expression("sqrt(x - 2)")]
+
+
+@pytest.mark.parametrize("kappa", BAD_COEFFICIENTS, ids=["negative", "nan"])
+def test_model_rejects_negative_killing(kappa):
+    with pytest.raises(ModelValidationError,
+                       match="negative or undefined killing rate at x=0.001"):
+        DiffusionModel(drift=ScalarField.constant(0.0), killing=kappa,
                        domain=(0.0, math.inf), x_ref=1.0)
 
 
-def test_model_rejects_vanishing_diffusion():
-    with pytest.raises(ModelValidationError):
-        DiffusionModel(drift=ScalarField.constant(0.0),
-                       diffusion=ScalarField(eval=lambda x: x - 5.0),
+@pytest.mark.parametrize("sigma", BAD_COEFFICIENTS, ids=["negative", "nan"])
+def test_model_rejects_vanishing_diffusion(sigma):
+    with pytest.raises(ModelValidationError,
+                       match="non-positive or undefined diffusion at x=0.001"):
+        DiffusionModel(drift=ScalarField.constant(0.0), diffusion=sigma,
                        domain=(0.0, math.inf), x_ref=1.0)
 
 

@@ -37,6 +37,8 @@ def test_config_validation():
         SimConfig(dt=0.01, n=1, t_max=1.0)
     with pytest.raises(QsdlabError):
         SimConfig(dt=0.5, n=100, t_max=0.1)
+    with pytest.raises(QsdlabError, match="t_max must be finite"):
+        SimConfig(dt=0.1, n=100, t_max=math.inf)
 
 
 def test_run_is_deterministic():

@@ -247,3 +247,39 @@ def test_one_quadrature_rule_lives_in_numerics():
     assert [f for f in found if f[0] != "numerics.py"] == []
     assert [name for f, _, name in found
             if name != "leggauss"] == ["_log_integral"]
+
+
+def _scalar_twins(source: str) -> list:
+    """(line, name) of every call of a `math` function, every name imported
+    from `math`, and every reference to `isscalar` in `source`: the marks
+    of a float body kept beside a numpy one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "math"):
+            found.append((node.lineno, "math." + node.func.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, "math." + a.name) for a in node.names)
+        elif (isinstance(node, (ast.Name, ast.Attribute))
+              and _callee(node) == "isscalar"):
+            found.append((node.lineno, "isscalar"))
+    return found
+
+
+def test_the_checker_sees_a_scalar_twin():
+    src = ("import math\nfrom math import exp\nimport numpy as np\n"
+           "INF = math.inf\n"
+           "def f(x):\n"
+           "    return math.exp(x) if np.isscalar(x) else np.exp(x)\n")
+    assert _scalar_twins(src) == [(2, "math.exp"), (6, "math.exp"),
+                                  (6, "isscalar")]
+
+
+def test_one_body_per_coefficient():
+    # a zoo coefficient is one numpy expression for floats and arrays
+    # alike, and ScalarField owns the output type, so neither module keeps
+    # a branch for a scalar argument
+    root = pathlib.Path(qsdlab.__file__).parent
+    assert _scalar_twins((root / "zoo.py").read_text()) == []
+    assert [f for f in _scalar_twins((root / "model.py").read_text())
+            if f[1] == "isscalar"] == []

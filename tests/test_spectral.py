@@ -502,6 +502,10 @@ def test_fd_refuses_underflowing_window(schr_logistic):
     with pytest.raises(QsdlabError):
         eigen_fd_oracle(m, K=1, truncation=(t_l, t_r),
                         left_bc="dirichlet", right_bc="dirichlet")
+    # a reversed window is empty too; it used to be solved as given
+    pb = zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0})
+    with pytest.raises(QsdlabError, match="empty FD window"):
+        eigen_fd_oracle(pb, truncation=(3.0, 2.0))
 
 
 # ------------------------------------------------------------ Doob

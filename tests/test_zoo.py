@@ -8,6 +8,7 @@ from qsdlab.model import (
     ModelValidationError,
     ScalarField,
     feller_transform,
+    model_from_json,
     reduce_unit_diffusion,
     scale_speed,
 )
@@ -139,3 +140,79 @@ def test_every_entry_has_doc_and_defaults():
     for name, entry in ZOO.items():
         assert entry.doc
         assert isinstance(entry.params, dict)
+
+
+# one parameter set per family, every term switched on
+ONE_BODY_PARAMS = {
+    "bessel": {"nu": -1.5},
+    "perturbed_bessel": {"nu": -1.5, "c0": 0.25, "c1": 1.0, "c2": 0.3},
+    "generalized_feller": {"h0": 0.1, "h1": -1.0, "h2": 0.2},
+    "logistic_N": {"mu": 0.7, "c": 0.3, "sigma": 0.5},
+    "logistic_X_killed": {"mu": 0.7, "c": 0.3, "sigma": 0.5},
+    "population_N": {"mu": 0.7, "c": 0.3, "sigma": 0.5, "gamma": 2.0},
+}
+CUSTOM_DOC = {"name": "custom", "domain": [0, "inf"],
+              "drift_expr": "0.5/x - 1 - 0.3*x^3 + sqrt(x)*x^-1.5",
+              "killing_expr": "0.2*x^1.5 + (2*x)^2"}
+
+
+def _model(name):
+    if name == "custom":
+        return model_from_json(CUSTOM_DOC)
+    return zoo_build(name, ONE_BODY_PARAMS[name])
+
+
+def _interior(domain, rng, n=400):
+    l, r = domain
+    if math.isinf(l) and math.isinf(r):
+        return rng.uniform(-6.0, 6.0, n)
+    assert (l, r) == (0.0, math.inf)
+    return np.exp(rng.uniform(-4.0, 3.0, n))
+
+
+def _coefficients(m, rng):
+    """(label, callable, sample points, is a ScalarField) for every
+    coefficient of `m`, its reduction's included."""
+    xs = _interior(m.domain, rng)
+    out = [("drift", m.drift, xs, True), ("drift.d", m.drift.d, xs, True)]
+    if m.killing is not None:
+        out.append(("killing", m.killing, xs, True))
+    if m.diffusion is not None:
+        out += [("diffusion", m.diffusion, xs, True),
+                ("diffusion.d", m.diffusion.d, xs, True)]
+    if m.log_speed_closed is not None:
+        out.append(("log_speed_closed", m.log_speed_closed, xs, False))
+    red = m.reduction
+    if red is not None:
+        rs = red.forward(xs)
+        out += [("reduction.forward", red.forward, xs, False),
+                ("reduction.inverse", red.inverse, rs, False),
+                ("reduction.drift", red.drift, rs, True),
+                ("reduction.drift.d", red.drift.d, rs, True),
+                ("reduction.log_speed", red.log_speed, rs, False)]
+    return out
+
+
+@pytest.mark.parametrize("name", list(ZOO) + ["custom"])
+def test_every_coefficient_has_one_body(name):
+    # a float and an array element go through the same numpy arithmetic,
+    # so they get the same bits; a ScalarField owns its output type, a
+    # float64 ndarray of the argument's shape (0-d for a float)
+    assert set(ONE_BODY_PARAMS) == set(ZOO)
+    rng = np.random.default_rng(20261019)
+    for label, f, xs, field in _coefficients(_model(name), rng):
+        ys = f(xs)
+        assert np.result_type(ys) == np.float64, (name, label)
+        assert np.shape(ys) == xs.shape, (name, label)
+        grid = f(xs.reshape(2, -1))
+        assert np.shape(grid) == (2, len(xs) // 2), (name, label)
+        assert np.array_equal(grid.ravel(), ys, equal_nan=True), (name, label)
+        if field:
+            assert isinstance(ys, np.ndarray), (name, label)
+        for x, y_arr in zip(xs.tolist(), ys):
+            y = f(x)
+            assert np.result_type(y) == np.float64 and np.shape(y) == ()
+            if field:
+                assert isinstance(y, np.ndarray), (name, label)
+            assert np.float64(y).tobytes() == y_arr.tobytes(), (
+                name, label, x, float(y), float(y_arr))
