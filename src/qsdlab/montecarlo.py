@@ -186,7 +186,16 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
             dead |= hit
         if kappa is not None:
             prop_in = np.clip(prop, lo_c, hi_c) if fin_l or fin_r else prop
-            kap_new = kappa(prop_in)
+            # a NaN rate makes a clock that never fires, so a live particle
+            # reading a non-finite rate ends the run; one reduction per step
+            with np.errstate(invalid="ignore"):
+                kap_new = kappa(prop_in)
+                bad = (() if math.isfinite(np.sum(kap_new))
+                       else np.flatnonzero(~(np.isfinite(kap_new) | dead)))
+            if len(bad):
+                raise QsdlabError(
+                    f"non-finite killing rate {kap_new[bad[0]]} read by a live "
+                    f"particle at x = {prop_in[bad[0]]}, t = {s * dt:.6g}")
             clock += 0.5 * dt * (kap_x + kap_new)
             kap_x = kap_new
             dead |= clock > thresh

@@ -403,13 +403,12 @@ def cumulative_parabolic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class TabulatedAntiderivative:
     """F(x) = int_{x0}^x f on a lazily grown knot table, and its inverse.
 
-    The table holds a marched knot grid with cumulative Gauss panel integrals.
-    An array query costs one vectorized Gauss panel from each point's
-    bracketing knot, so it stays machine-accurate for smooth integrands while
-    calling ``f`` once per batch.  Knots approach finite domain endpoints
-    geometrically, which keeps integrable endpoint singularities (1/x-type
-    drifts) resolved.  For f > 0, :meth:`inverse` solves F(x) = r for a whole
-    array of r at once.
+    The knots lie on one lattice fixed by ``(x0, domain)``, approaching a
+    finite end geometrically (which resolves 1/x-type endpoint
+    singularities), so F and F^{-1} do not depend on the order of queries.
+    An array query costs one Gauss panel from each point's bracketing knot,
+    machine-accurate for smooth integrands with one call of ``f`` per batch.
+    For f > 0, :meth:`inverse` solves F(x) = r for a whole array of r.
     """
 
     def __init__(self, f: Callable, x0: float, domain=(-np.inf, np.inf)):
@@ -419,66 +418,51 @@ class TabulatedAntiderivative:
         self._knots = np.array([self.x0])
         self._vals = np.array([0.0])
 
-    def _march(self, start: float, stop: float) -> np.ndarray:
-        l, r = self.domain
-        up = stop > start
-        out = []
-        x = start
-        guard = 0
-        while True:
-            rem = (stop - x) if up else (x - stop)
-            if rem <= 0:
-                break
-            guard += 1
-            if guard > 200000:
+    def _grow(self, stop: float) -> int:
+        """Extend the table toward ``stop``, up to the first lattice knot at
+        or past it or to the rounding floor at a finite end; returns the
+        number of knots added.  Each step depends on the current knot alone,
+        so extending never moves a knot or a value the table holds."""
+        up = stop > self._knots[-1]
+        if not (up or stop < self._knots[0]):
+            return 0
+        end = -1 if up else 0
+        bound = self.domain[1] if up else self.domain[0]
+        x = float(self._knots[end])
+        edges = [x]
+        while (x < stop) if up else (x > stop):
+            if len(edges) > 200000:
                 raise QsdlabError("antiderivative knot march failed to reach "
-                                  f"{stop!r} from {start!r}")
-            h = _ANTIDERIVATIVE_H * max(1.0, abs(x))
-            gap = (r - x) if up else (x - l)
-            if math.isfinite(gap) and gap > 0:
-                # geometric approach to a finite endpoint
-                h = min(h, 0.25 * gap)
-            if h >= 0.5 * rem or h <= 1e-15 * max(1.0, abs(stop)):
-                x = stop
-            else:
-                x = x + h if up else x - h
-            out.append(x)
-        return np.array(out)
-
-    def _cumulate(self, knots: np.ndarray, f0: float, forward: bool):
-        if len(knots) == 0:
-            return
-        if forward:
-            edges = np.concatenate(([self._knots[-1]], knots))
-            panels = gauss_panels(self.f, edges, n=8)
-            vals = f0 + np.cumsum(panels)
-            self._knots = np.concatenate((self._knots, knots))
+                                  f"{stop!r} from {edges[0]!r}")
+            # geometric approach to a finite endpoint
+            h = min(_ANTIDERIVATIVE_H * max(1.0, abs(x)), 0.25 * abs(bound - x))
+            nxt = x + h if up else x - h
+            if nxt == x:
+                break
+            x = nxt
+            edges.append(x)
+        if len(edges) == 1:
+            return 0
+        edges = np.array(edges)
+        vals = np.cumsum(np.concatenate(
+            ([self._vals[end]], _gauss(self.f, edges[:-1], edges[1:], 8))))[1:]
+        if up:
+            self._knots = np.concatenate((self._knots, edges[1:]))
             self._vals = np.concatenate((self._vals, vals))
         else:
-            edges = np.concatenate(([self._knots[0]], knots))  # decreasing
-            panels = gauss_panels(self.f, edges[::-1], n=8)[::-1]
-            vals = f0 - np.cumsum(panels)
-            self._knots = np.concatenate((knots[::-1], self._knots))
+            self._knots = np.concatenate((edges[:0:-1], self._knots))
             self._vals = np.concatenate((vals[::-1], self._vals))
-
-    def _cover(self, qmin: float, qmax: float):
-        """Grow the knot table until it spans [qmin, qmax]."""
-        if qmax > self._knots[-1]:
-            self._cumulate(self._march(self._knots[-1], qmax),
-                           self._vals[-1], forward=True)
-        if qmin < self._knots[0]:
-            self._cumulate(self._march(self._knots[0], qmin),
-                           self._vals[0], forward=False)
+        return len(edges) - 1
 
     def __call__(self, x):
         scalar = np.isscalar(x)
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         if len(xa) == 0:
             return xa
-        qmin, qmax = float(xa.min()), float(xa.max())
-        if not (math.isfinite(qmin) and math.isfinite(qmax)):
+        if not np.all(np.isfinite(xa)):
             raise ValueError("antiderivative queried at a non-finite point")
-        self._cover(qmin, qmax)
+        self._grow(float(xa.max()))
+        self._grow(float(xa.min()))
         idx = np.clip(np.searchsorted(self._knots, xa, side="right") - 1,
                       0, len(self._knots) - 1)
         out = self._vals[idx] + _gauss(self.f, self._knots[idx], xa, 8)
@@ -495,11 +479,10 @@ class TabulatedAntiderivative:
             nxt = x + d if up else x - d
         else:
             nxt = 0.5 * (x + end)
-        if nxt == x or nxt == end or not math.isfinite(nxt):
+        if not math.isfinite(nxt) or self._grow(nxt) == 0:
             raise QsdlabError(
                 f"antiderivative inverse: the value sought lies beyond "
                 f"F({end!r}) = {float(self._vals[-1 if up else 0]):.6g}")
-        self._cover(min(x, nxt), max(x, nxt))
 
     def inverse(self, r):
         """x with F(x) = r, elementwise, for f > 0; a scalar r gives a float.
@@ -507,28 +490,31 @@ class TabulatedAntiderivative:
         One bracket search for the whole batch grows the table until its
         values span [min r, max r].  Each point starts from linear
         interpolation in the table and takes Newton steps with F' = f, kept
-        inside its bracketing knot interval, until every step is below
-        1e-14 |x| or INVERSE_NEWTON_STEPS steps are taken.  So f is called
-        a number of times that does not grow with the number of points."""
+        inside its bracketing knot interval, until its own step is below
+        1e-14 |x| or INVERSE_NEWTON_STEPS steps are taken.  So a point gets
+        the same bits alone as in any batch, and f is called a number of
+        times that does not grow with the number of points."""
         scalar = np.isscalar(r)
         ra = np.asarray(r, dtype=float).ravel()
         if len(ra) == 0:
             return ra.reshape(np.shape(r))
-        rmin, rmax = float(ra.min()), float(ra.max())
-        if not (math.isfinite(rmin) and math.isfinite(rmax)):
+        if not np.all(np.isfinite(ra)):
             raise ValueError("antiderivative inverse at a non-finite value")
-        while not self._vals[-1] >= rmax:
+        while not self._vals[-1] >= ra.max():
             self._widen(up=True)
-        while not self._vals[0] <= rmin:
+        while not self._vals[0] <= ra.min():
             self._widen(up=False)
         knots, vals = self._knots, self._vals
         i = np.clip(np.searchsorted(vals, ra) - 1, 0, len(knots) - 2)
         lo, hi = knots[i], knots[i + 1]
         x = np.interp(ra, vals, knots)
+        live = np.arange(len(ra))
         for _ in range(INVERSE_NEWTON_STEPS):
-            step = (self(x) - ra) / np.asarray(self.f(x), dtype=float)
-            x = np.clip(x - step, lo, hi)
-            if np.all(np.abs(step) <= 1e-14 * np.abs(x)):
+            xl = x[live]
+            step = (self(xl) - ra[live]) / np.asarray(self.f(xl), dtype=float)
+            x[live] = xl = np.clip(xl - step, lo[live], hi[live])
+            live = live[~(np.abs(step) <= 1e-14 * np.abs(xl))]
+            if len(live) == 0:
                 break
         return float(x[0]) if scalar else x.reshape(np.shape(r))
 

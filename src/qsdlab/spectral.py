@@ -714,6 +714,10 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
         raise QsdlabError("eigen_schrodinger expects a model on the whole line")
     if K < 1:
         raise QsdlabError("K must be >= 1")
+    if grid_size // 2 - 1 < K:
+        raise QsdlabError(f"grid_size = {grid_size} gives the coarse mesh "
+                          f"fewer interior nodes ({grid_size // 2 - 1}) than "
+                          f"K = {K}; grid_size must be at least {2 * K + 2}")
     ss = scale_speed(model)
     pot = schrodinger_potential(model)
 

@@ -236,6 +236,25 @@ def test_simulate_maps_x0_into_the_reduced_coordinate(capsys):
                                                   rel=1e-12)
 
 
+def test_no_bridge_misses_crossings_between_steps(capsys):
+    # Brownian motion absorbed at 0 (bessel nu = -1/2) from 0.5, in four
+    # steps of 0.25: P(absorbed by t = 1) = 2 (1 - Phi(0.5)) = 0.617, and a
+    # path that dips below 0 and back within a step is caught only by the
+    # bridge, so without it markedly fewer absorptions register
+    n = 4000
+    argv = ["simulate", "--zoo", "bessel", "--param", "nu=-0.5", "--x0",
+            "0.5", "--n", str(n), "--dt", "0.25", "--t-max", "1",
+            "--seed", "5"]
+    rc1, bridged = run_cli(capsys, argv)
+    rc2, plain = run_cli(capsys, argv + ["--no-bridge"])
+    assert rc1 == rc2 == 0
+    assert bridged["settings"]["bridge"] is True
+    assert plain["settings"]["bridge"] is False
+    a, b = bridged["result"]["n_absorbed"], plain["result"]["n_absorbed"]
+    se = math.sqrt(a * (n - a) / n + b * (n - b) / n)
+    assert a - b >= 10.0 * se
+
+
 def test_simulate_fits_the_survival_rate(capsys):
     rc, doc = run_cli(capsys, ["simulate", "--zoo", "logistic_X_killed",
                                *LOGISTIC, "--n", "2000", "--dt", "0.01",
@@ -591,6 +610,38 @@ def test_non_finite_x0_exits_3(tmp_path, capsys):
     assert captured.out == ""
     assert json.loads(diag.read_text())["message"] == (
         "initial positions must be finite")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_killing_rate_exits_3(tmp_path, capsys):
+    # the rate is NaN past x = 20, which the drift carries the mean to by
+    # t = 19; a NaN clock never fires, so 102 of 200 particles used to run
+    # on past x = 20 unkilled, and the run exited 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "custom", "drift_expr": "1",
+                                "killing_expr": "0.01*sqrt(20-x)",
+                                "domain": [0.0, "inf"]}))
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "simulate", "--model-json",
+               str(path), "--n", "200", "--t-max", "40", "--dt", "0.01",
+               "--seed", "1"])
+    assert rc == 3 and capsys.readouterr().out == ""
+    saved = json.loads(diag.read_text())
+    assert saved["error"] == "QsdlabError"
+    assert saved["message"].startswith(
+        "non-finite killing rate nan read by a live particle at x = 20.")
+
+
+@pytest.mark.parametrize("size", ["4", "5"])
+def test_schrodinger_grid_below_k_exits_3(size, tmp_path, capsys):
+    # the coarse mesh of grid_size // 2 cells has one interior node for K = 2
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "spectrum", "--zoo",
+               "logistic_X_killed", *LOGISTIC, "--grid-size", size])
+    assert rc == 3 and capsys.readouterr().out == ""
+    assert json.loads(diag.read_text())["message"] == (
+        f"grid_size = {size} gives the coarse mesh fewer interior nodes (1) "
+        f"than K = 2; grid_size must be at least 6")
 
 
 def test_unknown_zoo_name_exits_3(tmp_path, capsys):

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import qsdlab
 
@@ -201,6 +202,95 @@ def test_tabulated_antiderivative_inverse():
     for r in (1.2, -1.2):
         with pytest.raises(QsdlabError, match="beyond"):
             F.inverse(r)
+
+
+# integrands and domains of the lattice properties; the singular integrands
+# are queried at x >= 0.05 on a domain that reaches below 0, where their
+# expressions are undefined
+_INTEGRANDS = {
+    "cos": (np.cos, False),
+    "2 drift": (lambda x: 2.0 * (-1.0 - 1.0 / (2.0 * x)), True),
+    "half/sqrt": (lambda x: 0.5 / np.sqrt(x), True),
+}
+_DOMAINS = [(-math.inf, math.inf), (0.0, math.inf), (-1.5, 1.5)]
+
+
+def _bits(a):
+    return np.atleast_1d(np.asarray(a, dtype=float)).view(np.uint64)
+
+
+@st.composite
+def _lattice_case(draw, max_points=12):
+    name = draw(st.sampled_from(sorted(_INTEGRANDS)))
+    domain = draw(st.sampled_from(_DOMAINS))
+    singular = _INTEGRANDS[name][1]
+    lo = 0.05 if singular and domain[0] < 0.0 else max(domain[0], -40.0)
+    hi = min(domain[1], 40.0)
+    # hypothesis's own floats favour the ends and round numbers; finite
+    # domain ends are drawn exactly, as the FE oracle queries them; points
+    # spread by a drawn seed fill the interior
+    ends = [e for e in domain if lo <= e <= hi] or [hi]
+    point = st.one_of(st.floats(lo, hi), st.sampled_from(ends))
+    pts = draw(st.lists(point, max_size=max_points))
+    spread = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        lo, hi, draw(st.integers(1, max_points)))
+    pts = np.concatenate((pts, spread))
+    order = draw(st.permutations(range(len(pts))))
+    return name, domain, pts, list(order)
+
+
+@given(_lattice_case())
+def test_tabulated_antiderivative_ignores_query_order(case):
+    # F is a pure function of x: one table asked point by point in one
+    # order and another asked for the whole batch at once in another order
+    # give the same bits at every point
+    name, domain, pts, order = case
+    f = _INTEGRANDS[name][0]
+    with np.errstate(all="ignore"):
+        one = TabulatedAntiderivative(f, 1.0, domain)
+        singly = np.array([one(float(pts[i])) for i in order])
+        batch = TabulatedAntiderivative(f, 1.0, domain)(pts[order][::-1])
+    assert np.array_equal(_bits(singly), _bits(batch[::-1]))
+
+
+@given(_lattice_case(max_points=40))
+def test_tabulated_antiderivative_inverse_is_batch_free(case):
+    # for a positive integrand (the drift one negated), each r gets the
+    # same bits from inverse alone as inside the batch, whatever the order
+    name, domain, pts, order = case
+    f, sign = _INTEGRANDS[name][0], (-1.0 if name == "2 drift" else 1.0)
+    g = lambda x: sign * f(x)
+    if name == "cos":
+        domain, pts = (-1.5, 1.5), np.clip(pts, -1.5, 1.5)
+    elif domain[0] < 0.0:
+        domain = (0.0, math.inf)
+    pts = pts[(pts > domain[0]) & (pts < domain[1])]
+    # the drawn order, restricted to the points kept
+    order = [i for i in order if i < len(pts)]
+    if not order:
+        return
+    with np.errstate(all="ignore"):
+        rs = TabulatedAntiderivative(g, 1.0, domain)(pts)
+        batch = TabulatedAntiderivative(g, 1.0, domain).inverse(rs[::-1])
+        table = TabulatedAntiderivative(g, 1.0, domain)
+        alone = np.array([table.inverse(float(rs[i])) for i in order])
+    assert np.array_equal(_bits(alone), _bits(batch[::-1][order]))
+    assert np.allclose(alone, pts[order], rtol=1e-12, atol=1e-12)
+
+
+def test_tabulated_antiderivative_values_survive_extension():
+    # log rho of drift -1 - 1/(2x) on (0, inf) over [5, 25] from a table
+    # grown to 30 at once and one grown to 12, then 30: 577 of the 2001
+    # points differed while each extension marched from the table's end
+    model = DiffusionModel(
+        drift=ScalarField.from_expression("-1 - 1/(2*x)", (0.0, math.inf)),
+        domain=(0.0, math.inf), x_ref=1.0, name="custom")
+    xs = np.linspace(5.0, 25.0, 2001)
+    a, b = scale_speed(model), scale_speed(model)
+    a.log_speed(30.0)
+    b.log_speed(12.0)
+    b.log_speed(30.0)
+    assert np.array_equal(_bits(a.log_speed(xs)), _bits(b.log_speed(xs)))
 
 
 # ---------------------------------------------------------------- roots
