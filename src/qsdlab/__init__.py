@@ -12,9 +12,9 @@ from .expressions import ExpressionError, compile_expression
 from .kernels import (bessel_kernel, bessel_kernel_plus,
                       bessel_transition_lebesgue, log_iv)
 from .model import (CONVENTION_NOTE, DiffusionModel, ReductionForms,
-                    ScalarField, ScaleSpeed, SchrodingerPotential, Transform,
+                    ScalarField, SchrodingerPotential, Transform,
                     feller_transform, model_from_json, model_json_str,
-                    model_to_json, reduce_unit_diffusion, scale_speed,
+                    model_to_json, reduce_unit_diffusion,
                     schrodinger_potential)
 from .montecarlo import (DichotomyVerdict, EnsembleResult, SimConfig,
                          SurvivalCurve, dichotomy_probe, histogram_masses,
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__", "CONVENTION_NOTE",
     # model layer
-    "DiffusionModel", "ScalarField", "ScaleSpeed", "SchrodingerPotential",
-    "ReductionForms", "Transform", "reduce_unit_diffusion", "scale_speed",
+    "DiffusionModel", "ScalarField", "SchrodingerPotential",
+    "ReductionForms", "Transform", "reduce_unit_diffusion",
     "schrodinger_potential", "feller_transform", "model_to_json",
     "model_from_json", "model_json_str", "compile_expression",
     # boundary layer

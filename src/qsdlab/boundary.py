@@ -10,14 +10,15 @@ interior reference c:
 
 (orientation mirrored for the right endpoint) and maps the verdict pair to
 Regular / Exit / Entrance / Natural.  Both integrands are evaluated in paired
-log space, exp(L(s) - L(t)) with L = log rho, so no intermediate rho value is
-ever formed and doubly-exponential speed densities cannot overflow.  The
-quadrature is all in `numerics`: the outer level march and its
-Finite/Divergent rules, the Gauss sum of each outer panel (`_gauss`), and
-the one log-space panel rule (`_log_integral`) that integrates each inner
-integral, the one-sided tails (certain absorption, speed tails) and the
-stretches of the positivity ladder.  This module composes them into the
-nested integrals and the positivity scan.
+log space, exp(L(s) - L(t)) with L = log rho read from the model's
+`log_speed`, so no intermediate rho value is ever formed and
+doubly-exponential speed densities cannot overflow.  The quadrature is all
+in `numerics`: the outer level march and its Finite/Divergent rules, the
+Gauss sum of each outer panel (`_gauss`), and the one log-space panel rule
+(`_log_integral`) that integrates each inner integral, the one-sided tails
+(certain absorption, speed tails) and the stretches of the positivity
+ladder.  This module composes them into the nested integrals and the
+positivity scan.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DiffusionModel, ScaleSpeed, scale_speed
+from .model import DiffusionModel
 from .numerics import (_LOG_CLIP, DIVERGENCE_THRESHOLD,
                        IndeterminateIntegralError, IntegralVerdict,
                        LevelAccumulator, QsdlabError, _gauss, _level_verdict,
@@ -88,7 +89,7 @@ class ClassificationResult:
 # classification integrals
 # ---------------------------------------------------------------------------
 
-def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
+def _nested_feller_integral(model: DiffusionModel, c: float, endpoint: float,
                             kind: str, tol: float = 1e-9) -> IntegralVerdict:
     """One of the two classification integrals toward `endpoint`.
 
@@ -101,9 +102,9 @@ def _nested_feller_integral(ss: ScaleSpeed, c: float, endpoint: float,
         # one inner integral per outer Gauss node t, between t and c
         return np.array([
             math.exp(min(_log_integral(
-                lambda s, Lt=Lt: sign * (ss.log_speed(s) - Lt),
+                lambda s, Lt=Lt: sign * (model.log_speed(s) - Lt),
                 min(t, c), max(t, c)), _LOG_CLIP))
-            for t, Lt in zip(ts, ss.log_speed(ts))])
+            for t, Lt in zip(ts, model.log_speed(ts))])
 
     def panel(lo, hi):
         return float(_gauss(outer, np.array([lo]), np.array([hi]), 24)[0])
@@ -127,14 +128,13 @@ def classify(model: DiffusionModel, tol: float = 1e-9) -> ClassificationResult:
     verdict (meaningful only when the left endpoint is accessible)."""
     if not model.unit_diffusion:
         raise ClassificationError("classify needs a unit-diffusion model; reduce first")
-    ss = scale_speed(model)
     l, r = model.domain
     c = model.x_ref
 
-    ev_left = (_nested_feller_integral(ss, c, l, "access", tol),
-               _nested_feller_integral(ss, c, l, "second", tol))
-    ev_right = (_nested_feller_integral(ss, c, r, "access", tol),
-                _nested_feller_integral(ss, c, r, "second", tol))
+    ev_left = (_nested_feller_integral(model, c, l, "access", tol),
+               _nested_feller_integral(model, c, l, "second", tol))
+    ev_right = (_nested_feller_integral(model, c, r, "access", tol),
+                _nested_feller_integral(model, c, r, "second", tol))
     left = BoundaryKind(kind=_kind_from(*ev_left), evidence=ev_left)
     right = BoundaryKind(kind=_kind_from(*ev_right), evidence=ev_right)
 
@@ -142,7 +142,7 @@ def classify(model: DiffusionModel, tol: float = 1e-9) -> ClassificationResult:
     tail = None
     if left.kind in (REGULAR, EXIT):
         tail = tail_integral(
-            lambda x: -ss.log_speed(x), c, r, tol, name="scale_tail")
+            lambda x: -model.log_speed(x), c, r, tol, name="scale_tail")
         absorption = not tail.finite
     return ClassificationResult(left=left, right=right,
                                 absorption_certain=absorption,
@@ -175,16 +175,13 @@ def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:
     An interior maximum is refined by golden section.  One at the far end is
     a divergence under the shared level rules, or a limit P = A - c/x + ...
     taken by Richardson over the last three knots, with argmax None."""
-    if not model.unit_diffusion:
-        raise QsdlabError("positivity_criterion needs a unit-diffusion model")
-    ss = scale_speed(model)
     l, r = model.domain
     if not math.isinf(r):
         raise QsdlabError("positivity_criterion expects an infinite right end")
     if not (l <= a < r):
         raise QsdlabError(f"a = {a} not admissible for domain {model.domain}")
-    Lp = ss.log_speed                       # log rho
-    Lm = lambda x: -ss.log_speed(x)         # log rho^{-1}
+    Lp = model.log_speed                    # log rho
+    Lm = lambda x: -model.log_speed(x)      # log rho^{-1}
     infinite = PositivityReport(A=math.inf, a=a, lambda0_lower=0.0,
                                 lambda0_upper=0.0, positive=False)
 
@@ -264,12 +261,11 @@ def assumption1_check(model: DiffusionModel) -> dict:
     l, r = model.domain
     if l != 0.0 or not math.isinf(r):
         raise QsdlabError("assumption1_check expects a model on (0, inf)")
-    ss = scale_speed(model)
     xs = np.geomspace(1e-6, 1e6, 241)
     b2_minus_bp = model.drift(xs) ** 2 + model.drift.d(xs)   # b=-mu: b^2-b' = mu^2+mu'
     inf_generic = float(np.min(b2_minus_bp))
 
-    log_integrand = lambda sv: np.log(sv) + 0.5 * ss.log_speed(sv)
+    log_integrand = lambda sv: np.log(sv) + 0.5 * model.log_speed(sv)
     try:
         res = improper_integral(log_integrand, 0.0, 1.0, tol=1e-8, split=0.5)
         eint_finite = res.finite
@@ -290,7 +286,7 @@ def assumption1_check(model: DiffusionModel) -> dict:
         cprime = c1 + 2.0 * c2 * xs
         inf_c = float(np.min(cvals ** 2 - cprime))
         inf_cs = float(np.min((cvals / xs)[xs >= 1.0]))
-        tail = tail_integral(lambda x: -ss.log_speed(x), model.x_ref,
+        tail = tail_integral(lambda x: -model.log_speed(x), model.x_ref,
                              math.inf)
         certain = not tail.finite
         route_bessel = bool(nu <= -1.0 and math.isfinite(inf_c)

@@ -92,7 +92,8 @@ def _usage(message: str):
 def _check_ranges(args) -> None:
     """Refuse a size or tolerance option that no route can use, before any
     work is done."""
-    for opt, least in (("points", 1), ("bins", 1), ("grid_size", 4)):
+    for opt, least in (("points", 1), ("bins", 1), ("grid_size", 4),
+                       ("seed", 0)):
         val = getattr(args, opt, None)
         if val is not None and val < least:
             _usage(f"--{opt.replace('_', '-')} must be at least {least}, "

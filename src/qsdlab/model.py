@@ -3,6 +3,10 @@ speed and scale densities, coordinate reduction to unit diffusion, the
 Bessel-square change of variables, and the ground-state (Schrodinger-form)
 potential.
 
+A `DiffusionModel` owns its interval and log rho: log rho, rho and 1/rho
+are model methods, read from a zoo closed form or from one knot table of
+2 mu per model.  A `ScalarField` coefficient carries no interval.
+
 Conventions
 -----------
 A model stores the SDE drift mu in  dX = mu(X) dt + sigma(X) dW.  The
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -54,11 +59,10 @@ def _fd_derivative(f: Callable, x):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar coefficient on an open interval, with optional analytic
-    derivative (finite-difference fallback otherwise)."""
+    """A scalar coefficient, with optional analytic derivative
+    (finite-difference fallback otherwise)."""
     eval: Callable
     deriv: Optional[Callable] = None
-    domain: tuple = (-math.inf, math.inf)
     expr: Optional[str] = None     # mini-grammar source, when built from one
 
     def __call__(self, x) -> np.ndarray:
@@ -72,9 +76,8 @@ class ScalarField:
         return np.asarray(d, dtype=float)
 
     @staticmethod
-    def from_expression(src: str, domain=(-math.inf, math.inf)) -> "ScalarField":
-        f = compile_expression(src)
-        return ScalarField(eval=f, domain=tuple(domain), expr=src)
+    def from_expression(src: str) -> "ScalarField":
+        return ScalarField(eval=compile_expression(src), expr=src)
 
     @staticmethod
     def constant(c: float) -> "ScalarField":
@@ -143,6 +146,31 @@ class DiffusionModel:
     def with_killing(self, killing: Optional[ScalarField]) -> "DiffusionModel":
         return replace(self, killing=killing)
 
+    @cached_property
+    def _log_speed_source(self) -> Callable:
+        """The zoo closed form of log rho, else one knot table of 2 mu from
+        x_ref, built on first use; its values do not depend on query order."""
+        if not self.unit_diffusion:
+            raise ModelValidationError(
+                "log rho needs a unit-diffusion model; reduce first")
+        if self.log_speed_closed is not None:
+            return self.log_speed_closed
+        drift = self.drift
+        return TabulatedAntiderivative(lambda x: 2.0 * drift(x), self.x_ref,
+                                       domain=self.domain)
+
+    def log_speed(self, x) -> np.ndarray:
+        """log rho(x) = 2 int_{x_ref}^x mu, as a float array of x's shape."""
+        return np.asarray(self._log_speed_source(x), dtype=float)
+
+    def speed_density(self, x) -> np.ndarray:
+        """rho(x), its exponent clipped to (-700, 709)."""
+        return np.exp(np.clip(self.log_speed(x), -700.0, 709.0))
+
+    def scale_density(self, x) -> np.ndarray:
+        """1/rho(x), its exponent clipped to (-700, 709)."""
+        return np.exp(np.clip(-self.log_speed(x), -700.0, 709.0))
+
 
 class ReductionForms(NamedTuple):
     """Closed forms carried by zoo models whose reduction to unit diffusion
@@ -163,41 +191,6 @@ class Transform(NamedTuple):
     def roundtrip_error(self, xs) -> float:
         xs = np.asarray(xs, dtype=float)
         return float(np.max(np.abs(self.inverse(self.forward(xs)) - xs)))
-
-
-# ---------------------------------------------------------------------------
-# speed / scale densities
-# ---------------------------------------------------------------------------
-
-class ScaleSpeed:
-    """Speed density rho = exp(2 int_{x_ref}^x mu) and scale density 1/rho,
-    with log rho either a zoo closed form or a cached quadrature."""
-
-    def __init__(self, model: DiffusionModel):
-        if not model.unit_diffusion:
-            raise ModelValidationError(
-                "scale_speed needs a unit-diffusion model; reduce first")
-        self.model = model
-        if model.log_speed_closed is not None:
-            self._log_speed = model.log_speed_closed
-        else:
-            two_mu = lambda x: 2.0 * model.drift(x)
-            self._log_speed = TabulatedAntiderivative(two_mu, model.x_ref,
-                                                      domain=model.domain)
-
-    def log_speed(self, x) -> np.ndarray:
-        """log rho at x, as a float array of x's shape."""
-        return np.asarray(self._log_speed(x), dtype=float)
-
-    def speed_density(self, x):
-        return np.exp(np.clip(self.log_speed(x), -700.0, 709.0))
-
-    def scale_density(self, x):
-        return np.exp(np.clip(-self.log_speed(x), -700.0, 709.0))
-
-
-def scale_speed(model: DiffusionModel) -> ScaleSpeed:
-    return ScaleSpeed(model)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +220,7 @@ def reduce_unit_diffusion(model: DiffusionModel):
         F, Finv = red.forward, red.inverse
         kill = None
         if model.killing is not None:
-            kill = ScalarField(eval=lambda rr: model.killing(Finv(rr)),
-                               domain=red.domain)
+            kill = ScalarField(eval=lambda rr: model.killing(Finv(rr)))
         reduced = DiffusionModel(
             drift=red.drift, diffusion=None, killing=kill,
             domain=red.domain, x_ref=red.x_ref,
@@ -284,9 +276,9 @@ def reduce_unit_diffusion(model: DiffusionModel):
     dom_R = (dom_lo, dom_hi)
     kill = None
     if model.killing is not None:
-        kill = ScalarField(eval=lambda rv: model.killing(Finv(rv)), domain=dom_R)
+        kill = ScalarField(eval=lambda rv: model.killing(Finv(rv)))
     reduced = DiffusionModel(
-        drift=ScalarField(eval=mu_R, domain=dom_R),
+        drift=ScalarField(eval=mu_R),
         diffusion=None, killing=kill, domain=dom_R,
         x_ref=float(F(model.x_ref)),
         name=model.name + "_reduced", params=dict(model.params))
@@ -315,7 +307,7 @@ def feller_transform(h: ScalarField) -> DiffusionModel:
             return 1.0 / (2.0 * x * x) - 2.0 * h(z) / (x * x) + h.d(z)
 
     return DiffusionModel(
-        drift=ScalarField(eval=mu, deriv=dmu, domain=(0.0, math.inf)),
+        drift=ScalarField(eval=mu, deriv=dmu),
         domain=(0.0, math.inf), x_ref=1.0, name="feller_transform")
 
 
@@ -350,9 +342,7 @@ def schrodinger_potential(model: DiffusionModel) -> SchrodingerPotential:
     def V(x):
         return -q(x)
 
-    dom = model.domain
-    return SchrodingerPotential(q=ScalarField(eval=q, domain=dom),
-                                V=ScalarField(eval=V, domain=dom))
+    return SchrodingerPotential(q=ScalarField(eval=q), V=ScalarField(eval=V))
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +420,10 @@ def model_from_json(doc: dict) -> DiffusionModel:
         return built
     if "drift_expr" not in doc or not doc["drift_expr"]:
         raise ModelValidationError("custom model requires drift_expr")
-    drift = ScalarField.from_expression(doc["drift_expr"], dom)
+    drift = ScalarField.from_expression(doc["drift_expr"])
     killing = None
     if doc.get("killing_expr"):
-        killing = ScalarField.from_expression(doc["killing_expr"], dom)
+        killing = ScalarField.from_expression(doc["killing_expr"])
     return DiffusionModel(drift=drift, killing=killing, domain=dom,
                           x_ref=x_ref, name="custom")
 

@@ -158,7 +158,8 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
         m = len(x)
         z = rng.standard_normal(m)
         u = rng.random(m) if use_bridge else None
-        prop = x + model.drift(x) * dt + sqrt_dt * z
+        with np.errstate(invalid="ignore"):       # a NaN drift is read below
+            prop = x + model.drift(x) * dt + sqrt_dt * z
 
         hit = None
         if fin_l or fin_r:
@@ -181,7 +182,7 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
                         hit |= u < np.exp(np.maximum(
                             -2.0 * (r - x) * (r - prop) / dt, -700.0))
 
-        dead = np.abs(prop) > _BLOW_UP
+        dead = ~(np.abs(prop) <= _BLOW_UP)          # NaN included
         if hit is not None:
             dead |= hit
         if kappa is not None:
@@ -204,6 +205,10 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
         slots = np.flatnonzero(dead)
         n_dead = len(slots)
         if n_dead:
+            nan = slots[np.isnan(prop[slots])]
+            if len(nan):
+                raise QsdlabError(f"drift reads nan at x = {x[nan[0]]}, "
+                                  f"t = {(s - 1) * dt:.6g}")
             absorbed = (hit[slots] if hit is not None
                         else np.zeros(n_dead, dtype=bool))
             n_hit = int(np.count_nonzero(absorbed))

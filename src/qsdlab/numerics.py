@@ -552,8 +552,8 @@ class OdeTrajectory:
     def w(self) -> np.ndarray:
         return self.values[:, 1]
 
-    def sign_changes(self, component: int = 0) -> int:
-        v = self.values[:, component]
+    def sign_changes(self) -> int:
+        v = self.values[:, 0]
         v = v[v != 0.0]
         return int(np.sum(v[1:] * v[:-1] < 0))
 
@@ -680,13 +680,15 @@ def _chunk_maps(scale_speed, kappa, lam: float, segs: np.ndarray,
                                      chunk_ends - 1]
 
 
-def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
+def integrate_sl_system(kappa, scale_speed, lam: float, x_from: float,
                         x_to: float, init: Sequence[float],
                         n_samples: int = 400) -> OdeTrajectory:
-    """Integrate u' = w/rho, w' = -2(lam - kappa)*rho*u from x_from to x_to.
+    """Integrate u' = w/rho, w' = -2(lam - kappa)*rho*u from x_from to
+    x_to > x_from.
 
-    `model` supplies the killing rate (may be None); `scale_speed` supplies
-    rho (speed_density), 1/rho (scale_density) and log rho (log_speed).
+    `kappa` is the killing rate (None for none).  `scale_speed` is the
+    unit-diffusion model, read for rho (speed_density), 1/rho
+    (scale_density) and log rho (log_speed).
     The output grid is SL_CHUNKS linspace chunks of n_samples // SL_CHUNKS + 1
     points.  Each sample interval is split into equal cells, as many as it
     takes to keep both the change of log rho and sqrt(2|lam - kappa|) * h at
@@ -708,9 +710,10 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
     it grows past SL_RESCALE_AT, so eigenvalue miss functions keep valid signs
     even when the non-decaying mode grows like exp(several hundred).
     """
-    kappa = getattr(model, "killing", None) if model is not None else None
+    if not x_to > x_from:
+        raise QsdlabError(f"integrate_sl_system integrates forward only: "
+                          f"x_to = {x_to!r} is not past x_from = {x_from!r}")
     lam = float(lam)
-    forward = x_to > x_from
     edges = np.linspace(x_from, x_to, SL_CHUNKS + 1)
     per_chunk = max(2, n_samples // SL_CHUNKS + 1)
     segs = np.linspace(edges[:-1], edges[1:], per_chunk, axis=1)
@@ -767,12 +770,8 @@ def integrate_sl_system(model, scale_speed, lam: float, x_from: float,
     grid = np.concatenate((segs[0, :1], segs[:, 1:].ravel()))
     values = np.concatenate((vals[0, :1], vals[:, 1:].reshape(-1, 2)))
     lscale = np.concatenate((logs[:1], np.repeat(logs, per_chunk - 1)))
-    final = (s0, s1)
-    if not forward:
-        order = np.argsort(grid)
-        grid, values, lscale = grid[order], values[order], lscale[order]
     return OdeTrajectory(grid=grid, values=values, log_scale=lscale,
-                         final=final, final_log_scale=log_scale)
+                         final=(s0, s1), final_log_scale=log_scale)
 
 
 # the smallest relative tolerance scipy's brentq admits

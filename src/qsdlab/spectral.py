@@ -21,8 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import (DiffusionModel, ScalarField, ScaleSpeed, scale_speed,
-                    schrodinger_potential)
+from .model import DiffusionModel, ScalarField, schrodinger_potential
 from .numerics import (OdeTrajectory, QsdlabError, TabulatedAntiderivative,
                        _line_fit, _richardson, brent_root,
                        cumulative_parabolic, improper_integral,
@@ -73,12 +72,13 @@ class PhiSolution:
         return np.interp(x, self.grid, self.phi, left=0.0, right=0.0)
 
 
-def _flattened(lam: float, traj: OdeTrajectory, ss: ScaleSpeed) -> PhiSolution:
+def _flattened(lam: float, traj: OdeTrajectory,
+               model: DiffusionModel) -> PhiSolution:
     """The record of a shot, its chunk scales multiplied out."""
     scale = np.exp(np.clip(traj.log_scale, -700.0, 700.0))[:, None]
     flat = traj.values * scale
     return PhiSolution(lam=lam, grid=traj.grid, phi=flat[:, 0], w=flat[:, 1],
-                       rho=ss.speed_density(traj.grid))
+                       rho=model.speed_density(traj.grid))
 
 
 def _eigenpair(lam: float, grid: np.ndarray, phi: np.ndarray, w: np.ndarray,
@@ -184,7 +184,7 @@ class _UBuilder:
     (2 lam)^k v_k with a few vector updates and runs no quadrature sweep
     once the basis is long enough."""
 
-    def __init__(self, model: DiffusionModel, ss: Optional[ScaleSpeed] = None):
+    def __init__(self, model: DiffusionModel):
         if not model.unit_diffusion:
             raise QsdlabError("the constructive route needs sigma == 1; reduce first")
         if model.killing is not None:
@@ -195,7 +195,6 @@ class _UBuilder:
         if not math.isfinite(l):
             raise QsdlabError("the constructive route needs a finite left endpoint")
         self.model = model
-        self.ss = ss if ss is not None else scale_speed(model)
         self.left = l
         r0 = min(1.0, 0.75 * (model.x_ref - l))
         if math.isfinite(r):
@@ -220,10 +219,8 @@ class _UBuilder:
 
     def _grid(self, radius: float, eps_rel: float):
         grid = self.left + np.geomspace(eps_rel * radius, radius, _N_CORE)
-        logr = self.ss.log_speed(grid)
-        rho = np.exp(np.clip(logr, -700.0, 709.0))
-        inv_rho = np.exp(np.clip(-logr, -700.0, 709.0))
-        return grid, rho, inv_rho
+        return (grid, self.model.speed_density(grid),
+                self.model.scale_density(grid))
 
     def _double_integral(self, radius: float, eps_rel: float) -> float:
         grid, rho, inv_rho = self._grid(radius, eps_rel)
@@ -262,8 +259,8 @@ class _UBuilder:
         delta = lv["delta"]
         traj = None
         if x_to is not None and x_to > delta:
-            traj = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
-                                       init=(float(u[-1]), 0.0),
+            traj = integrate_sl_system(self.model.killing, self.model, lam,
+                                       delta, x_to, init=(float(u[-1]), 0.0),
                                        n_samples=_N_SAMPLES)
         return USolution(lam=lam, delta=delta, contraction_factor=factor,
                          samples=traj, core_grid=lv["grid"], core_u=u,
@@ -328,8 +325,8 @@ class _UBuilder:
         delta, traj = self._cores[lam]
         if x_to is None or not x_to > delta:
             return traj
-        cont = integrate_sl_system(self.model, self.ss, lam, delta, x_to,
-                                   init=traj.final, n_samples=_N_SAMPLES)
+        cont = integrate_sl_system(self.model.killing, self.model, lam, delta,
+                                   x_to, init=traj.final, n_samples=_N_SAMPLES)
         return OdeTrajectory(
             grid=np.concatenate((traj.grid, cont.grid[1:])),
             values=np.concatenate((traj.values, cont.values[1:])),
@@ -349,8 +346,7 @@ def build_phi(model: DiffusionModel, lam: float,
               x_to: Optional[float] = None) -> PhiSolution:
     """Principal candidate phi = u * int_0^x u^-2 rho^-1, vanishing at the
     left endpoint, with rho phi' = (rho u') int u^-2 rho^-1 + 1/u."""
-    ub = _UBuilder(model)
-    return _flattened(lam, ub.phi(lam, x_to=x_to), ub.ss)
+    return _flattened(lam, _UBuilder(model).phi(lam, x_to=x_to), model)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +390,10 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     """
     if K < 1:
         raise QsdlabError("K must be >= 1")
-    ss = scale_speed(model)
-    ub = _UBuilder(model, ss)
+    ub = _UBuilder(model)
     if truncations is None:
         # right cutoffs where |log rho| first reaches each cap
-        truncations = [_march_cap(lambda x: abs(float(ss.log_speed(x))),
+        truncations = [_march_cap(lambda x: abs(float(model.log_speed(x))),
                                   model.x_ref, +1.0, cap)
                        for cap in _DEFAULT_LOGRHO_CAPS]
     truncations = [float(t) for t in truncations]
@@ -502,7 +497,7 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
 
     # brent_root returns a lam it has shot, so the widest truncation's
     # cache holds every eigenfunction
-    funcs = [_normalized(_flattened(lam, cache[lam][2], ss))
+    funcs = [_normalized(_flattened(lam, cache[lam][2], model))
              for lam in roots_by_t[truncations[-1]]]
     return SpectralResult(eigenvalues=eigenvalues, eigenfunctions=funcs,
                           truncation=tuple(truncations),
@@ -553,12 +548,11 @@ def _march_cap(fun: Callable[[float], float], start: float, direction: float,
     return 0.5 * (lo + hi)
 
 
-def _fd_window(model: DiffusionModel, ss: ScaleSpeed,
-               truncation) -> tuple:
+def _fd_window(model: DiffusionModel, truncation) -> tuple:
     l, r = model.domain
 
     def cap(sign):
-        return _march_cap(lambda x: abs(float(ss.log_speed(x))), model.x_ref,
+        return _march_cap(lambda x: abs(float(model.log_speed(x))), model.x_ref,
                           sign, 60.0)
 
     if truncation is not None and np.ndim(truncation) == 1:
@@ -574,8 +568,8 @@ def _fd_window(model: DiffusionModel, ss: ScaleSpeed,
     return lo, hi
 
 
-def _fd_once(model: DiffusionModel, ss: ScaleSpeed, lo: float, hi: float,
-             n: int, K: int, left_bc: str, right_bc: str, graded: bool):
+def _fd_once(model: DiffusionModel, lo: float, hi: float, n: int, K: int,
+             left_bc: str, right_bc: str, graded: bool):
     """The K lowest eigenpairs of one P1 mesh with n nodes on [lo, hi].
 
     The lumped mass M is diagonal, so M^-1/2 K M^-1/2 is symmetric
@@ -592,7 +586,7 @@ def _fd_once(model: DiffusionModel, ss: ScaleSpeed, lo: float, hi: float,
         nodes = np.linspace(lo, hi, n)
     h = np.diff(nodes)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    rhob = ss.speed_density(mids)
+    rhob = model.speed_density(mids)
     if not np.all(rhob > 0) or not np.all(np.isfinite(rhob)):
         raise QsdlabError(
             "nonpositive element mass detected (truncation too wide or mesh "
@@ -658,19 +652,18 @@ def eigen_fd_oracle(model: DiffusionModel, grid_size: int = 1600,
             evidence={"per_truncation": [list(map(float, r.eigenvalues))
                                          for r in per_t],
                       "grid_size": grid_size})
-    ss = scale_speed(model)
     l, r = model.domain
-    lo, hi = _fd_window(model, ss, truncation)
+    lo, hi = _fd_window(model, truncation)
     if right_bc is None:
         right_bc = "dirichlet" if math.isfinite(r) else "sealed"
     graded = math.isfinite(l)
-    coarse, _, _, _ = _fd_once(model, ss, lo, hi, grid_size // 2, K,
+    coarse, _, _, _ = _fd_once(model, lo, hi, grid_size // 2, K,
                                left_bc, right_bc, graded)
-    fine, fs, nodes, mm = _fd_once(model, ss, lo, hi, grid_size, K,
+    fine, fs, nodes, mm = _fd_once(model, lo, hi, grid_size, K,
                                    left_bc, right_bc, graded)
     ext, errs = _richardson((coarse, fine), (1.0, 4.0))
 
-    rho = ss.speed_density(nodes)
+    rho = model.speed_density(nodes)
     funcs = [_eigenpair(ext[k], nodes, fs[:, k],
                         rho * np.gradient(fs[:, k], nodes), rho)
              for k in range(K)]
@@ -718,11 +711,10 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
         raise QsdlabError(f"grid_size = {grid_size} gives the coarse mesh "
                           f"fewer interior nodes ({grid_size // 2 - 1}) than "
                           f"K = {K}; grid_size must be at least {2 * K + 2}")
-    ss = scale_speed(model)
     pot = schrodinger_potential(model)
 
     # both tails of int rho, in log space
-    if not all(tail_integral(ss.log_speed, float(model.x_ref), end,
+    if not all(tail_integral(model.log_speed, float(model.x_ref), end,
                              tol=1e-8).finite
                for end in (-math.inf, math.inf)):
         raise QsdlabError("speed density not integrable on the line; "
@@ -736,7 +728,7 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
 
     def edge(x):
         return max(float(pot.V(x)) / _V_CAP,
-                   abs(float(ss.log_speed(x))) / _LOGRHO_CAP)
+                   abs(float(model.log_speed(x))) / _LOGRHO_CAP)
 
     t_l = _march_cap(edge, float(model.x_ref), -1.0, 1.0)
     t_r = _march_cap(edge, float(model.x_ref), +1.0, 1.0)
@@ -755,9 +747,9 @@ def eigen_schrodinger(model: DiffusionModel, K: int = 2,
     fine, psis, inner = solve(grid_size + 1)
     ext, errs = _richardson((coarse, fine), (1.0, 4.0))
 
-    half_logr = 0.5 * ss.log_speed(inner)
+    half_logr = 0.5 * model.log_speed(inner)
     mu_vals = model.drift(inner)
-    rho = ss.speed_density(inner)
+    rho = model.speed_density(inner)
     funcs = []
     for k in range(K):
         psi = psis[:, k]
@@ -829,16 +821,13 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
     by the full scale mass, the drift gains h'/h, and the speed density
     becomes h^2 rho.  When absorption is already certain the transform is a
     NoOp and the original model is returned flagged."""
-    if not model.unit_diffusion:
-        raise QsdlabError("doob_h_transform needs a unit-diffusion model")
     if model.killing is not None:
         raise QsdlabError("doob_h_transform applies to pure absorption, "
                           "not killed models")
     l, r = model.domain
     if not (math.isfinite(l) and math.isinf(r)):
         raise QsdlabError("doob_h_transform expects domain (l, inf)")
-    ss = scale_speed(model)
-    log_scale = lambda x: -ss.log_speed(x)
+    log_scale = lambda x: -model.log_speed(x)
     tail = improper_integral(log_scale, model.x_ref, math.inf, tol=1e-10)
     if not tail.finite:
         return DoobResult(model=model, h=None, noop=True,
@@ -857,14 +846,14 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
     # integrand at the anchor: the level rules' Finite gate is absolute and
     # would pass a tail of size e^-60 after two levels, whatever it missed.
     try:
-        anchor = _march_cap(lambda x: float(ss.log_speed(x)), model.x_ref,
+        anchor = _march_cap(lambda x: float(model.log_speed(x)), model.x_ref,
                             +1.0, 60.0)
     except QsdlabError:
         anchor = model.x_ref
     ls_anchor = float(log_scale(anchor))
     far = improper_integral(lambda x: log_scale(x) - ls_anchor, anchor,
                             math.inf, tol=1e-12).value * math.exp(ls_anchor)
-    t_back = TabulatedAntiderivative(ss.scale_density, anchor,
+    t_back = TabulatedAntiderivative(model.scale_density, anchor,
                                      domain=model.domain)
 
     def h_right(x):
@@ -876,13 +865,12 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
         return h_right(x) / h_tot
 
     def h_deriv(x):
-        return -ss.scale_density(x) / h_tot
+        return -model.scale_density(x) / h_tot
 
-    h_field = ScalarField(eval=h_eval, deriv=h_deriv, domain=model.domain,
-                          expr=None)
+    h_field = ScalarField(eval=h_eval, deriv=h_deriv)
 
     def t_fun(x):
-        return -ss.scale_density(x) / h_right(x)
+        return -model.scale_density(x) / h_right(x)
 
     mu0, dmu0 = model.drift, model.drift.d
 
@@ -894,12 +882,11 @@ def doob_h_transform(model: DiffusionModel) -> DoobResult:
         return dmu0(x) - 2.0 * mu0(x) * t - t ** 2
 
     def log_speed_h(x):
-        return (ss.log_speed(x)
+        return (model.log_speed(x)
                 + 2.0 * (np.log(h_right(x)) - math.log(h_tot)))
 
     new = DiffusionModel(
-        drift=ScalarField(eval=drift_eval, deriv=drift_deriv,
-                          domain=model.domain, expr=None),
+        drift=ScalarField(eval=drift_eval, deriv=drift_deriv),
         domain=model.domain, x_ref=model.x_ref,
         name=model.name + "_doob", params=dict(model.params),
         log_speed_closed=log_speed_h)

@@ -48,7 +48,7 @@ def _bessel(p):
         return (2.0 * nu + 1.0) * np.log(x)
 
     return DiffusionModel(
-        drift=ScalarField(eval=mu, deriv=dmu, domain=_HALF_LINE),
+        drift=ScalarField(eval=mu, deriv=dmu),
         domain=_HALF_LINE, x_ref=1.0, name="bessel", params=p,
         log_speed_closed=log_speed)
 
@@ -69,7 +69,7 @@ def _perturbed_bessel(p):
                          + c2 * (np.power(x, 3) - 1.0) / 3.0))
 
     return DiffusionModel(
-        drift=ScalarField(eval=mu, deriv=dmu, domain=_HALF_LINE),
+        drift=ScalarField(eval=mu, deriv=dmu),
         domain=_HALF_LINE, x_ref=1.0, name="perturbed_bessel", params=p,
         log_speed_closed=log_speed)
 
@@ -91,7 +91,7 @@ def _generalized_feller(p):
                 + h2 * (np.power(x, 4) - 1.0) / 16.0)
 
     return DiffusionModel(
-        drift=ScalarField(eval=mu, deriv=dmu, domain=_HALF_LINE),
+        drift=ScalarField(eval=mu, deriv=dmu),
         domain=_HALF_LINE, x_ref=1.0, name="generalized_feller", params=p,
         log_speed_closed=log_speed)
 
@@ -121,7 +121,7 @@ def _logistic_line(p, name):
     def log_speed(x):
         return 2.0 * A * x - (2.0 * a / s) * (growth(x) - 1.0)
 
-    return ScalarField(eval=mu, deriv=dmu, domain=_LINE), log_speed
+    return ScalarField(eval=mu, deriv=dmu), log_speed
 
 
 def _logistic_N(p):
@@ -150,8 +150,8 @@ def _logistic_N(p):
                          x_ref=0.0, log_speed=log_speed_R)
 
     return DiffusionModel(
-        drift=ScalarField(eval=drift, deriv=ddrift, domain=_HALF_LINE),
-        diffusion=ScalarField(eval=diff, deriv=ddiff, domain=_HALF_LINE),
+        drift=ScalarField(eval=drift, deriv=ddrift),
+        diffusion=ScalarField(eval=diff, deriv=ddiff),
         domain=_HALF_LINE, x_ref=1.0, name="logistic_N", params=p,
         reduction=red)
 
@@ -168,7 +168,7 @@ def _logistic_X_killed(p):
 
     return DiffusionModel(
         drift=drift,
-        killing=ScalarField(eval=kappa, deriv=dkappa, domain=_LINE),
+        killing=ScalarField(eval=kappa, deriv=dkappa),
         domain=_LINE, x_ref=0.0, name="logistic_X_killed", params=p,
         log_speed_closed=log_speed)
 
@@ -224,12 +224,12 @@ def _population_N(p):
 
     red = ReductionForms(
         forward=F, inverse=Finv,
-        drift=ScalarField(eval=mu_R, deriv=dmu_R, domain=_HALF_LINE),
+        drift=ScalarField(eval=mu_R, deriv=dmu_R),
         domain=_HALF_LINE, x_ref=r_ref, log_speed=log_speed_R)
 
     return DiffusionModel(
-        drift=ScalarField(eval=drift, deriv=ddrift, domain=_HALF_LINE),
-        diffusion=ScalarField(eval=sig, deriv=dsig, domain=_HALF_LINE),
+        drift=ScalarField(eval=drift, deriv=ddrift),
+        diffusion=ScalarField(eval=sig, deriv=dsig),
         domain=_HALF_LINE, x_ref=1.0, name="population_N", params=p,
         reduction=red)
 

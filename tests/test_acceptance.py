@@ -25,7 +25,6 @@ from qsdlab.model import (
     DiffusionModel,
     ScalarField,
     reduce_unit_diffusion,
-    scale_speed,
 )
 from qsdlab.montecarlo import (
     SimConfig,
@@ -133,8 +132,7 @@ def test_03_eigensolver_oracle_equivalence():
     t0 = time.monotonic()
     osc = DiffusionModel(drift=ScalarField.constant(0.0),
                          killing=ScalarField(eval=lambda x: 0.5 * x * x,
-                                             deriv=lambda x: x,
-                                             domain=(-12.0, 12.0)),
+                                             deriv=lambda x: x),
                          domain=(-12.0, 12.0), x_ref=0.0, name="oscillator")
     fd_osc = eigen_fd_oracle(osc, K=2, left_bc="dirichlet",
                              right_bc="dirichlet")
@@ -316,9 +314,9 @@ def test_08_module_invariant_bundle():
     # orthonormality of the shooting eigenfunctions in the speed measure
     sh = eigen_shoot(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}),
                      K=2)
-    ss = scale_speed(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}))
+    pb = zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0})
     base = sh.eigenfunctions[0].grid
-    rho = ss.speed_density(base)
+    rho = pb.speed_density(base)
     G = np.array([[np.trapezoid(sh.eigenfunctions[i](base)
                                 * sh.eigenfunctions[j](base) * rho, base)
                    for j in range(2)] for i in range(2)])

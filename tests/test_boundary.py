@@ -66,7 +66,7 @@ def test_mean_reversion_natural_at_both_ends():
     # from the trend rule with the inner boundary layers -- width ~1/2|x| --
     # still resolved thousands of units out along the march
     dom = (-math.inf, math.inf)
-    m = DiffusionModel(drift=ScalarField.from_expression("-x", dom),
+    m = DiffusionModel(drift=ScalarField.from_expression("-x"),
                        domain=dom, x_ref=0.0, name="mean_reversion")
     res = classify(m)
     assert (res.left.kind, res.right.kind) == ("Natural", "Natural")
@@ -163,7 +163,7 @@ def test_assumption_check_domain_guard():
 
 
 def _custom(expr, domain=(0.0, math.inf), x_ref=1.0):
-    return DiffusionModel(drift=ScalarField.from_expression(expr, domain),
+    return DiffusionModel(drift=ScalarField.from_expression(expr),
                           domain=domain, x_ref=x_ref)
 
 

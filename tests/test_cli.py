@@ -24,10 +24,10 @@ import qsdlab.cli
 import qsdlab.montecarlo
 import qsdlab.spectral
 from qsdlab.cli import main
-from qsdlab.model import CONVENTION_NOTE, ScaleSpeed, reduce_unit_diffusion
+from qsdlab.model import CONVENTION_NOTE, reduce_unit_diffusion
 from qsdlab.montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
                                tv_distance)
-from qsdlab.numerics import QsdlabError
+from qsdlab.numerics import QsdlabError, TabulatedAntiderivative
 from qsdlab.spectral import eigen_schrodinger, qsd_density
 from qsdlab.zoo import zoo_build
 
@@ -183,19 +183,23 @@ def test_qsd_csv_output(tmp_path, capsys):
     assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=5e-3)
 
 
-def test_qsd_on_a_model_file_builds_one_scale_speed(tmp_path, monkeypatch,
-                                                    capsys):
-    # the density reads rho from the solve's eigenpair record, so an
-    # expression model's log-rho table is built once
+@pytest.mark.parametrize("argv", [
+    ["qsd"], ["spectrum", "--k", "2", "--oracle"],
+    ["compare", "--n", "2000", "--t-max", "3", "--seed", "5"],
+], ids=["qsd", "spectrum-oracle", "compare"])
+def test_a_model_file_builds_one_log_rho_table(argv, tmp_path, monkeypatch,
+                                               capsys):
+    # the model owns its log-rho table, so classification, shooting, the
+    # oracle and the density all read the one table its first use built
     built = []
-    init = ScaleSpeed.__init__
-    monkeypatch.setattr(ScaleSpeed, "__init__",
-                        lambda self, m: built.append(m) or init(self, m))
+    init = TabulatedAntiderivative.__init__
+    monkeypatch.setattr(TabulatedAntiderivative, "__init__",
+                        lambda self, *a, **kw: built.append(a)
+                        or init(self, *a, **kw))
     path = tmp_path / "pull.json"
-    path.write_text(json.dumps(PULL))
-    rc, doc = run_cli(capsys, ["qsd", "--model-json", str(path)])
+    path.write_text(json.dumps(dict(PULL, drift_expr="-1 - 1/(2*x)")))
+    rc, _ = run_cli(capsys, [argv[0], "--model-json", str(path), *argv[1:]])
     assert rc == 0
-    assert doc["Z"] > 0
     assert len(built) == 1
 
 
@@ -632,6 +636,26 @@ def test_nan_killing_rate_exits_3(tmp_path, capsys):
         "non-finite killing rate nan read by a live particle at x = 20.")
 
 
+def test_nan_drift_exits_3(tmp_path, capsys, recwarn):
+    # the drift is NaN past x = 20; a NaN proposal crosses no end and is no
+    # blow-up, so 190 of 200 particles used to run on at NaN, and the run
+    # exited 0 with a RuntimeWarning
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "custom", "drift_expr": "0.3*sqrt(20-x)",
+                                "domain": [0.0, "inf"]}))
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "simulate", "--model-json",
+               str(path), "--n", "200", "--t-max", "40", "--dt", "0.01",
+               "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    saved = json.loads(diag.read_text())
+    assert saved["error"] == "QsdlabError"
+    assert saved["message"].startswith("drift reads nan at x = 20.")
+
+
 @pytest.mark.parametrize("size", ["4", "5"])
 def test_schrodinger_grid_below_k_exits_3(size, tmp_path, capsys):
     # the coarse mesh of grid_size // 2 cells has one interior node for K = 2
@@ -763,11 +787,14 @@ def test_usage_errors_exit_2(capsys):
      "--tol must be a positive finite number, got -1.0"),
     (["classify", "--zoo", "bessel", "--param", "nu=-1.5", "--tol", "nan"],
      "--tol must be a positive finite number, got nan"),
+    # SeedSequence used to end this in a traceback (exit 1)
+    (["simulate", "--zoo", "bessel", "--param", "nu=-1.5", "--seed", "-1"],
+     "--seed must be at least 0, got -1"),
 ], ids=["fd-three-truncations", "schrodinger-truncation",
         "compare-truncation", "k-zero", "shoot-grid-size", "no-model",
         "param-without-value", "param-not-a-number", "record-outside-run",
         "points-negative", "fd-grid-size-2", "schrodinger-grid-size-3",
-        "compare-bins-0", "tol-negative", "tol-nan"])
+        "compare-bins-0", "tol-negative", "tol-nan", "seed-negative"])
 def test_dropped_or_malformed_inputs_exit_2(argv, says, monkeypatch, capsys):
     def no_simulation(*args, **kwargs):
         raise AssertionError("the usage check must come before the probe")

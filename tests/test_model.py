@@ -14,7 +14,6 @@ from qsdlab.model import (
     model_json_str,
     model_to_json,
     reduce_unit_diffusion,
-    scale_speed,
     schrodinger_potential,
 )
 from qsdlab.zoo import zoo_build
@@ -98,25 +97,27 @@ def test_speed_density_closed_vs_quadrature():
     assert m.log_speed_closed is not None
     from dataclasses import replace
     generic = replace(m, log_speed_closed=None)
-    ss_c, ss_q = scale_speed(m), scale_speed(generic)
     xs = np.geomspace(1e-3, 8.0, 25)
-    assert np.allclose(ss_c.speed_density(xs), ss_q.speed_density(xs),
+    assert np.allclose(m.speed_density(xs), generic.speed_density(xs),
                        rtol=1e-8)
-    assert np.allclose(ss_c.scale_density(xs) * ss_c.speed_density(xs), 1.0,
+    assert np.allclose(m.scale_density(xs) * m.speed_density(xs), 1.0,
                        rtol=1e-12)
     # log rho is a float array of the argument's shape on both routes, so
     # callers use it as it comes
-    for ss in (ss_c, ss_q):
+    for model in (m, generic):
         for x in (2.0, xs):
-            out = ss.log_speed(x)
+            out = model.log_speed(x)
             assert isinstance(out, np.ndarray) and out.dtype == np.float64
             assert out.shape == np.shape(x)
 
 
 def test_speed_density_reference_normalization():
     m = zoo_build("generalized_feller", {"h0": 0.0, "h1": -1.0, "h2": 0.0})
-    ss = scale_speed(m)
-    assert ss.speed_density(m.x_ref) == pytest.approx(1.0, rel=1e-12)
+    assert m.speed_density(m.x_ref) == pytest.approx(1.0, rel=1e-12)
+    # log rho is defined for unit diffusion only
+    n = zoo_build("logistic_N", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
+    with pytest.raises(ModelValidationError, match="reduce first"):
+        n.log_speed(1.0)
 
 
 # ------------------------------------------------------------- reduction
@@ -204,8 +205,7 @@ def test_reduction_transports_killing():
     m = zoo_build("logistic_X_killed", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
     # already unit diffusion; build a scaled variant to exercise transport
     base = zoo_build("logistic_N", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
-    killed = base.with_killing(ScalarField(eval=lambda n: 0.5 * n,
-                                           domain=base.domain))
+    killed = base.with_killing(ScalarField(eval=lambda n: 0.5 * n))
     red, tr = reduce_unit_diffusion(killed)
     assert red.killing is not None
     rs = np.linspace(red.x_ref - 1.0, red.x_ref + 1.0, 5)
@@ -231,8 +231,7 @@ def test_potential_sign_canaries():
     assert pot.V(3.3) == pytest.approx(0.5, rel=1e-12)
     assert pot.q(3.3) == pytest.approx(-0.5, rel=1e-12)
     # killing enters q with a minus sign
-    k = m.with_killing(ScalarField(eval=lambda x: x * x,
-                                   domain=(-math.inf, math.inf)))
+    k = m.with_killing(ScalarField(eval=lambda x: x * x))
     pot_k = schrodinger_potential(k)
     assert pot_k.V(2.0) == pytest.approx(0.5 + 4.0, rel=1e-10)
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import qsdlab
 
-from qsdlab.model import DiffusionModel, ScalarField, scale_speed
+from qsdlab.model import DiffusionModel, ScalarField
 from qsdlab.numerics import (
     SL_CHUNKS,
     SL_MAX_CELLS,
@@ -283,10 +284,10 @@ def test_tabulated_antiderivative_values_survive_extension():
     # grown to 30 at once and one grown to 12, then 30: 577 of the 2001
     # points differed while each extension marched from the table's end
     model = DiffusionModel(
-        drift=ScalarField.from_expression("-1 - 1/(2*x)", (0.0, math.inf)),
+        drift=ScalarField.from_expression("-1 - 1/(2*x)"),
         domain=(0.0, math.inf), x_ref=1.0, name="custom")
     xs = np.linspace(5.0, 25.0, 2001)
-    a, b = scale_speed(model), scale_speed(model)
+    a, b = model, replace(model)
     a.log_speed(30.0)
     b.log_speed(12.0)
     b.log_speed(30.0)
@@ -421,7 +422,6 @@ def test_sl_integration_against_trig():
     # spacing, set the cell size.
     for lam, c in ((2.0, None), (3.0, 0.75), (0.5, 2.5), (50.0, None)):
         m = _driftless(c)
-        ss = scale_speed(m)
         g = lam - (c or 0.0)
         k = math.sqrt(2 * abs(g))
         if g > 0:
@@ -432,7 +432,7 @@ def test_sl_integration_against_trig():
             u_of = lambda s: np.cosh(k * s)
             w_of = lambda s: k * np.sinh(k * s)
             zeros = 0
-        traj = integrate_sl_system(m, ss, lam, 1.0, 6.0, (1.0, 0.0),
+        traj = integrate_sl_system(m.killing, m, lam, 1.0, 6.0, (1.0, 0.0),
                                    n_samples=900)
         s = traj.grid - 1.0
         scale = np.exp(traj.log_scale)
@@ -440,7 +440,7 @@ def test_sl_integration_against_trig():
         assert np.all(np.abs(traj.u * scale - u_of(s)) < tol), (lam, c)
         assert np.all(np.abs(traj.w * scale - w_of(s)) < tol), (lam, c)
         # cos(k(x-1)) has floor(5k/pi + 1/2) interior zeros on (1, 6)
-        assert traj.sign_changes(0) == zeros, (lam, c)
+        assert traj.sign_changes() == zeros, (lam, c)
         u6, w6 = traj.final
         assert u6 * math.exp(traj.final_log_scale) == pytest.approx(
             float(u_of(5.0)), abs=1e-8 * max(1.0, abs(float(u_of(5.0)))))
@@ -451,7 +451,7 @@ def test_sl_integration_against_trig():
     # part of the cell rule decides the accuracy (dropping it costs ~2e-6).
     m = zoo_build("bessel", {"nu": -1.5})
     k = 10.0
-    traj = integrate_sl_system(m, scale_speed(m), 0.5 * k * k, 1.0, 6.0,
+    traj = integrate_sl_system(m.killing, m, 0.5 * k * k, 1.0, 6.0,
                                (math.cos(k) + k * math.sin(k), k * k * math.cos(k)),
                                n_samples=900)
     x = traj.grid
@@ -471,8 +471,7 @@ def test_sl_rescaling_keeps_true_values():
     # e^{2x} and forces chunk rescaling over a long window.
     m = DiffusionModel(drift=ScalarField.constant(-1.0),
                        domain=(0.0, math.inf), x_ref=1.0, name="unitpull")
-    ss = scale_speed(m)
-    traj = integrate_sl_system(m, ss, 0.0, 1.0, 180.0, (1.0, 1.0),
+    traj = integrate_sl_system(m.killing, m, 0.0, 1.0, 180.0, (1.0, 1.0),
                                n_samples=500)
     u_true_log = (math.log(0.5) +
                   np.logaddexp(np.log(1.0), 2.0 * (traj.grid - 1.0)))
@@ -487,7 +486,7 @@ def test_sl_rescaling_keeps_true_values():
     # u'' = 4e7 u grows by e^988 over a chunk of (1, 6)
     m = _driftless()
     with pytest.raises(StepUnderflowError):
-        integrate_sl_system(m, scale_speed(m), -2e7, 1.0, 6.0, (1.0, 0.0),
+        integrate_sl_system(m.killing, m, -2e7, 1.0, 6.0, (1.0, 0.0),
                             n_samples=64)
 
 
@@ -511,7 +510,7 @@ def _sl_frozen_cases():
 def _sl_digest(m, lam, a, b, n):
     """Exact sums of a continuation run's samples and log scales, and its
     final state and log scale."""
-    traj = integrate_sl_system(m, scale_speed(m), lam, a, b, (1.0, 0.0),
+    traj = integrate_sl_system(m.killing, m, lam, a, b, (1.0, 0.0),
                                n_samples=n)
     return (math.fsum(traj.values.ravel()), math.fsum(traj.log_scale),
             traj.final, traj.final_log_scale)
@@ -538,7 +537,7 @@ def test_sl_continuation_values_frozen():
         assert _sl_digest(*case) == digest, (case[0].name, case[1])
     m = _driftless()
     with pytest.raises(StepUnderflowError) as err:
-        integrate_sl_system(m, scale_speed(m), -2e7, 1.0, 6.0, (1.0, 0.0),
+        integrate_sl_system(m.killing, m, -2e7, 1.0, 6.0, (1.0, 0.0),
                             n_samples=64)
     assert err.value.last_point == 1.078125
     # killing 1e7 (x/4)^40 overflows in chunk 19 of 32, before the cells of
@@ -547,7 +546,7 @@ def test_sl_continuation_values_frozen():
                        killing=ScalarField.from_expression("1e7 * (x / 4)^40"),
                        domain=(0.0, math.inf), x_ref=1.0, name="steep")
     with pytest.raises(StepUnderflowError) as err:
-        integrate_sl_system(m, scale_speed(m), 0.0, 1.0, 6.0, (1.0, 0.0),
+        integrate_sl_system(m.killing, m, 0.0, 1.0, 6.0, (1.0, 0.0),
                             n_samples=64)
     assert err.value.last_point == 4.046875
     assert err.value.last_state == (1.144327875004119e+155,
@@ -555,10 +554,12 @@ def test_sl_continuation_values_frozen():
 
 
 def test_sl_grid_monotone_guard():
+    # an empty or a reversed interval is refused, naming both ends
     m = _driftless()
-    ss = scale_speed(m)
-    with pytest.raises(Exception):
-        integrate_sl_system(m, ss, 1.0, 2.0, 2.0, (1.0, 0.0))
+    for x_from, x_to in ((2.0, 2.0), (3.0, 2.0)):
+        with pytest.raises(QsdlabError, match=rf"x_to = {x_to} is not past "
+                                              rf"x_from = {x_from}"):
+            integrate_sl_system(m.killing, m, 1.0, x_from, x_to, (1.0, 0.0))
 
 
 @pytest.mark.parametrize("killed,lam", [(False, 3.0), (True, 0.5)],
@@ -567,20 +568,20 @@ def test_chunk_scan_against_chunks_alone_and_a_plain_product(killed, lam):
     # uneven cell counts, so the stacked chunks carry identity padding
     m = (_driftless(0.75) if killed
          else zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}))
-    ss, kappa = scale_speed(m), m.killing
+    kappa = m.killing
     edges = np.linspace(0.75, 3.0, 4)
     segs = np.linspace(edges[:-1], edges[1:], 5, axis=1)
     n_cells = np.array([[1, 7, 2, 30], [13, 1, 1, 4], [40, 22, 9, 17]])
-    maps = _chunk_maps(ss, kappa, lam, segs, n_cells)
+    maps = _chunk_maps(m, kappa, lam, segs, n_cells)
     assert maps.shape == (3, 4, 4)
     for i in range(3):
         # the padding after a chunk's real cells changes none of its bits
-        alone = _chunk_maps(ss, kappa, lam, segs[i:i + 1], n_cells[i:i + 1])
+        alone = _chunk_maps(m, kappa, lam, segs[i:i + 1], n_cells[i:i + 1])
         assert np.array_equal(alone[0], maps[i])
         prod = np.eye(2)
         for j, n in enumerate(n_cells[i]):
             h = np.full(n, (segs[i, j + 1] - segs[i, j]) / n)
-            cells = _magnus_cells(ss, kappa, lam,
+            cells = _magnus_cells(m, kappa, lam,
                                   segs[i, j] + np.arange(n) * h, h)
             for cell in np.stack(cells, axis=-1).reshape(n, 2, 2):
                 prod = cell @ prod
@@ -627,15 +628,15 @@ def test_a_shot_past_the_cell_budget_is_refused_before_it_is_built():
     # bessel nu = -3/2 at lam = 1e9 oscillates with k = 44721 on (1, 6) and
     # never overflows: nothing but the budget stops its 1.1e7 cells
     m = zoo_build("bessel", {"nu": -1.5})
-    ss = scale_speed(m)
     edges = np.linspace(1.0, 6.0, SL_CHUNKS + 1)
     segs = np.linspace(edges[:-1], edges[1:], 3, axis=1)
-    assert _cell_counts(ss, None, 1e9, segs).sum() > 10 * SL_MAX_CELLS
+    assert _cell_counts(m, None, 1e9, segs).sum() > 10 * SL_MAX_CELLS
     start = time.perf_counter()
     with pytest.raises(QsdlabError,
                        match=r"349386 Magnus cells in chunk 4 of 32 "
                              r"\(x = 1.46875 to 1.625\), 1397544 in all") as err:
-        integrate_sl_system(m, ss, 1e9, 1.0, 6.0, (1.0, 0.0), n_samples=64)
+        integrate_sl_system(m.killing, m, 1e9, 1.0, 6.0, (1.0, 0.0),
+                            n_samples=64)
     assert not isinstance(err.value, StepUnderflowError)
     assert time.perf_counter() - start < 10.0
 
@@ -768,8 +769,7 @@ def qsdlab_tridiagonals():
         spectral.eigen_schrodinger(zoo_build(
             "logistic_X_killed", {"mu": 1.0, "c": 1.0, "sigma": 1.0}), K=2)
         ou = DiffusionModel(drift=ScalarField(eval=lambda x: -x,
-                                              deriv=lambda x: -1.0 + 0.0 * x,
-                                              domain=(-10.0, 10.0)),
+                                              deriv=lambda x: -1.0 + 0.0 * x),
                             domain=(-10.0, 10.0), x_ref=0.0, name="ou")
         spectral.eigen_fd_oracle(ou, K=3, left_bc="sealed",
                                  right_bc="sealed")

@@ -20,7 +20,6 @@ from qsdlab.model import (
     DiffusionModel,
     ScalarField,
     reduce_unit_diffusion,
-    scale_speed,
 )
 from qsdlab import spectral
 from qsdlab.numerics import QsdlabError, cumulative_parabolic
@@ -220,9 +219,9 @@ def test_shoot_is_deterministic():
 
 
 def test_shoot_eigenfunctions_orthonormal(shoot_pb15):
-    ss = scale_speed(zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0}))
+    pb = zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0})
     base = shoot_pb15.eigenfunctions[0].grid
-    rho = ss.speed_density(base)
+    rho = pb.speed_density(base)
     G = np.empty((3, 3))
     for i in range(3):
         fi = shoot_pb15.eigenfunctions[i](base)
@@ -277,7 +276,7 @@ def test_left_end_core_is_solved_once_per_lam(monkeypatch):
 
 def _custom_ou_shifted():
     return DiffusionModel(
-        drift=ScalarField.from_expression("-(x+1)", (-1.0, math.inf)),
+        drift=ScalarField.from_expression("-(x+1)"),
         domain=(-1.0, math.inf), x_ref=0.0, name="custom")
 
 
@@ -325,7 +324,7 @@ def test_shoot_ladder_and_extrapolation_bits_frozen():
 ], ids=["l=1", "l=-1"])
 def test_shoot_from_a_left_end_other_than_zero(expr, domain, x_ref, exact):
     # the core levels sit at l + r0 2^-j, so any finite l is shot like l = 0
-    m = DiffusionModel(drift=ScalarField.from_expression(expr, domain),
+    m = DiffusionModel(drift=ScalarField.from_expression(expr),
                        domain=domain, x_ref=x_ref, name="custom")
     sh = eigen_shoot(m, K=2)
     fd = eigen_fd_oracle(m, K=2, truncation=sh.truncation[-1])
@@ -347,8 +346,7 @@ def test_shoot_rejects_bad_ladder():
 def test_fd_validated_on_harmonic_oscillator():
     m = DiffusionModel(drift=ScalarField.constant(0.0),
                        killing=ScalarField(eval=lambda x: 0.5 * x * x,
-                                           deriv=lambda x: x,
-                                           domain=(-12.0, 12.0)),
+                                           deriv=lambda x: x),
                        domain=(-12.0, 12.0), x_ref=0.0, name="oscillator")
     res = eigen_fd_oracle(m, K=2, left_bc="dirichlet", right_bc="dirichlet")
     assert res.eigenvalues[0] == pytest.approx(0.5, abs=1e-3)
@@ -359,8 +357,7 @@ def test_fd_stationary_canary_sealed_ends():
     # drift -x with no killing: spectrum 0, 1, 2 and the zero mode constant;
     # pins both the sign conventions and the sealed (reflecting) conditions
     m = DiffusionModel(drift=ScalarField(eval=lambda x: -x,
-                                         deriv=lambda x: -1.0 + 0.0 * x,
-                                         domain=(-10.0, 10.0)),
+                                         deriv=lambda x: -1.0 + 0.0 * x),
                        domain=(-10.0, 10.0), x_ref=0.0, name="ou")
     res = eigen_fd_oracle(m, K=3, left_bc="sealed", right_bc="sealed")
     assert np.allclose(res.eigenvalues, [0.0, 1.0, 2.0], atol=1e-3)
@@ -442,7 +439,7 @@ def test_every_route_fills_one_eigenpair_record(solve, name_params):
         assert isinstance(ph, PhiSolution)
         assert ph.grid.shape == ph.phi.shape == ph.w.shape == ph.rho.shape
         # rho is the model's speed density on the record's grid, bit for bit
-        assert np.array_equal(ph.rho, scale_speed(m).speed_density(ph.grid))
+        assert np.array_equal(ph.rho, m.speed_density(ph.grid))
         # one sign rule: phi is positive where |phi| rho peaks
         assert ph.phi[np.argmax(np.abs(ph.phi) * ph.rho)] > 0
 
