@@ -23,7 +23,6 @@ import sys
 import warnings
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .boundary import classify, positivity_criterion
@@ -33,15 +32,14 @@ from .montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
                          run_ensemble, survival_curve, tv_distance)
 from .numerics import QsdlabError
 from .spectral import (eigen_fd_oracle, eigen_schrodinger, eigen_shoot,
-                       qsd_density)
+                       qsd_density, shooting_ladder)
 from .zoo import ZOO, zoo_build
 
 __all__ = ["main"]
 
 
 def _env_settings() -> dict:
-    return {"qsdlab": __version__, "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    return {"qsdlab": __version__, "numpy": np.__version__}
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
@@ -148,7 +146,9 @@ def _model_report(model: DiffusionModel) -> dict:
 def _spectral(model: DiffusionModel, args):
     """Resolve the spectral route for `model` and check the options of
     `_add_spectral_args` against it before any work is done.  Returns the
-    solve as a thunk."""
+    solve and the FE oracle that cross-checks it (None on the FE route) as
+    thunks; the oracle works on the window of the widest shooting
+    truncation, or on the whole line on a window of its own."""
     method = args.method
     if method == "auto":
         both_inf = math.isinf(model.domain[0]) and math.isinf(model.domain[1])
@@ -161,7 +161,9 @@ def _spectral(model: DiffusionModel, args):
         if args.grid_size is not None:
             _usage("--grid-size does not apply to the shooting route, "
                    "which has no grid")
-        return lambda: eigen_shoot(model, K=k, truncations=trunc)
+        return (lambda: eigen_shoot(model, K=k, truncations=trunc),
+                lambda: eigen_fd_oracle(
+                    model, truncation=shooting_ladder(model, trunc)[-1], K=k))
     if method == "fd":
         if trunc is not None and len(trunc) > 2:
             _usage("--method fd takes one truncation T or a window LO HI, "
@@ -169,13 +171,17 @@ def _spectral(model: DiffusionModel, args):
         tr = None
         if trunc:
             tr = tuple(trunc) if len(trunc) == 2 else float(trunc[0])
-        return lambda: eigen_fd_oracle(model, grid_size=args.grid_size or 1600,
-                                       truncation=tr, K=k)
+        return (lambda: eigen_fd_oracle(model,
+                                        grid_size=args.grid_size or 1600,
+                                        truncation=tr, K=k), None)
     if trunc is not None:
         _usage("--truncation does not apply to the Schrodinger route, "
                "which chooses its own window")
-    return lambda: eigen_schrodinger(model, K=k,
-                                     grid_size=args.grid_size or 6000)
+    # on the whole line FE picks its own window: the Schrodinger one spans
+    # more decades of rho than its element masses can hold
+    return (lambda: eigen_schrodinger(model, K=k,
+                                      grid_size=args.grid_size or 6000),
+            lambda: eigen_fd_oracle(model, K=k))
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +204,27 @@ def _cmd_classify(args, doc: dict) -> None:
 
 
 def _cmd_spectrum(args, doc: dict) -> None:
+    """The spectrum and, with --oracle, its FE cross-check.  The oracle runs
+    in a forked child beside the spectral solve and is read after it, so
+    failures and the partial report come out as if it ran in-process."""
     model = _load_model(args)
     red, _, red_info = _reduced(model)
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                **red_info)
-    spec = _spectral(red, args)()
-    doc.update(spectrum=spec.to_json(), gap=spec.gap,
-               settings={"method": spec.method, "k": len(spec.eigenvalues),
-                         **_env_settings()})
-    if args.oracle and spec.method != "fd":
-        # on the whole line FE picks its own window: the Schrodinger one
-        # spans more decades of rho than its element masses can hold
-        tr = spec.truncation[-1] if spec.method == "shoot" else None
-        oracle = eigen_fd_oracle(red, truncation=tr,
-                                 K=len(spec.eigenvalues))
-        kk = min(len(spec.eigenvalues), len(oracle.eigenvalues))
-        diff = float(np.max(np.abs(spec.eigenvalues[:kk]
-                                   - oracle.eigenvalues[:kk])))
-        doc["oracle"] = {"eigenvalues": oracle.eigenvalues,
-                         "max_difference": diff,
-                         "agrees_rel": diff <= 1e-4 * (1.0 + abs(spec.lambda0))}
+    solve, oracle = _spectral(red, args)
+    with (_Forked(oracle, "the FE oracle") if args.oracle and oracle
+          else contextlib.nullcontext()) as fe:
+        spec = solve()
+        doc.update(spectrum=spec.to_json(), gap=spec.gap,
+                   settings={"method": spec.method,
+                             "k": len(spec.eigenvalues), **_env_settings()})
+        if fe is None:
+            return
+        ref = fe.result()
+    kk = min(len(spec.eigenvalues), len(ref.eigenvalues))
+    diff = float(np.max(np.abs(spec.eigenvalues[:kk] - ref.eigenvalues[:kk])))
+    doc["oracle"] = {"eigenvalues": ref.eigenvalues, "max_difference": diff,
+                     "agrees_rel": diff <= 1e-4 * (1.0 + abs(spec.lambda0))}
 
 
 def _cmd_qsd(args, doc: dict) -> None:
@@ -225,7 +232,7 @@ def _cmd_qsd(args, doc: dict) -> None:
     red, _, red_info = _reduced(model)
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                **red_info)
-    spec = _spectral(red, args)()
+    spec = _spectral(red, args)[0]()
     doc.update(lambda0=spec.lambda0,
                settings={"method": spec.method, "points": args.points,
                          **_env_settings()})
@@ -289,16 +296,18 @@ def _cmd_simulate(args, doc: dict) -> None:
 
 
 class _Forked:
-    """`fn()` computed in a forked child while the parent works on.
+    """`fn()` computed in a forked child while the parent works on; `name`
+    says what the child computes, in the message of a child that dies.
 
     `result()` returns fn's value or raises its exception, which come back
     pickled through a pipe.  Leaving the block kills and reaps a child whose
     result was not read, so no exit path leaves a process behind.  Where
     `os.fork` is missing or fails, `result()` calls `fn()` in-process, with
-    the same value since every random stream is keyed from a seed."""
+    the same value: every random stream is keyed from a seed, and a model's
+    log rho is a pure function of x."""
 
-    def __init__(self, fn):
-        self._fn = fn
+    def __init__(self, fn, name: str):
+        self._fn, self._name = fn, name
         self._pid = self._fd = None
 
     def __enter__(self):
@@ -347,10 +356,9 @@ class _Forked:
         self._pid = None
         if os.WIFSIGNALED(status):
             sig = signal.Signals(os.WTERMSIG(status)).name
-            raise QsdlabError(f"the plain ensemble's process was killed "
-                              f"by {sig}")
+            raise QsdlabError(f"{self._name}'s process was killed by {sig}")
         if not data:
-            raise QsdlabError(f"the plain ensemble's process exited with "
+            raise QsdlabError(f"{self._name}'s process exited with "
                               f"status {os.waitstatus_to_exitcode(status)} "
                               f"and no result")
         ok, value = pickle.loads(data)
@@ -392,7 +400,7 @@ def _cmd_compare(args, doc: dict) -> None:
     x0 = _start(args, red, tr)
     l, rr = red.domain
     killed_line = red.killing is not None and math.isinf(l) and math.isinf(rr)
-    solve = _spectral(red, args)
+    solve = _spectral(red, args)[0]
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                settings={"x0": x0, "dt": args.dt, "n": args.n,
                          "t_max": args.t_max, "seed": args.seed,
@@ -411,7 +419,8 @@ def _cmd_compare(args, doc: dict) -> None:
 
     cfg = _sim_config(args)
     with (contextlib.nullcontext() if degraded else
-          _Forked(lambda: _plain_fit(red, x0, cfg))) as plain:
+          _Forked(lambda: _plain_fit(red, x0, cfg),
+                  "the plain ensemble")) as plain:
         probe = dichotomy_probe(red, x0, cfg)
         doc["dichotomy"] = probe.to_json()
 

@@ -174,6 +174,17 @@ def _side_levels(m, endpoint):
             k += 1
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of `a`, ascending: np.unique's own steps (sort,
+    then keep each value that differs from the one before), which give its
+    bits without its lazy import of numpy.ma."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _log_integral(logf, lo: float, hi: float) -> float:
     """log of int_lo^hi exp(logf) on a graded-plus-uniform set of 16-point
     Gauss panels, evaluated in one vectorized pass.  The grading depth
@@ -198,8 +209,8 @@ def _log_integral(logf, lo: float, hi: float) -> float:
     # graded geometrically toward both ends, plus a uniform set
     g = np.concatenate(([0.0], 2.0 ** np.arange(-m, 0.0),
                         1.0 - 2.0 ** np.arange(-2.0, -m - 1.0, -1.0), [1.0]))
-    breaks = np.unique(np.concatenate((lo + span * g,
-                                       np.linspace(lo, hi, 17))))
+    breaks = _sorted_unique(np.concatenate((lo + span * g,
+                                            np.linspace(lo, hi, 17))))
     # per-panel logs of the Gauss sums, each shifted by its largest term
     x, w = _gl_nodes(16)
     mid = 0.5 * (breaks[:-1] + breaks[1:])
@@ -574,17 +585,17 @@ SL_SCAN_CELLS = 1 << 16
 # cells per chunk at lam = 1e5 on (1, 6)); past it the shot is refused
 # before the cells of the offending run are built, so memory stays bounded.
 SL_MAX_CELLS = 1 << 20
+# Cells whose lam-free samples (about 56 bytes a cell) one `lam_free` dict of
+# integrate_sl_system keeps; the cells of later layouts are not kept.
+SL_KEPT_CELLS = 1 << 16
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
-def _cell_counts(scale_speed, kappa, lam: float,
-                 segs: np.ndarray) -> np.ndarray:
-    """Cells per sample interval of the chunks `segs` (one row per chunk),
-    enough to keep both bounded quantities at or below MAGNUS_CELL_BOUND.
-
-    The change of log rho is estimated as twice the larger of its changes
-    over the two halves of the interval, |lam - kappa| by its largest value
-    at the ends and the midpoint."""
+def _pilot(scale_speed, kappa, segs: np.ndarray) -> tuple:
+    """The lam-free part of `_cell_counts` for the chunks `segs` (one row
+    per chunk): twice the larger change of log rho over the two halves of
+    each sample interval, and kappa at the interval ends and midpoints (0.0
+    for no killing)."""
     pilot = np.empty((segs.shape[0], 2 * segs.shape[1] - 1))
     pilot[:, 0::2] = segs
     pilot[:, 1::2] = 0.5 * (segs[:, :-1] + segs[:, 1:])
@@ -593,7 +604,20 @@ def _cell_counts(scale_speed, kappa, lam: float,
     swing = 2.0 * np.maximum(halves[:, 0::2], halves[:, 1::2])
     kap = (kappa(pilot.ravel()).reshape(pilot.shape) if kappa is not None
            else 0.0)
-    gap = np.broadcast_to(np.abs(lam - kap), pilot.shape)
+    return swing, kap
+
+
+def _cell_counts(pilot: tuple, lam: float, segs: np.ndarray) -> np.ndarray:
+    """Cells per sample interval of the chunks `segs`, enough to keep both
+    bounded quantities at or below MAGNUS_CELL_BOUND, from `_pilot`'s value
+    for `segs`.
+
+    The change of log rho is estimated as twice the larger of its changes
+    over the two halves of the interval, |lam - kappa| by its largest value
+    at the ends and the midpoint."""
+    swing, kap = pilot
+    gap = np.broadcast_to(np.abs(lam - kap),
+                          (segs.shape[0], 2 * segs.shape[1] - 1))
     gap = np.maximum(np.maximum(gap[:, :-1:2], gap[:, 1::2]), gap[:, 2::2])
     turn = np.sqrt(2.0 * gap) * np.abs(np.diff(segs, axis=1))
     cells = np.maximum(swing, turn) / MAGNUS_CELL_BOUND
@@ -606,10 +630,30 @@ def _cell_counts(scale_speed, kappa, lam: float,
     return np.maximum(1, np.ceil(cells)).astype(np.int64)
 
 
-def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
-                  h: np.ndarray) -> tuple:
-    """Fourth-order Magnus maps of the cells [left, left + h], as their four
-    component arrays (m00, m01, m10, m11), each of shape (n,).
+def _cell_samples(scale_speed, kappa, segs: np.ndarray,
+                  n_cells: np.ndarray) -> tuple:
+    """The lam-free part of the cells of the chunks `segs`: (h, rho, 1/rho,
+    kappa), the width of every cell and the coefficients at its two Gauss
+    nodes (all first nodes, then all second nodes; kappa 0.0 for no
+    killing).  Interval k of the flattened rows owns n_cells.flat[k] equal
+    cells starting at segs[:, :-1].flat[k]."""
+    counts = n_cells.ravel()
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    h = (np.diff(segs, axis=1).ravel() / counts)[owner]
+    left = (segs[:, :-1].ravel()[owner]
+            + (np.arange(ends[-1]) - (ends - counts)[owner]) * h)
+    nodes = np.concatenate([left + g * h for g in _GAUSS_NODES])
+    return (h, scale_speed.speed_density(nodes),
+            scale_speed.scale_density(nodes),
+            kappa(nodes) if kappa is not None else 0.0)
+
+
+def _magnus_cells(lam: float, h: np.ndarray, rho: np.ndarray,
+                  inv_rho: np.ndarray, kap) -> tuple:
+    """Fourth-order Magnus maps of cells of widths h, from `_cell_samples`'
+    values for them, as their four component arrays (m00, m01, m10, m11),
+    each of shape (n,).
 
     With A = [[0, b], [c, 0]], b = 1/rho and c = -2(lam - kappa) rho sampled
     at the two Gauss points, Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]
@@ -617,12 +661,8 @@ def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
     Omega with C, S = cosh s, sinh(s)/s (or cos s, sin(s)/s) of
     s = sqrt|p^2 + qr|, and det exp(Omega) = C^2 - S^2 (p^2 + qr) = 1.
     """
-    nodes = np.concatenate([left + g * h for g in _GAUSS_NODES])
-    rho = scale_speed.speed_density(nodes)
-    inv_rho = scale_speed.scale_density(nodes)
-    kap = kappa(nodes) if kappa is not None else 0.0
     c = -2.0 * (lam - kap) * rho
-    n = len(left)
+    n = len(h)
     b1, b2, c1, c2 = inv_rho[:n], inv_rho[n:], c[:n], c[n:]
     p = (math.sqrt(3.0) / 12.0) * h * h * (b2 * c1 - b1 * c2)
     q = 0.5 * h * (b1 + b2)
@@ -640,11 +680,11 @@ def _magnus_cells(scale_speed, kappa, lam: float, left: np.ndarray,
             cos_part - sin_part * p)
 
 
-def _chunk_maps(scale_speed, kappa, lam: float, segs: np.ndarray,
-                n_cells: np.ndarray) -> np.ndarray:
-    """Transfer maps from the start of each chunk (row of `segs`) to its
+def _chunk_maps(lam: float, n_cells: np.ndarray, cells: tuple) -> np.ndarray:
+    """Transfer maps from the start of each chunk (row of `n_cells`) to its
     sample points, shape (rows, samples - 1, 4), the last axis holding the
-    components (m00, m01, m10, m11).
+    components (m00, m01, m10, m11), from `_cell_samples`' value for the
+    chunks.
 
     All cells are evaluated in one array call and composed by one
     Hillis-Steele scan over a stack with one row per chunk, padded with
@@ -654,19 +694,11 @@ def _chunk_maps(scale_speed, kappa, lam: float, segs: np.ndarray,
     component arrays, and each 2x2 product is written out as eight multiplies
     and four adds on them: no BLAS call runs, so the bits do not depend on
     the host's OpenBLAS kernel."""
-    # interval k of the flattened rows owns n_cells.flat[k] equal cells
-    # starting at segs[:, :-1].flat[k]
-    counts = n_cells.ravel()
-    ends = np.cumsum(counts)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    h = (np.diff(segs, axis=1).ravel() / counts)[owner]
-    left = (segs[:, :-1].ravel()[owner]
-            + (np.arange(ends[-1]) - (ends - counts)[owner]) * h)
     chunk_ends = np.cumsum(n_cells, axis=1)
     real = np.arange(chunk_ends[:, -1].max()) < chunk_ends[:, -1:]
     prefix = np.zeros((4,) + real.shape)
     prefix[0] = prefix[3] = 1.0
-    prefix[:, real] = _magnus_cells(scale_speed, kappa, lam, left, h)
+    prefix[:, real] = _magnus_cells(lam, *cells)
     # prefix[:, i, j] maps the start of chunk i to the right end of its cell j
     shift = 1
     while shift < real.shape[1]:
@@ -676,13 +708,14 @@ def _chunk_maps(scale_speed, kappa, lam: float, segs: np.ndarray,
             l00 * e00 + l01 * e10, l00 * e01 + l01 * e11,
             l10 * e00 + l11 * e10, l10 * e01 + l11 * e11)
         shift *= 2
-    return prefix.transpose(1, 2, 0)[np.arange(len(segs))[:, None],
+    return prefix.transpose(1, 2, 0)[np.arange(len(n_cells))[:, None],
                                      chunk_ends - 1]
 
 
 def integrate_sl_system(kappa, scale_speed, lam: float, x_from: float,
                         x_to: float, init: Sequence[float],
-                        n_samples: int = 400) -> OdeTrajectory:
+                        n_samples: int = 400,
+                        lam_free: Optional[dict] = None) -> OdeTrajectory:
     """Integrate u' = w/rho, w' = -2(lam - kappa)*rho*u from x_from to
     x_to > x_from.
 
@@ -700,15 +733,25 @@ def integrate_sl_system(kappa, scale_speed, lam: float, x_from: float,
     (`_chunk_maps`) per run of chunks whose padded stack fits SL_SCAN_CELLS,
     which is the whole shot unless the cells run into the hundred
     thousands; only the chunk-start states are carried from chunk to chunk,
-    as two floats.  The maps are kept as component arrays and multiplied
-    out entry by entry, so the continuation makes no BLAS call and its bits
-    do not depend on the OpenBLAS kernel the host dispatches.  A shot that
+    as two Python floats through each chunk's end map, and then every sample
+    of the run is written in one array pass.  The maps are kept as component
+    arrays and multiplied out entry by entry, so the continuation makes no
+    BLAS call and its bits do not depend on the OpenBLAS kernel the host
+    dispatches.  A shot that
     would build more than SL_MAX_CELLS cells raises QsdlabError, naming the
     chunk, before that chunk's cells are built.
 
     The state is renormalized by a positive factor between chunks whenever
     it grows past SL_RESCALE_AT, so eigenvalue miss functions keep valid signs
     even when the non-decaying mode grows like exp(several hundred).
+
+    Only c = -2(lam - kappa) rho depends on lam.  A caller that integrates
+    one model and kappa at many lam passes one `lam_free` dict to every
+    call; it keeps the pilot log rho of the cell grading per (x_from, x_to,
+    n_samples) and rho, 1/rho and kappa at the Gauss nodes per cell layout
+    (up to SL_KEPT_CELLS cells in all, counted under the key "kept cells"),
+    so a later call with the same interval and layout evaluates no
+    coefficient.  The products are the same, so are the bits.
     """
     if not x_to > x_from:
         raise QsdlabError(f"integrate_sl_system integrates forward only: "
@@ -717,7 +760,14 @@ def integrate_sl_system(kappa, scale_speed, lam: float, x_from: float,
     edges = np.linspace(x_from, x_to, SL_CHUNKS + 1)
     per_chunk = max(2, n_samples // SL_CHUNKS + 1)
     segs = np.linspace(edges[:-1], edges[1:], per_chunk, axis=1)
-    n_cells = _cell_counts(scale_speed, kappa, lam, segs)
+    if lam_free is None:
+        lam_free = {}
+    key = (x_from, x_to, per_chunk)
+    if key not in lam_free:
+        lam_free[key] = _pilot(scale_speed, kappa, segs)
+    n_cells = _cell_counts(lam_free[key], lam, segs)
+    # the cells of each run of chunks, keyed by the run's first chunk
+    runs = lam_free.setdefault(key + (n_cells.tobytes(),), {})
     chunk_cells = n_cells.sum(axis=1).tolist()
     running = np.cumsum(chunk_cells)
     vals = np.empty((SL_CHUNKS, per_chunk, 2))
@@ -741,21 +791,31 @@ def integrate_sl_system(kappa, scale_speed, lam: float, x_from: float,
                 f"{i + 1} of {SL_CHUNKS} (x = {segs[i, 0]:.6g} to "
                 f"{segs[i, -1]:.6g}), {running[i]} in all so far, past "
                 f"SL_MAX_CELLS = {SL_MAX_CELLS} per shot")
+        cells = runs.get(start)
+        if cells is None:
+            cells = _cell_samples(scale_speed, kappa, segs[start:stop],
+                                  n_cells[start:stop])
+            kept = lam_free.get("kept cells", 0) + len(cells[0])
+            if kept <= SL_KEPT_CELLS:
+                runs[start], lam_free["kept cells"] = cells, kept
         # overflow surfaces as a non-finite state and is raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            maps = _chunk_maps(scale_speed, kappa, lam, segs[start:stop],
-                               n_cells[start:stop])
+            maps = _chunk_maps(lam, n_cells[start:stop], cells)
             # the chunk-start states are sequential: each is the previous
             # chunk's end, divided by its largest entry past SL_RESCALE_AT
-            for i, m in enumerate(maps, start):
-                vals[i, 0] = s0, s1
-                vals[i, 1:] = m[:, 0::2] * s0 + m[:, 1::2] * s1
-                logs[i] = log_scale
-                s0, s1 = vals[i, -1].tolist()
+            heads = []
+            for m00, m01, m10, m11 in maps[:, -1].tolist():
+                heads.append((s0, s1, log_scale))
+                s0, s1 = m00 * s0 + m01 * s1, m10 * s0 + m11 * s1
                 peak = max(abs(s0), abs(s1))
                 if peak > SL_RESCALE_AT:
                     s0, s1 = s0 / peak, s1 / peak
                     log_scale += math.log(peak)
+            heads = np.array(heads)
+            vals[start:stop, 0] = heads[:, :2]
+            vals[start:stop, 1:] = (maps[..., 0::2] * heads[:, None, 0:1]
+                                    + maps[..., 1::2] * heads[:, None, 1:2])
+            logs[start:stop] = heads[:, 2]
         finite = np.all(np.isfinite(vals[start:stop]), axis=2)
         if not np.all(finite):
             i, last = divmod(int(np.argmin(finite)), per_chunk)
@@ -1006,7 +1066,7 @@ def tridiagonal_lowest(diag, off, K: int) -> tuple:
             _TRI_RTOL * np.maximum(np.abs(lo), np.abs(hi)), pivmin)
         if not live.any():
             break
-        s = np.unique(_section_points(lo[live], hi[live], pivmin))
+        s = _sorted_unique(_section_points(lo[live], hi[live], pivmin))
         below = _sturm_counts(d, c, s, pivmin)[None, :] <= ks
         lo = np.maximum(lo, np.max(np.where(below, s, -np.inf), axis=1))
         hi = np.minimum(hi, np.min(np.where(below, np.inf, s), axis=1))

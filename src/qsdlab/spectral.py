@@ -23,15 +23,16 @@ import numpy as np
 
 from .model import DiffusionModel, ScalarField, schrodinger_potential
 from .numerics import (OdeTrajectory, QsdlabError, TabulatedAntiderivative,
-                       _line_fit, _richardson, brent_root,
+                       _line_fit, _richardson, _sorted_unique, brent_root,
                        cumulative_parabolic, improper_integral,
                        integrate_sl_system, tail_integral, tridiagonal_lowest)
 
 __all__ = [
     "ClassificationMismatchError", "USolution", "PhiSolution",
     "SpectralResult", "QsdDensity", "DoobResult", "HeatKernelValue",
-    "build_u", "build_phi", "eigen_shoot", "eigen_fd_oracle",
-    "eigen_schrodinger", "qsd_density", "doob_h_transform", "heat_kernel",
+    "build_u", "build_phi", "shooting_ladder", "eigen_shoot",
+    "eigen_fd_oracle", "eigen_schrodinger", "qsd_density",
+    "doob_h_transform", "heat_kernel",
 ]
 
 
@@ -205,6 +206,8 @@ class _UBuilder:
         self._levels: dict = {}
         # the shot's left-end core per lam: (delta, core trajectory)
         self._cores: dict = {}
+        # the lam-free samples of the continuations (integrate_sl_system)
+        self._lam_free: dict = {}
         # accessibility probe: the double integral must be stable against the
         # inner cutoff, otherwise the left endpoint is not accessible and no
         # contraction radius exists
@@ -261,7 +264,8 @@ class _UBuilder:
         if x_to is not None and x_to > delta:
             traj = integrate_sl_system(self.model.killing, self.model, lam,
                                        delta, x_to, init=(float(u[-1]), 0.0),
-                                       n_samples=_N_SAMPLES)
+                                       n_samples=_N_SAMPLES,
+                                       lam_free=self._lam_free)
         return USolution(lam=lam, delta=delta, contraction_factor=factor,
                          samples=traj, core_grid=lv["grid"], core_u=u,
                          core_w=w, residual=residual)
@@ -326,7 +330,8 @@ class _UBuilder:
         if x_to is None or not x_to > delta:
             return traj
         cont = integrate_sl_system(self.model.killing, self.model, lam, delta,
-                                   x_to, init=traj.final, n_samples=_N_SAMPLES)
+                                   x_to, init=traj.final, n_samples=_N_SAMPLES,
+                                   lam_free=self._lam_free)
         return OdeTrajectory(
             grid=np.concatenate((traj.grid, cont.grid[1:])),
             values=np.concatenate((traj.values, cont.values[1:])),
@@ -354,6 +359,24 @@ def build_phi(model: DiffusionModel, lam: float,
 # ---------------------------------------------------------------------------
 
 _DEFAULT_LOGRHO_CAPS = (30.0, 42.0, 60.0)
+
+
+def shooting_ladder(model: DiffusionModel,
+                    truncations: Optional[Sequence[float]] = None) -> list:
+    """The right truncations `eigen_shoot` shoots against, as floats: the
+    given ones, else the points right of x_ref where |log rho| first reaches
+    each of the default caps.  Raises QsdlabError unless there are at least
+    two and they increase."""
+    if truncations is None:
+        truncations = [_march_cap(lambda x: abs(float(model.log_speed(x))),
+                                  model.x_ref, +1.0, cap)
+                       for cap in _DEFAULT_LOGRHO_CAPS]
+    truncations = [float(t) for t in truncations]
+    if len(truncations) < 2:
+        raise QsdlabError("need at least two truncations for extrapolation")
+    if not all(b > a for a, b in zip(truncations, truncations[1:])):
+        raise QsdlabError(f"truncation ladder not increasing: {truncations}")
+    return truncations
 
 
 def eigen_shoot(model: DiffusionModel, K: int = 1,
@@ -391,16 +414,7 @@ def eigen_shoot(model: DiffusionModel, K: int = 1,
     if K < 1:
         raise QsdlabError("K must be >= 1")
     ub = _UBuilder(model)
-    if truncations is None:
-        # right cutoffs where |log rho| first reaches each cap
-        truncations = [_march_cap(lambda x: abs(float(model.log_speed(x))),
-                                  model.x_ref, +1.0, cap)
-                       for cap in _DEFAULT_LOGRHO_CAPS]
-    truncations = [float(t) for t in truncations]
-    if len(truncations) < 2:
-        raise QsdlabError("need at least two truncations for extrapolation")
-    if not all(b > a for a, b in zip(truncations, truncations[1:])):
-        raise QsdlabError(f"truncation ladder not increasing: {truncations}")
+    truncations = shooting_ladder(model, truncations)
 
     roots_by_t, shots_by_t = {}, {}
     prev = band = None
@@ -579,7 +593,7 @@ def _fd_once(model: DiffusionModel, lo: float, hi: float, n: int, K: int,
     gap = hi - lo
     if graded:
         r0 = 1e-4 * gap
-        knots = np.unique(np.concatenate((
+        knots = _sorted_unique(np.concatenate((
             [0.0], np.geomspace(r0, gap, n // 2), np.linspace(r0, gap, n - n // 2))))
         nodes = lo + knots
     else:

@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy
 
 import qsdlab
 import qsdlab.cli
@@ -64,11 +63,8 @@ def test_classify_report(capsys):
     assert cls["right"]["kind"] == "Natural"
     assert cls["absorption_certain"] is True
     assert doc["convention"] == CONVENTION_NOTE
-    assert doc["settings"]["tol"] == 1e-9
-    versions = {"qsdlab": qsdlab.__version__, "numpy": np.__version__,
-                "scipy": scipy.__version__}
-    assert (versions.items() <= doc["settings"].items()
-            and "qsdlab_threads" not in doc["settings"])
+    assert doc["settings"] == {"tol": 1e-9, "qsdlab": qsdlab.__version__,
+                               "numpy": np.__version__}
     assert doc["model"]["params"] == {"nu": -1.5}
     assert doc["model"]["domain"] == [0.0, "inf"]
     assert doc["reduced"] is False
@@ -394,30 +390,41 @@ def assert_no_child_left():
 
 PULL = {"name": "custom", "drift_expr": "-1", "domain": [0.0, "inf"],
         "x_ref": 1.0}
+PB15 = ["--zoo", "perturbed_bessel", "--param", "nu=-1.5", "--param", "c1=1"]
+SMALL = ["--n", "1000", "--dt", "0.01", "--t-max", "2", "--seed", "3"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["--zoo", "logistic_X_killed", *LOGISTIC, "--n", "2000", "--dt", "0.01",
-     "--t-max", "4", "--seed", "5"],
+    ["compare", "--zoo", "logistic_X_killed", *LOGISTIC, "--n", "2000",
+     "--dt", "0.01", "--t-max", "4", "--seed", "5"],
     # fewer than 100 paths, so the survival fit fails: its message comes
     # back from the child as a value, and the report keeps it
-    ["--zoo", "population_N", "--param", "mu=1", "--param", "c=1",
+    ["compare", "--zoo", "population_N", "--param", "mu=1", "--param", "c=1",
      "--param", "sigma=1", "--param", "gamma=1", "--x0", "2", "--n", "90",
      "--dt", "0.01", "--t-max", "1", "--seed", "3"],
     # an expression model with an absorbing end, so the bridge runs
-    ["--model-json", "{json}", "--n", "1000", "--dt", "0.01", "--t-max", "3",
-     "--seed", "3"],
-], ids=["logistic_X_killed", "population_N", "model-json"])
-def test_compare_report_is_the_same_forked_and_in_process(
+    ["compare", "--model-json", "{json}", "--n", "1000", "--dt", "0.01",
+     "--t-max", "3", "--seed", "3"],
+    # the FE oracle on the widest truncation of the default ladder
+    ["spectrum", *PB15, "--k", "2", "--oracle"],
+    ["spectrum", *PB15, "--k", "2", "--truncation", "5", "6", "7", "--oracle"],
+    # the Schrodinger route, whose oracle picks its own window
+    ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC, "--k", "3",
+     "--oracle"],
+], ids=["compare-logistic_X_killed", "compare-population_N",
+        "compare-model-json", "spectrum-pb15", "spectrum-pb15-truncation",
+        "spectrum-logistic_X_killed"])
+def test_report_is_the_same_forked_and_in_process(
         argv, tmp_path, monkeypatch, forks, capsys):
     path = tmp_path / "pull.json"
     path.write_text(json.dumps(PULL))
-    argv = ["compare"] + [str(path) if a == "{json}" else a for a in argv]
+    argv = [str(path) if a == "{json}" else a for a in argv]
     forked = main(argv), capsys.readouterr().out
     assert len(forks) == 1
     monkeypatch.delattr(os, "fork")
     in_process = main(argv), capsys.readouterr().out
-    assert forked[0] == 0 and "survival" in json.loads(forked[1])
+    forked_child = "survival" if argv[0] == "compare" else "oracle"
+    assert forked[0] == 0 and forked_child in json.loads(forked[1])
     assert forked == in_process
 
 
@@ -430,32 +437,53 @@ def _escaping_probe(model, x0, config, **kwargs):
     return dataclasses.replace(verdict, verdict="Escapes")
 
 
-@pytest.mark.parametrize("argv, probe, rc, n_forks", [
-    (["--zoo", "logistic_X_killed", *LOGISTIC], None, 0, 1),
+def _raising(message):
+    def raise_it(*args, **kwargs):
+        raise QsdlabError(message)
+    return raise_it
+
+
+@pytest.mark.parametrize("argv, patch, rc, n_forks", [
+    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL], None, 0,
+     1),
     # positivity fails, so no child is started
-    (["--model-json", "{json}"], None, 0, 0),
+    (["compare", "--model-json", "{json}", *SMALL], None, 0, 0),
     # an escaping probe ends the command while the child runs
-    (["--zoo", "logistic_X_killed", *LOGISTIC], _escaping_probe, 0, 1),
+    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL],
+     ("dichotomy_probe", _escaping_probe), 0, 1),
     # qsd_density fails after the child's result was read
-    (["--zoo", "logistic_N", *LOGISTIC], None, 3, 1),
-    (["--zoo", "logistic_X_killed", *LOGISTIC], _raise_probe_error, 3, 1),
+    (["compare", "--zoo", "logistic_N", *LOGISTIC, *SMALL], None, 3, 1),
+    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL],
+     ("dichotomy_probe", _raise_probe_error), 3, 1),
+    # the parent's solve fails while the oracle's child runs
+    (["spectrum", *PB15, "--k", "2", "--oracle"],
+     ("eigen_shoot", _raising("shooting failed")), 3, 1),
+    # the child's oracle fails, and its error is raised where it is read
+    (["spectrum", *PB15, "--k", "2", "--oracle"],
+     ("eigen_fd_oracle", _raising("oracle failed")), 3, 1),
 ], ids=["full", "outward-push", "escapes", "qsd-density-fails",
-        "probe-raises"])
-def test_compare_leaves_no_child_behind(argv, probe, rc, n_forks, tmp_path,
+        "probe-raises", "shooting-fails", "oracle-fails"])
+def test_compare_leaves_no_child_behind(argv, patch, rc, n_forks, tmp_path,
                                         monkeypatch, forks, capsys):
     path = tmp_path / "push.json"
     path.write_text(json.dumps({"name": "custom", "drift_expr": "1",
                                 "domain": [0.0, "inf"], "x_ref": 1.0}))
-    if probe is not None:
-        monkeypatch.setattr(qsdlab.cli, "dichotomy_probe", probe)
+    if patch is not None:
+        monkeypatch.setattr(qsdlab.cli, *patch)
     argv = [str(path) if a == "{json}" else a for a in argv]
-    got = main(["--diagnostic", str(tmp_path / "diag.json"), "compare",
-                *argv, "--n", "1000", "--dt", "0.01", "--t-max", "2",
-                "--seed", "3"])
-    capsys.readouterr()
-    assert got == rc
+    runs = []
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        diag = tmp_path / f"diag-{forked}.json"
+        got = main(["--diagnostic", str(diag), *argv])
+        runs.append((got, capsys.readouterr().err,
+                     diag.read_text() if diag.exists() else None))
+    assert runs[0][0] == rc
     assert len(forks) == n_forks
     assert_no_child_left()
+    # rc, stderr and diagnostic.json are those of the in-process run
+    assert runs[0] == runs[1]
 
 
 def test_compare_leaves_no_child_behind_an_exception(monkeypatch, forks,
@@ -496,7 +524,14 @@ def test_plain_run_failure_in_the_child_matches_in_process(
     assert "survival" not in saved["partial"]
 
 
-def test_a_child_killed_by_a_signal_exits_3_naming_it(tmp_path, monkeypatch,
+@pytest.mark.parametrize("argv, target, child", [
+    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL],
+     "run_ensemble", "the plain ensemble"),
+    (["spectrum", *PB15, "--k", "2", "--oracle"], "eigen_fd_oracle",
+     "the FE oracle"),
+], ids=["compare", "spectrum-oracle"])
+def test_a_child_killed_by_a_signal_exits_3_naming_it(argv, target, child,
+                                                      tmp_path, monkeypatch,
                                                       forks, capsys):
     parent = os.getpid()
 
@@ -504,20 +539,18 @@ def test_a_child_killed_by_a_signal_exits_3_naming_it(tmp_path, monkeypatch,
         # only ever in the child: the in-process fallback would kill pytest
         assert os.getpid() != parent
         os.kill(os.getpid(), signal.SIGKILL)
-    monkeypatch.setattr(qsdlab.cli, "run_ensemble", killed)
+    monkeypatch.setattr(qsdlab.cli, target, killed)
     diag = tmp_path / "diag.json"
-    rc = main(["--diagnostic", str(diag), "compare", "--zoo",
-               "logistic_X_killed", *LOGISTIC, "--n", "1000", "--dt", "0.01",
-               "--t-max", "2", "--seed", "3"])
+    rc = main(["--diagnostic", str(diag), *argv])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
-    assert captured.err == ("qsdlab: numerical failure: the plain ensemble's "
-                            "process was killed by SIGKILL\n")
+    assert captured.err == (f"qsdlab: numerical failure: {child}'s "
+                            f"process was killed by SIGKILL\n")
     assert len(forks) == 1
     assert_no_child_left()
 
 
-def test_compare_with_warnings_as_errors_prints_nothing_to_stderr(tmp_path):
+def _run_with_warnings_as_errors(tmp_path, argv):
     # a fresh interpreter with the BLAS thread pools at their defaults, so
     # that a warning about forking a process with threads would show
     src = os.path.dirname(os.path.dirname(qsdlab.__file__))
@@ -525,13 +558,25 @@ def test_compare_with_warnings_as_errors_prints_nothing_to_stderr(tmp_path):
            if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = src
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "qsdlab.cli", "compare",
-         "--zoo", "logistic_X_killed", *LOGISTIC, "--n", "1000", "--dt",
-         "0.01", "--t-max", "2", "--seed", "3"],
+        [sys.executable, "-W", "error", "-m", "qsdlab.cli", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert proc.stderr == ""
-    assert json.loads(proc.stdout)["mode"] == "full"
+    return json.loads(proc.stdout)
+
+
+def test_compare_with_warnings_as_errors_prints_nothing_to_stderr(tmp_path):
+    doc = _run_with_warnings_as_errors(
+        tmp_path, ["compare", "--zoo", "logistic_X_killed", *LOGISTIC,
+                   *SMALL])
+    assert doc["mode"] == "full"
+
+
+def test_spectrum_oracle_with_warnings_as_errors_prints_nothing_to_stderr(
+        tmp_path):
+    doc = _run_with_warnings_as_errors(
+        tmp_path, ["spectrum", *PB15, "--k", "2", "--oracle"])
+    assert doc["oracle"]["agrees_rel"] is True
 
 
 # ------------------------------------------------------------- failure modes
@@ -824,21 +869,36 @@ def test_out_flag_writes_the_exact_stdout_document(tmp_path, capsys):
 
 # ------------------------------------------------------------- start-up
 
+# each command in turn in one fresh interpreter, with os.fork removed so
+# that a forked child's work runs in this process, where sys.modules shows
+# what it loaded
 _LOAD_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 scipy_modules = lambda: sorted(m for m in sys.modules
                                if m.partition(".")[0] == "scipy")
+del os.fork
 import qsdlab
 after = {"qsdlab": scipy_modules()}
-import scipy
-bare = scipy_modules()
 import qsdlab.cli
-after["qsdlab.cli"] = [m for m in scipy_modules() if m not in bare]
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = qsdlab.cli.main(sys.argv[1:])
-after["command"] = [m for m in scipy_modules() if m not in bare]
-print(json.dumps({"rc": rc, "after": after}))
+after["qsdlab.cli"] = scipy_modules()
+rcs, numpy_ma = [], []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rcs.append(qsdlab.cli.main(argv))
+    after[argv[0]] = scipy_modules()
+    numpy_ma.append("numpy.ma" in sys.modules)
+print(json.dumps({"rc": rcs, "after": after, "numpy.ma": numpy_ma}))
 """
+
+
+def _load_probe(tmp_path, commands) -> dict:
+    src = os.path.dirname(os.path.dirname(qsdlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(proc.stdout)
+
 
 # the library's improper integrals (the generic reduction's anchor and
 # domain end, the three integrals of the Doob transform and assumption 1's
@@ -868,25 +928,27 @@ print(json.dumps({"reduced_domain": [str(v) for v in red.domain],
 def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
     # structure, not timing: a fresh interpreter, so this process's own
     # imports (scipy oracles in other tests) cannot leak into the answer.
-    # `qsdlab.cli` imports bare scipy for its version only (the modules
-    # that `import scipy` loads are the baseline); shooting polishes
-    # with the in-repo zeroin, every improper integral runs the log-space
-    # level march, the FE oracle and the Schrodinger solve share the in-repo
-    # tridiagonal eigensolver, and log_iv sums its series with math.lgamma,
-    # so no command and no library call loads any further scipy module
+    # Shooting polishes with the in-repo zeroin, every improper integral runs
+    # the log-space level march, the FE oracle and the Schrodinger solve
+    # share the in-repo tridiagonal eigensolver, log_iv sums its series with
+    # math.lgamma, and the reports carry no scipy version, so no import, no
+    # command and no library call loads any scipy module at all
+    commands = [["zoo"],
+                ["classify", "--zoo", "logistic_N", *LOGISTIC],
+                ["spectrum", *PB15, "--k", "2", "--oracle"],
+                ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC,
+                 "--oracle"],
+                ["qsd", *PB15, "--points", "5"],
+                ["simulate", "--zoo", "bessel", "--param", "nu=-1.5",
+                 "--n", "500", "--t-max", "1", "--fit-survival"],
+                ["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL]]
+    probe = _load_probe(tmp_path, commands)
+    assert probe["rc"] == [0] * len(commands)
+    assert probe["after"] == dict.fromkeys(
+        ["qsdlab", "qsdlab.cli", "zoo", "classify", "spectrum", "qsd",
+         "simulate", "compare"], [])
     src = os.path.dirname(os.path.dirname(qsdlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    for argv in (["classify", "--zoo", "logistic_N", *LOGISTIC],
-                 ["spectrum", "--zoo", "perturbed_bessel", "--param",
-                  "nu=-1.5", "--param", "c1=1", "--k", "2", "--oracle"],
-                 ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC]):
-        proc = subprocess.run(
-            [sys.executable, "-c", _LOAD_PROBE, *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
-        probe = json.loads(proc.stdout)
-        assert probe["rc"] == 0
-        assert probe["after"] == {"qsdlab": [], "qsdlab.cli": [],
-                                  "command": []}, argv
     proc = subprocess.run(
         [sys.executable, "-c", _LIBRARY_PROBE],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
@@ -895,6 +957,18 @@ def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
                                        "int_s_sqrt_rho_finite": True,
                                        "log_iv_finite": True,
                                        "loaded": []}
+
+
+def test_classify_and_spectrum_oracle_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on first use (numpy 2.4), so the level
+    # march, the FE mesh and the tridiagonal bisection dedupe by sorting
+    probe = _load_probe(tmp_path, [
+        ["classify", "--zoo", "logistic_N", *LOGISTIC],
+        ["spectrum", *PB15, "--k", "2", "--oracle"],
+        ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC, "--k", "3",
+         "--oracle"]])
+    assert probe["rc"] == [0, 0, 0]
+    assert probe["numpy.ma"] == [False, False, False]
 
 
 # ------------------------------------------------------------- host independence

@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 import qsdlab
 
 from qsdlab.model import DiffusionModel, ScalarField
+import qsdlab.numerics
 from qsdlab.numerics import (
     SL_CHUNKS,
     SL_MAX_CELLS,
@@ -26,10 +27,13 @@ from qsdlab.numerics import (
     StepUnderflowError,
     TabulatedAntiderivative,
     _cell_counts,
+    _cell_samples,
     _chunk_maps,
     _log_integral,
     _magnus_cells,
+    _pilot,
     _richardson,
+    _sorted_unique,
     brent_root,
     cumulative_parabolic,
     gauss_panels,
@@ -553,6 +557,73 @@ def test_sl_continuation_values_frozen():
                                     6.457602010913271e+158)
 
 
+class _CountingModel:
+    """Stands in for a model and counts its speed-density calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def speed_density(self, x):
+        self.calls += 1
+        return self.inner.speed_density(x)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _traj_bits(traj):
+    return (traj.grid.tobytes(), traj.values.tobytes(),
+            traj.log_scale.tobytes(), traj.final, traj.final_log_scale)
+
+
+def test_lam_free_samples_keep_the_bits_and_evaluate_once_per_layout():
+    # rho, 1/rho and kappa at the cells' nodes do not depend on lam: one dict
+    # kept across calls holds them per cell layout, and every shot reads the
+    # same products as one that evaluates them afresh
+    pb = zoo_build("perturbed_bessel", {"nu": -1.5, "c1": 1.0})
+    killed = _driftless(0.75)
+    for m, lams, a, b, n in ((pb, (3.0, 3.0, 3.0000001, 5.0, 3.0), 0.75,
+                              7.547, 600),
+                             (killed, (3.0, 0.5, 3.0), 1.0, 6.0, 900)):
+        edges = np.linspace(a, b, SL_CHUNKS + 1)
+        segs = np.linspace(edges[:-1], edges[1:], n // SL_CHUNKS + 1, axis=1)
+        counted, lam_free, layouts = _CountingModel(m), {}, set()
+        for lam in lams:
+            fresh = integrate_sl_system(m.killing, m, lam, a, b, (1.0, 0.0),
+                                        n_samples=n)
+            kept = integrate_sl_system(m.killing, counted, lam, a, b,
+                                       (1.0, 0.0), n_samples=n,
+                                       lam_free=lam_free)
+            assert _traj_bits(kept) == _traj_bits(fresh), (m.name, lam)
+            layouts.add(_cell_counts(_pilot(m, m.killing, segs), lam,
+                                     segs).tobytes())
+        assert counted.calls == len(layouts) < len(lams), m.name
+
+
+def test_lam_free_samples_stop_at_their_cell_budget(monkeypatch):
+    # past SL_KEPT_CELLS a new layout is evaluated but not kept, so the dict
+    # cannot grow with the shots of a long search
+    m = zoo_build("bessel", {"nu": -1.5})
+    monkeypatch.setattr(qsdlab.numerics, "SL_KEPT_CELLS", 3000)
+    counted, lam_free = _CountingModel(m), {}
+    for lam in (1.0, 2000.0, 1.0, 2000.0, 2000.0):
+        traj = integrate_sl_system(m.killing, counted, lam, 1.0, 6.0,
+                                   (1.0, 0.0), n_samples=64,
+                                   lam_free=lam_free)
+        assert _traj_bits(traj) == _traj_bits(integrate_sl_system(
+            m.killing, m, lam, 1.0, 6.0, (1.0, 0.0), n_samples=64))
+    # lam = 1 fits and is kept; lam = 2000 needs more cells and is not
+    assert 0 < lam_free["kept cells"] <= 3000
+    assert counted.calls == 4
+
+
+@given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1e-300, 1.0, 1.0 + 2e-16,
+                                 3.0, math.inf]), min_size=1, max_size=30))
+def test_sorted_unique_is_np_unique(values):
+    a = np.array(values).reshape(-1, 1) if len(values) % 2 else np.array(values)
+    assert _sorted_unique(a).tobytes() == np.unique(a).tobytes()
+
+
 def test_sl_grid_monotone_guard():
     # an empty or a reversed interval is refused, naming both ends
     m = _driftless()
@@ -572,17 +643,19 @@ def test_chunk_scan_against_chunks_alone_and_a_plain_product(killed, lam):
     edges = np.linspace(0.75, 3.0, 4)
     segs = np.linspace(edges[:-1], edges[1:], 5, axis=1)
     n_cells = np.array([[1, 7, 2, 30], [13, 1, 1, 4], [40, 22, 9, 17]])
-    maps = _chunk_maps(m, kappa, lam, segs, n_cells)
+    maps = _chunk_maps(lam, n_cells, _cell_samples(m, kappa, segs, n_cells))
     assert maps.shape == (3, 4, 4)
     for i in range(3):
         # the padding after a chunk's real cells changes none of its bits
-        alone = _chunk_maps(m, kappa, lam, segs[i:i + 1], n_cells[i:i + 1])
+        alone = _chunk_maps(lam, n_cells[i:i + 1],
+                            _cell_samples(m, kappa, segs[i:i + 1],
+                                          n_cells[i:i + 1]))
         assert np.array_equal(alone[0], maps[i])
         prod = np.eye(2)
         for j, n in enumerate(n_cells[i]):
-            h = np.full(n, (segs[i, j + 1] - segs[i, j]) / n)
-            cells = _magnus_cells(m, kappa, lam,
-                                  segs[i, j] + np.arange(n) * h, h)
+            # the n equal cells of interval j alone
+            cells = _magnus_cells(lam, *_cell_samples(
+                m, kappa, segs[i:i + 1, j:j + 2], np.array([[n]])))
             for cell in np.stack(cells, axis=-1).reshape(n, 2, 2):
                 prod = cell @ prod
             assert np.max(np.abs(maps[i, j].reshape(2, 2) - prod)) <= (
@@ -630,7 +703,8 @@ def test_a_shot_past_the_cell_budget_is_refused_before_it_is_built():
     m = zoo_build("bessel", {"nu": -1.5})
     edges = np.linspace(1.0, 6.0, SL_CHUNKS + 1)
     segs = np.linspace(edges[:-1], edges[1:], 3, axis=1)
-    assert _cell_counts(m, None, 1e9, segs).sum() > 10 * SL_MAX_CELLS
+    assert _cell_counts(_pilot(m, None, segs), 1e9, segs).sum() > (
+        10 * SL_MAX_CELLS)
     start = time.perf_counter()
     with pytest.raises(QsdlabError,
                        match=r"349386 Magnus cells in chunk 4 of 32 "

@@ -35,6 +35,7 @@ from qsdlab.spectral import (
     eigen_shoot,
     heat_kernel,
     qsd_density,
+    shooting_ladder,
 )
 from qsdlab.zoo import zoo_build
 
@@ -241,6 +242,19 @@ def test_shoot_eigenfunctions_are_the_sealed_shots_at_the_roots(shoot_pb15):
         assert np.array_equal(ph.grid, shot.grid)
         assert np.array_equal(np.abs(ph.phi), np.abs(shot.phi / nrm))
         assert np.array_equal(ph.rho, shot.rho)
+
+
+def test_shooting_ladder_is_the_ladder_eigen_shoot_shoots():
+    # `spectrum --oracle` reads the FE window from shooting_ladder, so its T
+    # is the widest truncation of the ladder eigen_shoot extrapolates over
+    m = zoo_build(*PB15)
+    assert tuple(shooting_ladder(m)) == eigen_shoot(m, K=1).truncation
+    assert shooting_ladder(m, [5, 6, 7]) == [5.0, 6.0, 7.0]
+    for bad, says in (([5.0], "at least two truncations"),
+                      ([6.0, 5.0], "truncation ladder not increasing")):
+        for call in (shooting_ladder, eigen_shoot):
+            with pytest.raises(QsdlabError, match=says):
+                call(m, truncations=bad)
 
 
 def test_shot_counter_matches_continuation_calls(monkeypatch):
