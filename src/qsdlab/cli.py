@@ -30,7 +30,7 @@ from .model import (CONVENTION_NOTE, DiffusionModel, model_from_json,
                     reduce_unit_diffusion)
 from .montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
                          run_ensemble, survival_curve, tv_distance)
-from .numerics import QsdlabError
+from .numerics import QsdlabError, _quantiles
 from .spectral import (eigen_fd_oracle, eigen_schrodinger, eigen_shoot,
                        qsd_density, shooting_ladder)
 from .zoo import ZOO, zoo_build
@@ -212,7 +212,10 @@ def _cmd_spectrum(args, doc: dict) -> None:
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                **red_info)
     solve, oracle = _spectral(red, args)
-    with (_Forked(oracle, "the FE oracle") if args.oracle and oracle
+    if args.oracle and oracle is None:
+        _usage("--oracle does not apply to the FE route, which is the "
+               "oracle itself")
+    with (_Forked(oracle, "the FE oracle") if args.oracle
           else contextlib.nullcontext()) as fe:
         spec = solve()
         doc.update(spectrum=spec.to_json(), gap=spec.gap,
@@ -385,55 +388,88 @@ def _plain_fit(red: DiffusionModel, x0: float, cfg: SimConfig):
         return exc
 
 
+def _compare_stages(red: DiffusionModel, x0: float, cfg: SimConfig,
+                    solve) -> dict:
+    """compare's stages other than the probe, in order: the classification,
+    positivity where it applies and, unless positivity degrades the run,
+    the plain run with its survival fit and the spectral solve.  Each stage
+    maps to (True, value) or to (False, the QsdlabError that ended it); a
+    failed classification ends the sequence."""
+    stages = {}
+
+    def stage(name, fn):
+        try:
+            stages[name] = (True, fn())
+        except QsdlabError as exc:
+            stages[name] = (False, exc)
+        return stages[name]
+
+    if not stage("classification", lambda: classify(red).to_json())[0]:
+        return stages
+    l, r = red.domain
+    if not (red.killing is not None and math.isinf(l) and math.isinf(r)):
+        ok, pos = stage("positivity", lambda: positivity_criterion(
+            red, a=l if math.isfinite(l) else red.x_ref).to_json())
+        if not (ok and pos["positive"]):
+            return stages
+    stage("survival", lambda: _plain_fit(red, x0, cfg))
+    stage("spectrum", solve)
+    return stages
+
+
+def _settled(outcome):
+    """A stage's value, or the QsdlabError that ended it raised."""
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value
+
+
 def _cmd_compare(args, doc: dict) -> None:
     """Cross-validate spectral predictions against killed-path sampling.
 
     Two ensembles share the seed: the dichotomy probe's resampled run, whose
     t_max positions are the conditioned sample histogrammed against the
     spectral QSD for `tv_distance`, and a plain run for the survival fit.
-    The two are independent, so the plain run and its fit go to a forked
-    child that works beside the probe and the spectral solve; the report is
-    read from it where the plain run stands in the sequence of stages, so
-    failures and the partial report come out as if it ran in-process."""
+    Only the probe runs in this process; every other stage shares no state
+    with it and runs in a forked child beside it (`_compare_stages`).  The
+    stages are written into the report, and the first failure raised, in
+    the order in which they would run one after the other, so the report
+    and the partial report of a failure come out as if they did."""
     model = _load_model(args)
     red, tr, red_info = _reduced(model)
     x0 = _start(args, red, tr)
-    l, rr = red.domain
-    killed_line = red.killing is not None and math.isinf(l) and math.isinf(rr)
     solve = _spectral(red, args)[0]
     doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
                settings={"x0": x0, "dt": args.dt, "n": args.n,
                          "t_max": args.t_max, "seed": args.seed,
                          **_env_settings()}, **red_info)
-    doc["classification"] = classify(red).to_json()
-
-    degraded = False
-    if not killed_line:
-        try:
-            pos = positivity_criterion(red, a=l if math.isfinite(l) else red.x_ref)
-            doc["positivity"] = pos.to_json()
-            degraded = not pos.positive
-        except QsdlabError as exc:
-            doc["positivity"] = {"error": str(exc)}
-            degraded = True
-
     cfg = _sim_config(args)
-    with (contextlib.nullcontext() if degraded else
-          _Forked(lambda: _plain_fit(red, x0, cfg),
-                  "the plain ensemble")) as plain:
-        probe = dichotomy_probe(red, x0, cfg)
-        doc["dichotomy"] = probe.to_json()
+    with _Forked(lambda: _compare_stages(red, x0, cfg, solve),
+                 "the classification, plain ensemble and spectrum") as child:
+        try:
+            probe = dichotomy_probe(red, x0, cfg)
+        except QsdlabError as exc:
+            probe = exc
+        stages = child.result()
 
-        if degraded or probe.verdict == "Escapes":
-            doc["mode"] = "dichotomy-only"
-            doc["tv_distance"] = None
-            return
+    doc["classification"] = _settled(stages["classification"])
+    if "positivity" in stages:
+        ok, pos = stages["positivity"]
+        doc["positivity"] = pos if ok else {"error": str(pos)}
+    if isinstance(probe, QsdlabError):
+        raise probe
+    doc["dichotomy"] = probe.to_json()
+    # the child skips the solve exactly when positivity degrades the run
+    if "spectrum" not in stages or probe.verdict == "Escapes":
+        doc["mode"] = "dichotomy-only"
+        doc["tv_distance"] = None
+        return
 
-        spec = solve()
-        doc["spectrum"] = spec.to_json()
-        doc["gap"] = spec.gap
-
-        curve = plain.result()
+    spec = _settled(stages["spectrum"])
+    doc["spectrum"] = spec.to_json()
+    doc["gap"] = spec.gap
+    curve = _settled(stages["survival"])
     if isinstance(curve, QsdlabError):
         doc["survival"] = {"error": str(curve)}
     else:
@@ -443,8 +479,13 @@ def _cmd_compare(args, doc: dict) -> None:
 
     dens = qsd_density(spec)
     sample = probe.final_positions
-    lo = max(dens.support[0], float(np.quantile(sample, 1e-4)))
-    hi = min(dens.support[1], float(np.quantile(sample, 1 - 1e-4)))
+    s_lo, s_hi = _quantiles(sample, (1e-4, 1 - 1e-4))
+    lo, hi = max(dens.support[0], s_lo), min(dens.support[1], s_hi)
+    if not hi > lo:
+        raise QsdlabError(
+            f"the probe's sample (its 1e-4 to 1 - 1e-4 quantiles, "
+            f"[{s_lo:.6g}, {s_hi:.6g}]) does not overlap the QSD support "
+            f"[{dens.support[0]:.6g}, {dens.support[1]:.6g}]")
     edges = np.linspace(lo, hi, args.bins + 1)
     doc["tv_distance"] = tv_distance(histogram_masses(sample, edges),
                                      dens.bin_masses(edges))

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import DiffusionModel
-from .numerics import QsdlabError, _line_fit
+from .numerics import QsdlabError, _line_fit, _median, _quantiles
 
 __all__ = ["SimConfig", "EnsembleResult", "SurvivalCurve", "DichotomyVerdict",
            "run_ensemble", "survival_curve", "histogram_masses",
@@ -331,7 +331,7 @@ def survival_curve(result: EnsembleResult) -> SurvivalCurve:
     rates = rates[np.isfinite(rates)]
     if len(rates) < _N_BOOT // 2:
         raise QsdlabError("bootstrap collapsed; too few survivors for a rate CI")
-    ci = (float(np.percentile(rates, 2.5)), float(np.percentile(rates, 97.5)))
+    ci = tuple(_quantiles(rates, (2.5 / 100, 97.5 / 100)))   # percentiles
     return SurvivalCurve(rate=rate, intercept=intercept,
                          r_squared=r2, rate_ci=ci, n_boot=_N_BOOT,
                          fit_window=(float(tw[0]), float(tw[-1])))
@@ -406,8 +406,9 @@ def dichotomy_probe(model: DiffusionModel, x0, config: SimConfig
 
     first = res.snapshots[0]
     l, r = model.domain
-    lo = float(l) if math.isfinite(l) else float(np.quantile(first, 0.005)) - 5.0
-    hi = max(2.0 * float(np.quantile(first, 0.995)), float(np.median(first)) + 8.0)
+    q_lo, q_hi = _quantiles(first, (0.005, 0.995))
+    lo = float(l) if math.isfinite(l) else q_lo - 5.0
+    hi = max(2.0 * q_hi, _median(first) + 8.0)
     if math.isfinite(r):
         hi = min(hi, float(r))
     if not hi > lo:

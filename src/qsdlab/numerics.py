@@ -185,6 +185,45 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+def _quantiles(a, qs) -> list:
+    """np.quantile(a, q) for each float q of `qs` in [0, 1] (the default
+    linear method), for a sample without NaN: numpy's own steps, which give its
+    bits without the lazy import of numpy.ma that its np.unique makes.  Each
+    q partitions a copy of `a` at the indices numpy partitions at (so that
+    even tied zeros of both signs land where numpy puts them), then
+    interpolates between the order statistics at floor((n-1) q) and the next
+    as lo + d t, or as hi - d (1 - t) where t >= 0.5.  np.percentile(a, p)
+    is the quantile at p / 100."""
+    n = len(a)
+    out = []
+    for q in qs:
+        v = (n - 1) * q
+        if v >= n - 1:
+            # numpy reads the maximum, at index -1, as both neighbours; its
+            # weight v + 1 can then only move the sign of a zero
+            i = j = -1
+            t = v + 1.0
+        else:
+            i = math.floor(v)
+            j, t = i + 1, v - i
+        s = np.partition(a, _sorted_unique(np.array([0, -1, i, j])))
+        lo, hi = s[i], s[j]
+        d = hi - lo
+        out.append(float(hi - d * (1.0 - t) if t >= 0.5 else lo + d * t))
+    return out
+
+
+def _median(a) -> float:
+    """np.median(a) for a sample without NaN, with the same bits and without
+    numpy.ma: partitioned at numpy's indices, the middle order statistic or
+    the middle pair, summed from 0.0 as np.mean sums, over its count."""
+    h = len(a) // 2
+    if len(a) % 2:
+        return float(0.0 + np.partition(a, [h, -1])[h])
+    s = np.partition(a, [h - 1, h, -1])
+    return float((0.0 + s[h - 1] + s[h]) / 2)
+
+
 def _log_integral(logf, lo: float, hi: float) -> float:
     """log of int_lo^hi exp(logf) on a graded-plus-uniform set of 16-point
     Gauss panels, evaluated in one vectorized pass.  The grading depth

@@ -2,8 +2,9 @@
 
 argparse, the handlers and the report serialization are all importable, so
 the assertions can freeze exit codes, whole documents and CSV bytes.  Two
-kinds of test start processes: `compare` forks a child for its plain run,
-and the tests of that child watch it from this process; and what a fresh
+kinds of test start processes: `compare` forks a child for every stage but
+its probe, `spectrum --oracle` one for its oracle, and the tests of those
+children watch them from this process; and what a fresh
 interpreter loads or warns about (the start-up test at the end, and
 `compare` under `-W error`) can only be seen in a subprocess.
 """
@@ -186,7 +187,10 @@ def test_qsd_csv_output(tmp_path, capsys):
 def test_a_model_file_builds_one_log_rho_table(argv, tmp_path, monkeypatch,
                                                capsys):
     # the model owns its log-rho table, so classification, shooting, the
-    # oracle and the density all read the one table its first use built
+    # oracle and the density all read the one table its first use built.
+    # With os.fork removed every stage runs in this process, where the
+    # builds can be counted (a forked child builds its own copy)
+    monkeypatch.delattr(os, "fork")
     built = []
     init = TabulatedAntiderivative.__init__
     monkeypatch.setattr(TabulatedAntiderivative, "__init__",
@@ -365,7 +369,7 @@ def test_compare_maps_x0_into_the_reduced_coordinate(monkeypatch, capsys):
     assert doc["settings"]["x0"] == starts[0]
 
 
-# ------------------------------------------------------------- the forked plain run
+# ------------------------------------------------------------- the forked children
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -443,32 +447,41 @@ def _raising(message):
     return raise_it
 
 
-@pytest.mark.parametrize("argv, patch, rc, n_forks", [
-    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL], None, 0,
-     1),
-    # positivity fails, so no child is started
-    (["compare", "--model-json", "{json}", *SMALL], None, 0, 0),
-    # an escaping probe ends the command while the child runs
-    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL],
-     ("dichotomy_probe", _escaping_probe), 0, 1),
+COMPARE_LXK = ["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL]
+
+
+@pytest.mark.parametrize("argv, patches, rc", [
+    (COMPARE_LXK, (), 0),
+    # positivity fails in the child, so it runs neither the plain ensemble
+    # nor the spectral solve
+    (["compare", "--model-json", "{json}", *SMALL], (), 0),
+    # an escaping probe ends the report after the dichotomy
+    (COMPARE_LXK, (("dichotomy_probe", _escaping_probe),), 0),
     # qsd_density fails after the child's result was read
-    (["compare", "--zoo", "logistic_N", *LOGISTIC, *SMALL], None, 3, 1),
-    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL],
-     ("dichotomy_probe", _raise_probe_error), 3, 1),
+    (["compare", "--zoo", "logistic_N", *LOGISTIC, *SMALL], (), 3),
+    (COMPARE_LXK, (("dichotomy_probe", _raise_probe_error),), 3),
+    # the child's first stage fails, so the report holds no stage
+    (COMPARE_LXK, (("classify", _raising("classification failed")),), 3),
+    # the child's solve fails, but the escaping probe ends the report first
+    (COMPARE_LXK, (("dichotomy_probe", _escaping_probe),
+                   ("eigen_schrodinger", _raising("solve failed"))), 0),
+    # the child's solve fails, and its error is raised where it is read
+    (COMPARE_LXK, (("eigen_schrodinger", _raising("solve failed")),), 3),
     # the parent's solve fails while the oracle's child runs
     (["spectrum", *PB15, "--k", "2", "--oracle"],
-     ("eigen_shoot", _raising("shooting failed")), 3, 1),
+     (("eigen_shoot", _raising("shooting failed")),), 3),
     # the child's oracle fails, and its error is raised where it is read
     (["spectrum", *PB15, "--k", "2", "--oracle"],
-     ("eigen_fd_oracle", _raising("oracle failed")), 3, 1),
+     (("eigen_fd_oracle", _raising("oracle failed")),), 3),
 ], ids=["full", "outward-push", "escapes", "qsd-density-fails",
-        "probe-raises", "shooting-fails", "oracle-fails"])
-def test_compare_leaves_no_child_behind(argv, patch, rc, n_forks, tmp_path,
+        "probe-raises", "classification-raises", "escapes-solve-raises",
+        "solve-raises", "shooting-fails", "oracle-fails"])
+def test_compare_leaves_no_child_behind(argv, patches, rc, tmp_path,
                                         monkeypatch, forks, capsys):
     path = tmp_path / "push.json"
     path.write_text(json.dumps({"name": "custom", "drift_expr": "1",
                                 "domain": [0.0, "inf"], "x_ref": 1.0}))
-    if patch is not None:
+    for patch in patches:
         monkeypatch.setattr(qsdlab.cli, *patch)
     argv = [str(path) if a == "{json}" else a for a in argv]
     runs = []
@@ -477,13 +490,26 @@ def test_compare_leaves_no_child_behind(argv, patch, rc, n_forks, tmp_path,
             monkeypatch.delattr(os, "fork")
         diag = tmp_path / f"diag-{forked}.json"
         got = main(["--diagnostic", str(diag), *argv])
-        runs.append((got, capsys.readouterr().err,
+        captured = capsys.readouterr()
+        runs.append((got, captured.out, captured.err,
                      diag.read_text() if diag.exists() else None))
     assert runs[0][0] == rc
-    assert len(forks) == n_forks
+    assert len(forks) == 1
     assert_no_child_left()
-    # rc, stderr and diagnostic.json are those of the in-process run
+    # the report, rc, stderr and diagnostic.json are those of the
+    # in-process run
     assert runs[0] == runs[1]
+
+
+def test_a_spectral_error_after_an_escapes_verdict_never_surfaces(
+        monkeypatch, capsys):
+    monkeypatch.setattr(qsdlab.cli, "dichotomy_probe", _escaping_probe)
+    monkeypatch.setattr(qsdlab.cli, "eigen_schrodinger",
+                        _raising("solve failed"))
+    rc, doc = run_cli(capsys, COMPARE_LXK)
+    assert rc == 0
+    assert doc["mode"] == "dichotomy-only" and doc["tv_distance"] is None
+    assert not {"spectrum", "gap", "survival"} & set(doc)
 
 
 def test_compare_leaves_no_child_behind_an_exception(monkeypatch, forks,
@@ -524,15 +550,18 @@ def test_plain_run_failure_in_the_child_matches_in_process(
     assert "survival" not in saved["partial"]
 
 
-@pytest.mark.parametrize("argv, target, child", [
-    (["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL],
-     "run_ensemble", "the plain ensemble"),
+# the partial report keeps the stages before the child's first one
+@pytest.mark.parametrize("argv, target, child, kept, lost", [
+    (COMPARE_LXK, "run_ensemble",
+     "the classification, plain ensemble and spectrum", "settings",
+     "classification"),
     (["spectrum", *PB15, "--k", "2", "--oracle"], "eigen_fd_oracle",
-     "the FE oracle"),
+     "the FE oracle", "spectrum", "oracle"),
 ], ids=["compare", "spectrum-oracle"])
 def test_a_child_killed_by_a_signal_exits_3_naming_it(argv, target, child,
-                                                      tmp_path, monkeypatch,
-                                                      forks, capsys):
+                                                      kept, lost, tmp_path,
+                                                      monkeypatch, forks,
+                                                      capsys):
     parent = os.getpid()
 
     def killed(*args, **kwargs):
@@ -546,6 +575,8 @@ def test_a_child_killed_by_a_signal_exits_3_naming_it(argv, target, child,
     assert rc == 3 and captured.out == ""
     assert captured.err == (f"qsdlab: numerical failure: {child}'s "
                             f"process was killed by SIGKILL\n")
+    partial = json.loads(diag.read_text())["partial"]
+    assert kept in partial and lost not in partial
     assert len(forks) == 1
     assert_no_child_left()
 
@@ -567,8 +598,7 @@ def _run_with_warnings_as_errors(tmp_path, argv):
 
 def test_compare_with_warnings_as_errors_prints_nothing_to_stderr(tmp_path):
     doc = _run_with_warnings_as_errors(
-        tmp_path, ["compare", "--zoo", "logistic_X_killed", *LOGISTIC,
-                   *SMALL])
+        tmp_path, COMPARE_LXK)
     assert doc["mode"] == "full"
 
 
@@ -647,6 +677,25 @@ def test_compare_failure_keeps_the_partial_report(tmp_path, capsys):
     assert partial["dichotomy"]["verdict"] in {"Converges", "Undecided"}
     assert {"classification", "spectrum", "settings"} <= set(partial)
     assert "tv_distance" not in partial       # qsd_density was the failing stage
+
+
+def test_compare_sample_outside_the_qsd_support_exits_3(tmp_path, capsys):
+    # started at 50 and run to t = 0.02, the probe's sample never reaches
+    # the QSD's window, so the TV histogram has no bins: this used to end
+    # in numpy's "bins must increase monotonically" traceback (exit 1)
+    diag = tmp_path / "diag.json"
+    rc = main(["--diagnostic", str(diag), "compare", *PB15, "--x0", "50",
+               "--n", "500", "--t-max", "0.02", "--dt", "0.001",
+               "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    saved = json.loads(diag.read_text())
+    assert saved["message"] == (
+        "the probe's sample (its 1e-4 to 1 - 1e-4 quantiles, [48.5656, "
+        "49.5793]) does not overlap the QSD support [3.75e-09, 7.54703]")
+    assert captured.err == f"qsdlab: numerical failure: {saved['message']}\n"
+    assert {"dichotomy", "spectrum", "survival"} <= set(saved["partial"])
+    assert "tv_distance" not in saved["partial"]
 
 
 def test_non_finite_x0_exits_3(tmp_path, capsys):
@@ -809,6 +858,9 @@ def test_usage_errors_exit_2(capsys):
     (["spectrum", "--zoo", "perturbed_bessel", "--param", "nu=-1.5",
       "--param", "c1=1", "--grid-size", "10"],
      "--grid-size does not apply to the shooting route"),
+    # the FE route has no second route to check; the flag used to be ignored
+    (["spectrum", *PB15, "--method", "fd", "--oracle"],
+     "--oracle does not apply to the FE route"),
     (["classify"], "specify a model with --zoo NAME or --model-json FILE"),
     (["classify", "--zoo", "bessel", "--param", "nu"], "needs key=value"),
     (["classify", "--zoo", "bessel", "--param", "nu=x"],
@@ -836,7 +888,8 @@ def test_usage_errors_exit_2(capsys):
     (["simulate", "--zoo", "bessel", "--param", "nu=-1.5", "--seed", "-1"],
      "--seed must be at least 0, got -1"),
 ], ids=["fd-three-truncations", "schrodinger-truncation",
-        "compare-truncation", "k-zero", "shoot-grid-size", "no-model",
+        "compare-truncation", "k-zero", "shoot-grid-size", "fd-oracle",
+        "no-model",
         "param-without-value", "param-not-a-number", "record-outside-run",
         "points-negative", "fd-grid-size-2", "schrodinger-grid-size-3",
         "compare-bins-0", "tol-negative", "tol-nan", "seed-negative"])
@@ -869,32 +922,36 @@ def test_out_flag_writes_the_exact_stdout_document(tmp_path, capsys):
 
 # ------------------------------------------------------------- start-up
 
-# each command in turn in one fresh interpreter, with os.fork removed so
-# that a forked child's work runs in this process, where sys.modules shows
-# what it loaded
+# each command in turn in one fresh interpreter, by default with os.fork
+# removed so that a forked child's work runs in this process, where
+# sys.modules shows what it loaded
 _LOAD_PROBE = """
 import contextlib, io, json, os, sys
 scipy_modules = lambda: sorted(m for m in sys.modules
                                if m.partition(".")[0] == "scipy")
-del os.fork
+if sys.argv[2] == "in-process":
+    del os.fork
 import qsdlab
 after = {"qsdlab": scipy_modules()}
 import qsdlab.cli
 after["qsdlab.cli"] = scipy_modules()
-rcs, numpy_ma = [], []
+rcs, numpy_ma, numpy_polynomial = [], [], []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rcs.append(qsdlab.cli.main(argv))
     after[argv[0]] = scipy_modules()
     numpy_ma.append("numpy.ma" in sys.modules)
-print(json.dumps({"rc": rcs, "after": after, "numpy.ma": numpy_ma}))
+    numpy_polynomial.append("numpy.polynomial" in sys.modules)
+print(json.dumps({"rc": rcs, "after": after, "numpy.ma": numpy_ma,
+                  "numpy.polynomial": numpy_polynomial}))
 """
 
 
-def _load_probe(tmp_path, commands) -> dict:
+def _load_probe(tmp_path, commands, forked=False) -> dict:
     src = os.path.dirname(os.path.dirname(qsdlab.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands),
+         "forked" if forked else "in-process"],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True, timeout=300)
     return json.loads(proc.stdout)
@@ -941,7 +998,7 @@ def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
                 ["qsd", *PB15, "--points", "5"],
                 ["simulate", "--zoo", "bessel", "--param", "nu=-1.5",
                  "--n", "500", "--t-max", "1", "--fit-survival"],
-                ["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL]]
+                COMPARE_LXK]
     probe = _load_probe(tmp_path, commands)
     assert probe["rc"] == [0] * len(commands)
     assert probe["after"] == dict.fromkeys(
@@ -959,16 +1016,31 @@ def test_scipy_submodules_load_only_when_a_command_uses_them(tmp_path):
                                        "loaded": []}
 
 
-def test_classify_and_spectrum_oracle_leave_numpy_ma_unloaded(tmp_path):
-    # np.unique imports numpy.ma on first use (numpy 2.4), so the level
-    # march, the FE mesh and the tridiagonal bisection dedupe by sorting
-    probe = _load_probe(tmp_path, [
-        ["classify", "--zoo", "logistic_N", *LOGISTIC],
-        ["spectrum", *PB15, "--k", "2", "--oracle"],
-        ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC, "--k", "3",
-         "--oracle"]])
-    assert probe["rc"] == [0, 0, 0]
-    assert probe["numpy.ma"] == [False, False, False]
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.unique, np.quantile, np.percentile and np.median import numpy.ma on
+    # first use (numpy 2.4), so the level march, the FE mesh and the
+    # tridiagonal bisection dedupe by sorting, and the probe's window, the
+    # TV window and the survival CI take their quantiles from numerics.
+    # With os.fork removed, compare's child stages load in this process too
+    commands = [["classify", "--zoo", "logistic_N", *LOGISTIC],
+                ["spectrum", *PB15, "--k", "2", "--oracle"],
+                ["spectrum", "--zoo", "logistic_X_killed", *LOGISTIC, "--k",
+                 "3", "--oracle"],
+                ["simulate", "--zoo", "logistic_N", *LOGISTIC, "--n", "2000",
+                 "--t-max", "3", "--seed", "3", "--fit-survival"],
+                COMPARE_LXK]
+    probe = _load_probe(tmp_path, commands)
+    assert probe["rc"] == [0] * len(commands)
+    assert probe["numpy.ma"] == [False] * len(commands)
+
+
+def test_compares_main_process_runs_no_quadrature(tmp_path):
+    # the main process runs only the probe and the TV histogram: the
+    # classification and the spectral solve, whose Gauss nodes come from
+    # numpy.polynomial, run in the forked child
+    probe = _load_probe(tmp_path, [COMPARE_LXK], forked=True)
+    assert probe["rc"] == [0]
+    assert probe["numpy.ma"] == probe["numpy.polynomial"] == [False]
 
 
 # ------------------------------------------------------------- host independence

@@ -31,7 +31,9 @@ from qsdlab.numerics import (
     _chunk_maps,
     _log_integral,
     _magnus_cells,
+    _median,
     _pilot,
+    _quantiles,
     _richardson,
     _sorted_unique,
     brent_root,
@@ -622,6 +624,32 @@ def test_lam_free_samples_stop_at_their_cell_budget(monkeypatch):
 def test_sorted_unique_is_np_unique(values):
     a = np.array(values).reshape(-1, 1) if len(values) % 2 else np.array(values)
     assert _sorted_unique(a).tobytes() == np.unique(a).tobytes()
+
+
+_QS = [0.0, 1e-4, 0.005, 0.025, 0.5, 0.975, 0.995, 1 - 1e-4, 1.0]
+
+
+def _tied_sample(n, seed):
+    # long runs of tied zeros of both signs: which sign an order statistic
+    # reads depends on where numpy's partition leaves them
+    return np.random.default_rng(seed).choice([-0.0, 0.0], n)
+
+
+@given(st.one_of(
+    st.lists(st.one_of(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0]),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             min_size=1, max_size=60).map(np.array),
+    st.builds(_tied_sample, st.integers(1, 3000), st.integers(0, 2**32 - 1))))
+def test_quantile_helpers_are_numpys(a):
+    # odd and even sizes, ties and the quantiles that compare, the probe
+    # and the survival CI take
+    bits = lambda vs: [np.float64(v).tobytes() for v in vs]
+    with np.errstate(all="ignore"):       # a spread past the float range
+        assert bits(_quantiles(a, _QS)) == bits(np.quantile(a, q)
+                                                for q in _QS)
+        assert bits(_quantiles(a, [100 * q / 100 for q in _QS])) == bits(
+            np.percentile(a, 100 * q) for q in _QS)
+        assert bits([_median(a)]) == bits([np.median(a)])
 
 
 def test_sl_grid_monotone_guard():

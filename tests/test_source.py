@@ -283,3 +283,40 @@ def test_one_body_per_coefficient():
     assert _scalar_twins((root / "zoo.py").read_text()) == []
     assert [f for f in _scalar_twins((root / "model.py").read_text())
             if f[1] == "isscalar"] == []
+
+
+# numpy functions that import numpy.ma on first use (numpy 2.4): np.unique
+# and the quantiles through np.unique, the medians through their NaN check
+_NUMPY_MA_LOADERS = {"quantile", "percentile", "median", "nanmedian",
+                     "unique"}
+
+
+def _numpy_ma_loaders(source: str) -> list:
+    """(line, name) of every reference to one of `_NUMPY_MA_LOADERS` as an
+    attribute of `np` or `numpy`, or imported from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in _NUMPY_MA_LOADERS
+                and getattr(node.value, "id", None) in ("np", "numpy")):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"):
+            found.extend((node.lineno, a.name) for a in node.names
+                         if a.name in _NUMPY_MA_LOADERS)
+    return sorted(found)
+
+
+def test_the_checker_sees_a_numpy_ma_loader():
+    src = ("import numpy as np\nfrom numpy import unique, sort\n"
+           "lo = np.quantile(x, 0.1) + np.median(x)\n"
+           "f = numpy.percentile\nq = _quantiles(x, (0.1,))\n"
+           "m = stats.median(x)\n")
+    assert _numpy_ma_loaders(src) == [(2, "unique"), (3, "median"),
+                                      (3, "quantile"), (4, "percentile")]
+
+
+def test_no_module_calls_a_numpy_ma_loader():
+    # numerics keeps same-bits replacements (_sorted_unique, _quantiles,
+    # _median), so no command pays numpy.ma's import
+    found = {p.name: _numpy_ma_loaders(p.read_text()) for p in PACKAGE}
+    assert {name: f for name, f in found.items() if f} == {}
