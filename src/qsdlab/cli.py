@@ -19,8 +19,10 @@ import math
 import os
 import pickle
 import signal
+import struct
 import sys
 import warnings
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .spectral import (eigen_fd_oracle, eigen_schrodinger, eigen_shoot,
                        qsd_density, shooting_ladder)
 from .zoo import ZOO, zoo_build
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _env_settings() -> dict:
@@ -215,7 +217,7 @@ def _cmd_spectrum(args, doc: dict) -> None:
     if args.oracle and oracle is None:
         _usage("--oracle does not apply to the FE route, which is the "
                "oracle itself")
-    with (_Forked(oracle, "the FE oracle") if args.oracle
+    with (_Forked(lambda: [oracle()], "the FE oracle") if args.oracle
           else contextlib.nullcontext()) as fe:
         spec = solve()
         doc.update(spectrum=spec.to_json(), gap=spec.gap,
@@ -223,7 +225,7 @@ def _cmd_spectrum(args, doc: dict) -> None:
                              "k": len(spec.eigenvalues), **_env_settings()})
         if fe is None:
             return
-        ref = fe.result()
+        [ref] = fe
     kk = min(len(spec.eigenvalues), len(ref.eigenvalues))
     diff = float(np.max(np.abs(spec.eigenvalues[:kk] - ref.eigenvalues[:kk])))
     doc["oracle"] = {"eigenvalues": ref.eigenvalues, "max_difference": diff,
@@ -299,19 +301,25 @@ def _cmd_simulate(args, doc: dict) -> None:
 
 
 class _Forked:
-    """`fn()` computed in a forked child while the parent works on; `name`
-    says what the child computes, in the message of a child that dies.
+    """The values of `gen()`, an iterable, computed in a forked child while
+    the parent works on; `name` says what the child computes, in the message
+    of a child that dies.
 
-    `result()` returns fn's value or raises its exception, which come back
-    pickled through a pipe.  Leaving the block kills and reaps a child whose
-    result was not read, so no exit path leaves a process behind.  Where
-    `os.fork` is missing or fails, `result()` calls `fn()` in-process, with
-    the same value: every random stream is keyed from a seed, and a model's
-    log rho is a pure function of x."""
+    Iterating yields gen's values in order, or raises its exception.  The
+    child sends each value through a pipe as soon as it has it, pickled
+    whole before writing and framed by its length, so a frame is read whole
+    or the child is known dead.  Leaving the block kills and reaps a child
+    that was not read to its end, so the parent may stop after any value
+    and no exit path leaves a process behind.  Where `os.fork` is missing or
+    fails, iterating runs `gen()` in-process, as lazily and with the same
+    values: every random stream is keyed from a seed, and a model's log rho
+    is a pure function of x."""
 
-    def __init__(self, fn, name: str):
-        self._fn, self._name = fn, name
-        self._pid = self._fd = None
+    _FRAME = struct.Struct("<Q")
+
+    def __init__(self, gen, name: str):
+        self._gen, self._name = gen, name
+        self._pid = self._fh = None
 
     def __enter__(self):
         fork = getattr(os, "fork", None)
@@ -333,45 +341,58 @@ class _Forked:
             os.close(r)
             status = 1
             try:
-                try:
-                    payload = (True, self._fn())
-                except Exception as exc:
-                    payload = (False, exc)
-                # pickled whole before writing, so the pipe carries all of
-                # the result or none of it
-                data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
                 with os.fdopen(w, "wb") as fh:
-                    fh.write(data)
+                    try:
+                        for value in self._gen():
+                            self._send(fh, (True, value))
+                    except Exception as exc:
+                        self._send(fh, (False, exc))
                 status = 0
             finally:
                 os._exit(status)
         os.close(w)
-        self._pid, self._fd = pid, r
+        self._pid, self._fh = pid, os.fdopen(r, "rb")
         return self
 
-    def result(self):
-        if self._pid is None:
-            return self._fn()
-        with os.fdopen(self._fd, "rb") as fh:
-            self._fd = None
-            data = fh.read()
+    @classmethod
+    def _send(cls, fh, payload) -> None:
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        fh.write(cls._FRAME.pack(len(data)) + data)
+        fh.flush()
+
+    def _receive(self):
+        """The next (ok, value) frame, or None once the child has sent its
+        last one and exited; a child that dies first raises."""
+        head = self._fh.read(self._FRAME.size)
+        if len(head) == self._FRAME.size:
+            (size,) = self._FRAME.unpack(head)
+            data = self._fh.read(size)
+            if len(data) == size:
+                return pickle.loads(data)
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         if os.WIFSIGNALED(status):
             sig = signal.Signals(os.WTERMSIG(status)).name
             raise QsdlabError(f"{self._name}'s process was killed by {sig}")
-        if not data:
+        code = os.waitstatus_to_exitcode(status)
+        if head or code:
             raise QsdlabError(f"{self._name}'s process exited with "
-                              f"status {os.waitstatus_to_exitcode(status)} "
-                              f"and no result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
+                              f"status {code} and no result")
+        return None
+
+    def __iter__(self):
+        if self._pid is None:
+            yield from self._gen()
+            return
+        while (frame := self._receive()) is not None:
+            ok, value = frame
+            if not ok:
+                raise value
+            yield value
 
     def __exit__(self, *exc_info):
-        if self._fd is not None:
-            os.close(self._fd)
+        if self._fh is not None:
+            self._fh.close()
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
@@ -388,33 +409,34 @@ def _plain_fit(red: DiffusionModel, x0: float, cfg: SimConfig):
         return exc
 
 
-def _compare_stages(red: DiffusionModel, x0: float, cfg: SimConfig,
-                    solve) -> dict:
-    """compare's stages other than the probe, in order: the classification,
-    positivity where it applies and, unless positivity degrades the run,
-    the plain run with its survival fit and the spectral solve.  Each stage
-    maps to (True, value) or to (False, the QsdlabError that ended it); a
-    failed classification ends the sequence."""
-    stages = {}
-
-    def stage(name, fn):
+def _compare_stages(red: DiffusionModel, x0: float, cfg: SimConfig, solve):
+    """compare's stages other than the probe, in order, as (name, outcome)
+    pairs: the classification, positivity and, unless positivity degrades
+    the run, the plain run with its survival fit and the spectral solve.
+    An outcome is (True, value) or (False, the QsdlabError that ended the
+    stage); positivity's value is None where it does not apply (killing on
+    the whole line), and a failed classification ends the sequence."""
+    def stage(fn):
         try:
-            stages[name] = (True, fn())
+            return True, fn()
         except QsdlabError as exc:
-            stages[name] = (False, exc)
-        return stages[name]
+            return False, exc
 
-    if not stage("classification", lambda: classify(red).to_json())[0]:
-        return stages
+    outcome = stage(lambda: classify(red).to_json())
+    yield "classification", outcome
+    if not outcome[0]:
+        return
     l, r = red.domain
+    outcome = (True, None)
     if not (red.killing is not None and math.isinf(l) and math.isinf(r)):
-        ok, pos = stage("positivity", lambda: positivity_criterion(
+        outcome = stage(lambda: positivity_criterion(
             red, a=l if math.isfinite(l) else red.x_ref).to_json())
-        if not (ok and pos["positive"]):
-            return stages
-    stage("survival", lambda: _plain_fit(red, x0, cfg))
-    stage("spectrum", solve)
-    return stages
+    yield "positivity", outcome
+    ok, pos = outcome
+    if not (ok and (pos is None or pos["positive"])):
+        return
+    yield "survival", stage(lambda: _plain_fit(red, x0, cfg))
+    yield "spectrum", stage(solve)
 
 
 def _settled(outcome):
@@ -432,10 +454,12 @@ def _cmd_compare(args, doc: dict) -> None:
     t_max positions are the conditioned sample histogrammed against the
     spectral QSD for `tv_distance`, and a plain run for the survival fit.
     Only the probe runs in this process; every other stage shares no state
-    with it and runs in a forked child beside it (`_compare_stages`).  The
-    stages are written into the report, and the first failure raised, in
-    the order in which they would run one after the other, so the report
-    and the partial report of a failure come out as if they did."""
+    with it and runs in a forked child beside it (`_compare_stages`), which
+    is stopped after positivity when the probe failed or escaped, since the
+    report then ends at the dichotomy.  The stages are written into the
+    report, and the first failure raised, in the order in which they would
+    run one after the other, so the report and the partial report of a
+    failure come out as if they did."""
     model = _load_model(args)
     red, tr, red_info = _reduced(model)
     x0 = _start(args, red, tr)
@@ -445,23 +469,28 @@ def _cmd_compare(args, doc: dict) -> None:
                          "t_max": args.t_max, "seed": args.seed,
                          **_env_settings()}, **red_info)
     cfg = _sim_config(args)
+    stages = {}
     with _Forked(lambda: _compare_stages(red, x0, cfg, solve),
                  "the classification, plain ensemble and spectrum") as child:
         try:
             probe = dichotomy_probe(red, x0, cfg)
         except QsdlabError as exc:
             probe = exc
-        stages = child.result()
+        ends_early = isinstance(probe, QsdlabError) or probe.verdict == "Escapes"
+        for name, outcome in child:
+            stages[name] = outcome
+            if name == "positivity" and ends_early:
+                break
 
     doc["classification"] = _settled(stages["classification"])
-    if "positivity" in stages:
-        ok, pos = stages["positivity"]
+    ok, pos = stages["positivity"]
+    if pos is not None:
         doc["positivity"] = pos if ok else {"error": str(pos)}
     if isinstance(probe, QsdlabError):
         raise probe
     doc["dichotomy"] = probe.to_json()
-    # the child skips the solve exactly when positivity degrades the run
-    if "spectrum" not in stages or probe.verdict == "Escapes":
+    # no solve when positivity degraded the run or the probe stopped the child
+    if "spectrum" not in stages:
         doc["mode"] = "dichotomy-only"
         doc["tv_distance"] = None
         return
@@ -595,5 +624,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The command line's entry point: `main()` on sys.argv, then the end of
+    the process with its code.  stdout and stderr are flushed and the process
+    ends by `os._exit`, skipping the interpreter's teardown of numpy and the
+    package, which only frees memory.  Where the flush fails (a closed or
+    broken stdout), the process exits by `sys.exit` instead, so the exit
+    status and stderr are the interpreter's own."""
+    rc = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:          # None where the fd was closed
+                stream.flush()
+    except (OSError, ValueError):           # a broken pipe, a closed stream
+        sys.exit(rc)
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -387,14 +387,24 @@ def _gl_nodes(n: int):
 
 def _gauss(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     """n-point Gauss-Legendre integrals of f over the panels [lo_i, hi_i],
-    with one call of f."""
+    with one call of f.  A panel where f or its weighted sum overflows reads
+    as that infinity, signed by the direction of the panel even where its
+    width underflows to 0: so an integral that diverges at a finite end,
+    where f overflows, reads as +-inf there, and silently."""
     x, w = _gl_nodes(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    # summed node by node in a fixed order, so no BLAS kernel picks the bits
-    return half * sum(vals[:, j] * w[j] for j in range(n))
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = f(nodes.ravel()).reshape(nodes.shape)
+        # summed node by node in a fixed order, so no BLAS kernel picks
+        # the bits
+        s = sum(vals[:, j] * w[j] for j in range(n))
+    inf = np.isinf(s)
+    if inf.any():
+        return np.where(inf, np.where(hi < lo, -s, s),
+                        half * np.where(inf, 0.0, s))
+    return half * s
 
 
 def gauss_panels(f, breakpoints: np.ndarray, n: int = 16) -> np.ndarray:
@@ -459,6 +469,8 @@ class TabulatedAntiderivative:
     An array query costs one Gauss panel from each point's bracketing knot,
     machine-accurate for smooth integrands with one call of ``f`` per batch.
     For f > 0, :meth:`inverse` solves F(x) = r for a whole array of r.
+    Where f overflows near a finite end, F reads the +-inf it diverges to
+    (see `_gauss`), and so does every point a knot at +-inf brackets.
     """
 
     def __init__(self, f: Callable, x0: float, domain=(-np.inf, np.inf)):
@@ -515,7 +527,10 @@ class TabulatedAntiderivative:
         self._grow(float(xa.min()))
         idx = np.clip(np.searchsorted(self._knots, xa, side="right") - 1,
                       0, len(self._knots) - 1)
-        out = self._vals[idx] + _gauss(self.f, self._knots[idx], xa, 8)
+        base = self._vals[idx]
+        # a point bracketed by a knot where F has diverged reads as that knot
+        out = base + np.where(np.isinf(base), 0.0,
+                              _gauss(self.f, self._knots[idx], xa, 8))
         return float(out[0]) if scalar else out
 
     def _widen(self, up: bool):

@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -512,6 +513,34 @@ def test_a_spectral_error_after_an_escapes_verdict_never_surfaces(
     assert not {"spectrum", "gap", "survival"} & set(doc)
 
 
+def test_an_escaping_compare_stops_its_child(tmp_path, monkeypatch, forks,
+                                             capsys):
+    # the report ends at the dichotomy, so the main process kills the child
+    # after positivity, in its plain run or its solve, and the in-process
+    # fallback never starts either
+    def slow(*args, **kwargs):
+        time.sleep(60.0)
+    monkeypatch.setattr(qsdlab.cli, "dichotomy_probe", _escaping_probe)
+    monkeypatch.setattr(qsdlab.cli, "eigen_schrodinger", slow)
+    runs = []
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        diag = tmp_path / f"diag-{forked}.json"
+        start = time.monotonic()
+        rc = main(["--diagnostic", str(diag), *COMPARE_LXK])
+        assert time.monotonic() - start < 10.0
+        captured = capsys.readouterr()
+        runs.append((rc, captured.out, captured.err,
+                     diag.read_text() if diag.exists() else None))
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert runs[0] == runs[1]
+    rc, out, err, saved = runs[0]
+    assert rc == 0 and err == "" and saved is None
+    assert json.loads(out)["mode"] == "dichotomy-only"
+
+
 def test_compare_leaves_no_child_behind_an_exception(monkeypatch, forks,
                                                      capsys):
     def broken(*args, **kwargs):
@@ -607,6 +636,94 @@ def test_spectrum_oracle_with_warnings_as_errors_prints_nothing_to_stderr(
     doc = _run_with_warnings_as_errors(
         tmp_path, ["spectrum", *PB15, "--k", "2", "--oracle"])
     assert doc["oracle"]["agrees_rel"] is True
+
+
+# ------------------------------------------------------------- the exit path
+
+def _cli_env():
+    # buffered stdio, whatever the calling shell sets, as a user's run has
+    src = os.path.dirname(os.path.dirname(qsdlab.__file__))
+    return {"PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+            "PYTHONPATH": src, "LANG": "C.UTF-8", "LC_ALL": "C.UTF-8",
+            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def _files(path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["spectrum", *PB15, "--k", "2", "--oracle"], 0),
+    (["--out", "report.json", "simulate", "--zoo", "logistic_X_killed",
+      *LOGISTIC, *SMALL], 0),
+    (["spectrum", *PB15, "--k", "two"], 2),
+    (["spectrum", "--zoo", "bessel", "--param", "nu=-1.5", "--method",
+      "schrodinger"], 3),
+], ids=["spectrum-oracle", "simulate-out", "usage-error", "numerical-failure"])
+def test_the_command_line_ends_as_main_returns(argv, rc, tmp_path,
+                                               monkeypatch, capsys):
+    # `python -m qsdlab.cli` ends through run(): the same code, stdout
+    # bytes, stderr and files as main() in this process
+    sub, here = tmp_path / "sub", tmp_path / "here"
+    sub.mkdir()
+    here.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "qsdlab.cli", *argv],
+                          cwd=sub, env=_cli_env(), capture_output=True,
+                          timeout=300)
+    monkeypatch.chdir(here)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert proc.returncode == got == rc
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+    assert _files(sub) == _files(here)
+    assert (rc == 3) == ("diagnostic.json" in _files(sub))
+
+
+# marks whether the interpreter's teardown ran
+_TEARDOWN_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write('teardown\\n'))\n"
+    "sys.argv = ['qsdlab', *sys.argv[1:]]\n"
+    "runpy.run_module('qsdlab.cli', run_name='__main__')\n")
+
+
+@pytest.mark.parametrize("argv, rc, teardown", [
+    (["classify", *PB15], 0, False),
+    # argparse's SystemExit takes the ordinary way out
+    (["classify", "--tol", "small"], 2, True),
+], ids=["success", "usage-error"])
+def test_a_command_ends_without_interpreter_teardown(argv, rc, teardown,
+                                                     tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _TEARDOWN_PROBE, *argv], cwd=tmp_path,
+        env=_cli_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == rc
+    assert proc.stderr.endswith("teardown\n") == teardown
+    if rc == 0:
+        assert json.loads(proc.stdout)["classification"]
+
+
+def test_a_closed_stdout_exits_120_without_a_traceback(tmp_path):
+    # the report fits stdout's buffer, so the first write to the pipe is the
+    # flush; it fails, and the interpreter's own exit reports it
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _TEARDOWN_PROBE, "classify", *PB15],
+            cwd=tmp_path, env=_cli_env(), stdout=w, stderr=subprocess.PIPE,
+            text=True, timeout=300)
+    finally:
+        os.close(w)
+    assert proc.returncode == 120
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "teardown\nException ignored in: <_io.TextIOWrapper name='<stdout>' "
+        "mode='w' encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 # ------------------------------------------------------------- failure modes

@@ -199,6 +199,19 @@ def test_tabulated_antiderivative_rejects_nonfinite_query():
         F(np.inf)
 
 
+def test_tabulated_antiderivative_diverges_to_inf_at_a_finite_end(recwarn):
+    # f = -2 - 1/x from 1 on (0, inf): F(x) = 2(1 - x) - log x.  Near 0, f
+    # overflows, and a table that had marched down to the rounding floor
+    # (9.9e-324) read NaN there, with four RuntimeWarnings
+    F = TabulatedAntiderivative(lambda x: -2.0 - 1.0 / x, 1.0,
+                                domain=(0.0, math.inf))
+    assert F(0.0) == math.inf and F(5e-324) == math.inf
+    assert np.array_equal(F(np.array([5e-324, 0.0])), [math.inf, math.inf])
+    # where f is representable, the value keeps its bits
+    assert F(1e-300) == float.fromhex("0x1.5a63447f87eefp+9")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_tabulated_antiderivative_inverse():
     # F = sin on (-1.5, 1.5): the inverse is arcsin inside the range F
     # reaches, and a value beyond it is refused, not clipped

@@ -320,3 +320,57 @@ def test_no_module_calls_a_numpy_ma_loader():
     # _median), so no command pays numpy.ma's import
     found = {p.name: _numpy_ma_loaders(p.read_text()) for p in PACKAGE}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+def _hard_exits(source: str) -> list:
+    """(line, scope) of every call of `os._exit`, or of `_exit` imported
+    from os, in `source`; the scope is the enclosing function, as
+    `Class.method` or `function`, or "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = (child.name if scope == "<module>"
+                         else f"{scope}.{child.name}")
+            if isinstance(child, ast.Call) and (
+                    (isinstance(child.func, ast.Attribute)
+                     and child.func.attr == "_exit"
+                     and getattr(child.func.value, "id", None) == "os")
+                    or getattr(child.func, "id", None) == "_exit"):
+                found.append((child.lineno, scope))
+            visit(child, inner)
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_the_checker_sees_a_hard_exit():
+    src = ("import os\nfrom os import _exit\n"
+           "class C:\n    def m(self):\n        os._exit(0)\n"
+           "def f():\n    def g():\n        _exit(1)\n    return g\n"
+           "sys.exit(2)\nos._exit(3)\n")
+    assert _hard_exits(src) == [(5, "C.m"), (8, "f.g"), (11, "<module>")]
+
+
+def test_only_the_cli_ends_a_process_by_os_exit():
+    # a forked child ends by os._exit, and so does a command once run() has
+    # flushed its report; no other code may skip the interpreter's exit
+    found = {p.name: sorted({scope for _, scope in _hard_exits(p.read_text())})
+             for p in PACKAGE}
+    assert {name: f for name, f in found.items() if f} == {
+        "cli.py": ["_Forked.__enter__", "run"]}
+
+
+def test_every_entry_point_ends_through_run():
+    # the `qsdlab` script and `python -m qsdlab.cli` take one exit path
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"qsdlab": "qsdlab.cli:run"}
+    tree = ast.parse(
+        (pathlib.Path(qsdlab.__file__).parent / "cli.py").read_text())
+    [main_block] = [n for n in tree.body if isinstance(n, ast.If)
+                    and ast.unparse(n.test) == "__name__ == '__main__'"]
+    assert ast.unparse(main_block) == "if __name__ == '__main__':\n    run()"
