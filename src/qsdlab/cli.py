@@ -22,6 +22,7 @@ import signal
 import struct
 import sys
 import warnings
+from collections import namedtuple
 from typing import NoReturn
 
 import numpy as np
@@ -130,19 +131,16 @@ def _load_model(args) -> DiffusionModel:
 
 
 def _reduced(model: DiffusionModel):
-    """(unit-diffusion model, transform-or-None, report fragment)"""
+    """(unit-diffusion model, transform-or-None, the model's report fields)"""
+    info = {"model": {"name": model.name, "params": model.params,
+                      "domain": list(model.domain),
+                      "killed": model.killing is not None},
+            "convention": CONVENTION_NOTE, "reduced": not model.unit_diffusion}
     if model.unit_diffusion:
-        return model, None, {"reduced": False}
+        return model, None, info
     red, tr = reduce_unit_diffusion(model)
-    return red, tr, {"reduced": True,
-                     "reduced_domain": list(red.domain),
+    return red, tr, {**info, "reduced_domain": list(red.domain),
                      "note": "analysis runs in the unit-diffusion coordinate"}
-
-
-def _model_report(model: DiffusionModel) -> dict:
-    return {"name": model.name, "params": model.params,
-            "domain": list(model.domain),
-            "killed": model.killing is not None}
 
 
 def _spectral(model: DiffusionModel, args):
@@ -199,44 +197,40 @@ def _cmd_zoo(args, doc: dict) -> None:
 
 def _cmd_classify(args, doc: dict) -> None:
     model = _load_model(args)
-    red, _, red_info = _reduced(model)
-    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
-               settings={"tol": args.tol, **_env_settings()}, **red_info)
+    red, _, info = _reduced(model)
+    doc.update(info, settings={"tol": args.tol, **_env_settings()})
     doc["classification"] = classify(red, tol=args.tol).to_json()
 
 
 def _cmd_spectrum(args, doc: dict) -> None:
-    """The spectrum and, with --oracle, its FE cross-check.  The oracle runs
-    in a forked child beside the spectral solve and is read after it, so
-    failures and the partial report come out as if it ran in-process."""
+    """The spectrum and, with --oracle, its FE cross-check in a child."""
     model = _load_model(args)
-    red, _, red_info = _reduced(model)
-    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
-               **red_info)
+    red, _, info = _reduced(model)
+    doc.update(info)
     solve, oracle = _spectral(red, args)
     if args.oracle and oracle is None:
         _usage("--oracle does not apply to the FE route, which is the "
                "oracle itself")
-    with (_Forked(lambda: [oracle()], "the FE oracle") if args.oracle
-          else contextlib.nullcontext()) as fe:
-        spec = solve()
-        doc.update(spectrum=spec.to_json(), gap=spec.gap,
-                   settings={"method": spec.method,
-                             "k": len(spec.eigenvalues), **_env_settings()})
-        if fe is None:
-            return
-        [ref] = fe
+    check = [_Stage("oracle", lambda v: oracle(), _oracle_fields,
+                    child=True)] if args.oracle else []
+    _run_stages([_Stage("spectrum", lambda v: solve(), lambda spec, v: {
+        "spectrum": spec.to_json(), "gap": spec.gap,
+        "settings": {"method": spec.method, "k": len(spec.eigenvalues),
+                     **_env_settings()}}), *check], doc, "the FE oracle")
+
+
+def _oracle_fields(ref, values: dict) -> dict:
+    spec = values["spectrum"]
     kk = min(len(spec.eigenvalues), len(ref.eigenvalues))
     diff = float(np.max(np.abs(spec.eigenvalues[:kk] - ref.eigenvalues[:kk])))
-    doc["oracle"] = {"eigenvalues": ref.eigenvalues, "max_difference": diff,
-                     "agrees_rel": diff <= 1e-4 * (1.0 + abs(spec.lambda0))}
+    return {"oracle": {"eigenvalues": ref.eigenvalues, "max_difference": diff,
+                       "agrees_rel": diff <= 1e-4 * (1.0 + abs(spec.lambda0))}}
 
 
 def _cmd_qsd(args, doc: dict) -> None:
     model = _load_model(args)
-    red, _, red_info = _reduced(model)
-    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
-               **red_info)
+    red, _, info = _reduced(model)
+    doc.update(info)
     spec = _spectral(red, args)[0]()
     doc.update(lambda0=spec.lambda0,
                settings={"method": spec.method, "points": args.points,
@@ -274,12 +268,10 @@ def _cmd_simulate(args, doc: dict) -> None:
         if not 0.0 < t <= args.t_max:
             _usage(f"--record {t:g} is outside (0, t_max = {args.t_max:g}]")
     model = _load_model(args)
-    red, tr, red_info = _reduced(model)
+    red, tr, info = _reduced(model)
     x0 = _start(args, red, tr)
     cfg = _sim_config(args)
-    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
-               settings={"x0": x0, **cfg.to_json(), **_env_settings()},
-               **red_info)
+    doc.update(info, settings={"x0": x0, **cfg.to_json(), **_env_settings()})
     record = [float(t) for t in args.record] if args.record else [cfg.t_max]
     res = run_ensemble(red, x0, cfg, record_times=record)
     doc["result"] = res.to_json()
@@ -301,30 +293,26 @@ def _cmd_simulate(args, doc: dict) -> None:
 
 
 class _Forked:
-    """The values of `gen()`, an iterable, computed in a forked child while
-    the parent works on; `name` says what the child computes, in the message
-    of a child that dies.
+    """The values of the iterator `values`, computed in a forked child while
+    the parent works on; `name` names the child in the error of its death.
 
-    Iterating yields gen's values in order, or raises its exception.  The
-    child sends each value through a pipe as soon as it has it, pickled
-    whole before writing and framed by its length, so a frame is read whole
-    or the child is known dead.  Leaving the block kills and reaps a child
-    that was not read to its end, so the parent may stop after any value
-    and no exit path leaves a process behind.  Where `os.fork` is missing or
-    fails, iterating runs `gen()` in-process, as lazily and with the same
-    values: every random stream is keyed from a seed, and a model's log rho
-    is a pure function of x."""
+    `next()` gives the values in order, or raises the iterator's exception,
+    and past the last one fails as for a dead child.  Each value is sent as
+    soon as the child has it, pickled whole and framed by its length, so a
+    frame is read whole or the child is known dead; what the pipe has no
+    room for waits in the child, which computes on.  Leaving the block kills
+    and reaps the child, so no exit path leaves a process behind.  Where
+    `os.fork` is missing or fails, `next()` advances `values` in-process,
+    with the same values: every random stream is keyed from a seed, and a
+    model's log rho is a pure function of x."""
 
     _FRAME = struct.Struct("<Q")
 
-    def __init__(self, gen, name: str):
-        self._gen, self._name = gen, name
+    def __init__(self, values, name: str):
+        self._values, self._name = values, name
         self._pid = self._fh = None
 
     def __enter__(self):
-        fork = getattr(os, "fork", None)
-        if fork is None:
-            return self
         r, w = os.pipe()
         try:
             # Python 3.12+ warns on fork in a process with threads, such as
@@ -332,21 +320,23 @@ class _Forked:
             # needs them, and a warning raised as an error would orphan it
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)
-                pid = fork()
-        except OSError:
+                pid = os.fork()
+        except (AttributeError, OSError):       # no os.fork, or no process
             os.close(r)
             os.close(w)
             return self
         if pid == 0:                            # the child never returns
             os.close(r)
-            status = 1
+            os.set_blocking(w, False)
+            status, pending = 1, bytearray()
             try:
-                with os.fdopen(w, "wb") as fh:
-                    try:
-                        for value in self._gen():
-                            self._send(fh, (True, value))
-                    except Exception as exc:
-                        self._send(fh, (False, exc))
+                try:
+                    for value in self._values:
+                        self._send(w, pending, (True, value))
+                except Exception as exc:
+                    self._send(w, pending, (False, exc))
+                os.set_blocking(w, True)
+                self._send(w, pending)
                 status = 0
             finally:
                 os._exit(status)
@@ -355,40 +345,34 @@ class _Forked:
         return self
 
     @classmethod
-    def _send(cls, fh, payload) -> None:
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        fh.write(cls._FRAME.pack(len(data)) + data)
-        fh.flush()
+    def _send(cls, fd: int, pending: bytearray, payload=None) -> None:
+        """Frame `payload` onto `pending`; write out what the pipe takes."""
+        if payload is not None:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+            pending += cls._FRAME.pack(len(data)) + data
+        with contextlib.suppress(BlockingIOError):
+            while pending:
+                del pending[:os.write(fd, pending)]
 
-    def _receive(self):
-        """The next (ok, value) frame, or None once the child has sent its
-        last one and exited; a child that dies first raises."""
+    def __next__(self):
+        if self._fh is None:
+            return next(self._values)
         head = self._fh.read(self._FRAME.size)
         if len(head) == self._FRAME.size:
             (size,) = self._FRAME.unpack(head)
             data = self._fh.read(size)
             if len(data) == size:
-                return pickle.loads(data)
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                return value
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         if os.WIFSIGNALED(status):
             sig = signal.Signals(os.WTERMSIG(status)).name
             raise QsdlabError(f"{self._name}'s process was killed by {sig}")
-        code = os.waitstatus_to_exitcode(status)
-        if head or code:
-            raise QsdlabError(f"{self._name}'s process exited with "
-                              f"status {code} and no result")
-        return None
-
-    def __iter__(self):
-        if self._pid is None:
-            yield from self._gen()
-            return
-        while (frame := self._receive()) is not None:
-            ok, value = frame
-            if not ok:
-                raise value
-            yield value
+        raise QsdlabError(f"{self._name}'s process exited with status "
+                          f"{os.waitstatus_to_exitcode(status)} and no result")
 
     def __exit__(self, *exc_info):
         if self._fh is not None:
@@ -398,116 +382,99 @@ class _Forked:
             os.waitpid(self._pid, 0)
 
 
-def _plain_fit(red: DiffusionModel, x0: float, cfg: SimConfig):
-    """The plain run (compare has no --resample) and its survival fit.  A
-    fit that fails comes back as its QsdlabError, which the report keeps; a
-    run that fails raises."""
+# A stage: `run(values)` computes its value from earlier ones, in the child
+# where `child`, if `when(values)`; `fields(value, values)` its report fields.
+_Stage = namedtuple("_Stage", "name run fields child when", defaults=(
+    lambda value, values: value, False, lambda values: True))
+
+
+def _stage_values(stages, values: dict):
+    """Run `stages` in turn here, adding each value to `values` and yielding
+    it; a QsdlabError is the value of the stage that raised it, and ends."""
+    for s in stages:
+        if (not any(isinstance(v, QsdlabError) for v in values.values())
+                and s.when(values)):
+            try:
+                values[s.name] = s.run(values)
+            except QsdlabError as exc:
+                values[s.name] = exc
+            yield values[s.name]
+
+
+def _run_stages(stages: list, doc: dict, child_name: str) -> None:
+    """Run a command's `stages` and write their fields into `doc`.
+
+    The `child` stages run in a process forked first, while this one runs
+    the stages before the child's last one; it then reads the child's values
+    in list order up to a failed stage or a child stage whose condition
+    fails here (a dead child fails its first stage), and runs the rest.  A
+    condition holds where a value it reads is the other process's.  The
+    fields are written and the first QsdlabError raised in list order."""
+    child = [s for s in stages if s.child]
+    last = stages.index(child[-1]) if child else -1
+    values: dict = {}
+    if child:
+        with _Forked(_stage_values(child, {}), child_name) as forked:
+            list(_stage_values([s for s in stages[:last] if not s.child],
+                               values))
+            try:
+                for s in stages[:last + 1]:
+                    if s.child:
+                        if not s.when(values):
+                            break
+                        values[s.name] = next(forked)
+                    if isinstance(values.get(s.name), QsdlabError):
+                        break
+            except QsdlabError as exc:          # the child died
+                values[child[0].name] = exc
+    list(_stage_values(stages[last + 1:], values))
+    for s in stages:
+        if s.name in values:
+            if isinstance(values[s.name], QsdlabError):
+                raise values[s.name]
+            doc.update(s.fields(values[s.name], values))
+
+
+def _positivity(red: DiffusionModel) -> dict:
+    """The positivity criterion's report fields: none where it does not
+    apply (killing on the whole line), {"error": message} where it fails."""
+    l, r = red.domain
+    if red.killing is not None and math.isinf(l) and math.isinf(r):
+        return {}
+    try:
+        return {"positivity": positivity_criterion(
+            red, a=l if math.isfinite(l) else red.x_ref).to_json()}
+    except QsdlabError as exc:
+        return {"positivity": {"error": str(exc)}}
+
+
+def _goes_on(values: dict) -> bool:
+    """Positivity holds or does not apply, and the probe saw no escape."""
+    pos = values["positivity"].get("positivity", {"positive": True})
+    escaped = getattr(values.get("dichotomy"), "verdict", "") == "Escapes"
+    return pos.get("positive", False) and not escaped
+
+
+def _plain_fit(red, x0: float, cfg: SimConfig, values: dict) -> dict:
+    """The plain run's survival fit against the spectrum as report fields,
+    {"error": message} where the fit fails."""
     res = run_ensemble(red, x0, cfg)
     try:
-        return survival_curve(res)
+        curve = survival_curve(res)
     except QsdlabError as exc:
-        return exc
+        return {"survival": {"error": str(exc)}}
+    lam0 = values["spectrum"].lambda0
+    return {"survival": curve.to_json(), "rate_matches_lambda0": bool(
+        curve.rate_ci[0] <= lam0 <= curve.rate_ci[1])}
 
 
-def _compare_stages(red: DiffusionModel, x0: float, cfg: SimConfig, solve):
-    """compare's stages other than the probe, in order, as (name, outcome)
-    pairs: the classification, positivity and, unless positivity degrades
-    the run, the plain run with its survival fit and the spectral solve.
-    An outcome is (True, value) or (False, the QsdlabError that ended the
-    stage); positivity's value is None where it does not apply (killing on
-    the whole line), and a failed classification ends the sequence."""
-    def stage(fn):
-        try:
-            return True, fn()
-        except QsdlabError as exc:
-            return False, exc
-
-    outcome = stage(lambda: classify(red).to_json())
-    yield "classification", outcome
-    if not outcome[0]:
-        return
-    l, r = red.domain
-    outcome = (True, None)
-    if not (red.killing is not None and math.isinf(l) and math.isinf(r)):
-        outcome = stage(lambda: positivity_criterion(
-            red, a=l if math.isfinite(l) else red.x_ref).to_json())
-    yield "positivity", outcome
-    ok, pos = outcome
-    if not (ok and (pos is None or pos["positive"])):
-        return
-    yield "survival", stage(lambda: _plain_fit(red, x0, cfg))
-    yield "spectrum", stage(solve)
-
-
-def _settled(outcome):
-    """A stage's value, or the QsdlabError that ended it raised."""
-    ok, value = outcome
-    if not ok:
-        raise value
-    return value
-
-
-def _cmd_compare(args, doc: dict) -> None:
-    """Cross-validate spectral predictions against killed-path sampling.
-
-    Two ensembles share the seed: the dichotomy probe's resampled run, whose
-    t_max positions are the conditioned sample histogrammed against the
-    spectral QSD for `tv_distance`, and a plain run for the survival fit.
-    Only the probe runs in this process; every other stage shares no state
-    with it and runs in a forked child beside it (`_compare_stages`), which
-    is stopped after positivity when the probe failed or escaped, since the
-    report then ends at the dichotomy.  The stages are written into the
-    report, and the first failure raised, in the order in which they would
-    run one after the other, so the report and the partial report of a
-    failure come out as if they did."""
-    model = _load_model(args)
-    red, tr, red_info = _reduced(model)
-    x0 = _start(args, red, tr)
-    solve = _spectral(red, args)[0]
-    doc.update(model=_model_report(model), convention=CONVENTION_NOTE,
-               settings={"x0": x0, "dt": args.dt, "n": args.n,
-                         "t_max": args.t_max, "seed": args.seed,
-                         **_env_settings()}, **red_info)
-    cfg = _sim_config(args)
-    stages = {}
-    with _Forked(lambda: _compare_stages(red, x0, cfg, solve),
-                 "the classification, plain ensemble and spectrum") as child:
-        try:
-            probe = dichotomy_probe(red, x0, cfg)
-        except QsdlabError as exc:
-            probe = exc
-        ends_early = isinstance(probe, QsdlabError) or probe.verdict == "Escapes"
-        for name, outcome in child:
-            stages[name] = outcome
-            if name == "positivity" and ends_early:
-                break
-
-    doc["classification"] = _settled(stages["classification"])
-    ok, pos = stages["positivity"]
-    if pos is not None:
-        doc["positivity"] = pos if ok else {"error": str(pos)}
-    if isinstance(probe, QsdlabError):
-        raise probe
-    doc["dichotomy"] = probe.to_json()
-    # no solve when positivity degraded the run or the probe stopped the child
-    if "spectrum" not in stages:
-        doc["mode"] = "dichotomy-only"
-        doc["tv_distance"] = None
-        return
-
-    spec = _settled(stages["spectrum"])
-    doc["spectrum"] = spec.to_json()
-    doc["gap"] = spec.gap
-    curve = _settled(stages["survival"])
-    if isinstance(curve, QsdlabError):
-        doc["survival"] = {"error": str(curve)}
-    else:
-        doc["survival"] = curve.to_json()
-        doc["rate_matches_lambda0"] = bool(
-            curve.rate_ci[0] <= spec.lambda0 <= curve.rate_ci[1])
-
-    dens = qsd_density(spec)
-    sample = probe.final_positions
+def _tv(values: dict, bins: int) -> dict:
+    """The TV distance of the probe's sample from the spectral QSD and the
+    mode, "dichotomy-only" with no distance where there is no spectrum."""
+    if "spectrum" not in values:
+        return {"mode": "dichotomy-only", "tv_distance": None}
+    dens = qsd_density(values["spectrum"])
+    sample = values["dichotomy"].final_positions
     s_lo, s_hi = _quantiles(sample, (1e-4, 1 - 1e-4))
     lo, hi = max(dens.support[0], s_lo), min(dens.support[1], s_hi)
     if not hi > lo:
@@ -515,10 +482,38 @@ def _cmd_compare(args, doc: dict) -> None:
             f"the probe's sample (its 1e-4 to 1 - 1e-4 quantiles, "
             f"[{s_lo:.6g}, {s_hi:.6g}]) does not overlap the QSD support "
             f"[{dens.support[0]:.6g}, {dens.support[1]:.6g}]")
-    edges = np.linspace(lo, hi, args.bins + 1)
-    doc["tv_distance"] = tv_distance(histogram_masses(sample, edges),
-                                     dens.bin_masses(edges))
-    doc["mode"] = "full"
+    edges = np.linspace(lo, hi, bins + 1)
+    return {"mode": "full", "tv_distance": tv_distance(
+        histogram_masses(sample, edges), dens.bin_masses(edges))}
+
+
+def _cmd_compare(args, doc: dict) -> None:
+    """Cross-validate spectral predictions against killed-path sampling.
+
+    Two ensembles share the seed: the dichotomy probe's resampled run, whose
+    t_max positions are the conditioned sample histogrammed against the
+    spectral QSD for `tv_distance`, and a plain run for the survival fit."""
+    model = _load_model(args)
+    red, tr, info = _reduced(model)
+    x0 = _start(args, red, tr)
+    solve = _spectral(red, args)[0]
+    doc.update(info, settings={"x0": x0, "dt": args.dt, "n": args.n,
+                               "t_max": args.t_max, "seed": args.seed,
+                               **_env_settings()})
+    cfg = _sim_config(args)
+    _run_stages([
+        _Stage("classification", lambda v: {
+            "classification": classify(red).to_json()}, child=True),
+        _Stage("positivity", lambda v: _positivity(red), child=True),
+        _Stage("dichotomy", lambda v: dichotomy_probe(red, x0, cfg),
+               lambda probe, v: {"dichotomy": probe.to_json()}),
+        _Stage("spectrum", lambda v: solve(),
+               lambda spec, v: {"spectrum": spec.to_json(), "gap": spec.gap},
+               child=True, when=_goes_on),
+        _Stage("survival", lambda v: _plain_fit(red, x0, cfg, v),
+               child=True, when=_goes_on),
+        _Stage("tv_distance", lambda v: _tv(v, args.bins)),
+    ], doc, "the classification, plain ensemble and spectrum")
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +625,12 @@ def run() -> NoReturn:
     ends by `os._exit`, skipping the interpreter's teardown of numpy and the
     package, which only frees memory.  Where the flush fails (a closed or
     broken stdout), the process exits by `sys.exit` instead, so the exit
-    status and stderr are the interpreter's own."""
-    rc = main()
+    status (120) and stderr are the interpreter's own; where the report's
+    own write breaks the pipe, it exits 120 too."""
+    try:
+        rc = main()
+    except BrokenPipeError:                 # stdout's reader has gone
+        sys.exit(120)
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:          # None where the fd was closed

@@ -3,8 +3,8 @@
 argparse, the handlers and the report serialization are all importable, so
 the assertions can freeze exit codes, whole documents and CSV bytes.  Two
 kinds of test start processes: `compare` forks a child for every stage but
-its probe, `spectrum --oracle` one for its oracle, and the tests of those
-children watch them from this process; and what a fresh
+its probe and TV histogram, `spectrum --oracle` one for its oracle, and the
+tests of those children watch them from this process; and what a fresh
 interpreter loads or warns about (the start-up test at the end, and
 `compare` under `-W error`) can only be seen in a subprocess.
 """
@@ -474,9 +474,19 @@ COMPARE_LXK = ["compare", "--zoo", "logistic_X_killed", *LOGISTIC, *SMALL]
     # the child's oracle fails, and its error is raised where it is read
     (["spectrum", *PB15, "--k", "2", "--oracle"],
      (("eigen_fd_oracle", _raising("oracle failed")),), 3),
+    # positivity's error is a value of the report, {"error": ...}, which
+    # degrades the run to the dichotomy as a negative verdict does
+    (["compare", "--zoo", "population_N", *LOGISTIC, "--param", "gamma=1",
+      *SMALL], (("positivity_criterion", _raising("positivity failed")),), 0),
+    # both fail: the solve stands first in the list, so its error is raised
+    # and the partial report ends before the spectrum
+    (["spectrum", *PB15, "--k", "2", "--oracle"],
+     (("eigen_shoot", _raising("shooting failed")),
+      ("eigen_fd_oracle", _raising("oracle failed"))), 3),
 ], ids=["full", "outward-push", "escapes", "qsd-density-fails",
         "probe-raises", "classification-raises", "escapes-solve-raises",
-        "solve-raises", "shooting-fails", "oracle-fails"])
+        "solve-raises", "shooting-fails", "oracle-fails", "positivity-raises",
+        "shooting-and-oracle-fail"])
 def test_compare_leaves_no_child_behind(argv, patches, rc, tmp_path,
                                         monkeypatch, forks, capsys):
     path = tmp_path / "push.json"
@@ -539,6 +549,31 @@ def test_an_escaping_compare_stops_its_child(tmp_path, monkeypatch, forks,
     rc, out, err, saved = runs[0]
     assert rc == 0 and err == "" and saved is None
     assert json.loads(out)["mode"] == "dichotomy-only"
+
+
+def test_the_child_runs_on_past_a_value_larger_than_the_pipe(
+        tmp_path, monkeypatch, forks, capsys):
+    # the child's spectrum (about 290 kB pickled) is larger than a pipe's
+    # buffer and is read only after the probe; the child must start its
+    # plain run meanwhile, which the probe here waits to see
+    started = tmp_path / "plain-run-started"
+
+    def plain(*args, **kwargs):
+        started.touch()
+        return qsdlab.montecarlo.run_ensemble(*args, **kwargs)
+
+    def probe(*args, **kwargs):
+        deadline = time.monotonic() + 20.0
+        while not started.exists():
+            assert time.monotonic() < deadline, "the child is held up"
+            time.sleep(0.01)
+        return dichotomy_probe(*args, **kwargs)
+    monkeypatch.setattr(qsdlab.cli, "run_ensemble", plain)
+    monkeypatch.setattr(qsdlab.cli, "dichotomy_probe", probe)
+    rc, doc = run_cli(capsys, COMPARE_LXK)
+    assert rc == 0 and doc["mode"] == "full"
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_compare_leaves_no_child_behind_an_exception(monkeypatch, forks,
@@ -641,11 +676,16 @@ def test_spectrum_oracle_with_warnings_as_errors_prints_nothing_to_stderr(
 # ------------------------------------------------------------- the exit path
 
 def _cli_env():
-    # buffered stdio, whatever the calling shell sets, as a user's run has
+    # buffered stdio, whatever the calling shell sets, as a user's run has;
+    # numpy's SIMD dispatch is this process's, so that a subprocess and an
+    # in-process run compute the same bits
     src = os.path.dirname(os.path.dirname(qsdlab.__file__))
     return {"PATH": os.environ.get("PATH", "/usr/bin:/bin"),
             "PYTHONPATH": src, "LANG": "C.UTF-8", "LC_ALL": "C.UTF-8",
-            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+            **{k: os.environ[k] for k in ("NPY_DISABLE_CPU_FEATURES",
+                                          "NPY_ENABLE_CPU_FEATURES")
+               if k in os.environ}}
 
 
 def _files(path) -> dict:
@@ -707,23 +747,35 @@ def test_a_command_ends_without_interpreter_teardown(argv, rc, teardown,
         assert json.loads(proc.stdout)["classification"]
 
 
-def test_a_closed_stdout_exits_120_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("argv, unbuffered, err", [
     # the report fits stdout's buffer, so the first write to the pipe is the
     # flush; it fails, and the interpreter's own exit reports it
+    (["classify", *PB15], False,
+     "teardown\nException ignored in: <_io.TextIOWrapper name='<stdout>' "
+     "mode='w' encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+    # the report's own write breaks the pipe: a 19.7 kB report is larger
+    # than stdout's buffer, and unbuffered stdout writes at once
+    (["qsd", *PB15], False, None),
+    (["classify", *PB15], True, None),
+], ids=["flush", "larger-than-the-buffer", "unbuffered"])
+def test_a_closed_stdout_exits_120_without_a_traceback(argv, unbuffered, err,
+                                                       tmp_path):
+    env = {**_cli_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
     r, w = os.pipe()
     os.close(r)
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", _TEARDOWN_PROBE, "classify", *PB15],
-            cwd=tmp_path, env=_cli_env(), stdout=w, stderr=subprocess.PIPE,
-            text=True, timeout=300)
+            [sys.executable, "-c", _TEARDOWN_PROBE, *argv], cwd=tmp_path,
+            env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=300)
     finally:
         os.close(w)
     assert proc.returncode == 120
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == (
-        "teardown\nException ignored in: <_io.TextIOWrapper name='<stdout>' "
-        "mode='w' encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+    if err is not None:
+        assert proc.stderr == err
+    # stdout is the closed pipe, so nothing can reach a reader; no report
+    # or diagnostic is written in its place either
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------- failure modes

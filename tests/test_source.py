@@ -322,10 +322,10 @@ def test_no_module_calls_a_numpy_ma_loader():
     assert {name: f for name, f in found.items() if f} == {}
 
 
-def _hard_exits(source: str) -> list:
-    """(line, scope) of every call of `os._exit`, or of `_exit` imported
-    from os, in `source`; the scope is the enclosing function, as
-    `Class.method` or `function`, or "<module>"."""
+def _scoped(source: str, matches) -> list:
+    """(line, scope) of every node of `source` that `matches`; the scope is
+    the enclosing function, as `Class.method` or `function`, or
+    "<module>"."""
     found = []
 
     def visit(node, scope):
@@ -335,15 +335,41 @@ def _hard_exits(source: str) -> list:
                                   ast.ClassDef)):
                 inner = (child.name if scope == "<module>"
                          else f"{scope}.{child.name}")
-            if isinstance(child, ast.Call) and (
-                    (isinstance(child.func, ast.Attribute)
-                     and child.func.attr == "_exit"
-                     and getattr(child.func.value, "id", None) == "os")
-                    or getattr(child.func, "id", None) == "_exit"):
+            if matches(child):
                 found.append((child.lineno, scope))
             visit(child, inner)
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def _hard_exits(source: str) -> list:
+    """(line, scope) of every call of `os._exit`, or of `_exit` imported
+    from os, in `source`."""
+    return _scoped(source, lambda node: isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Attribute) and node.func.attr == "_exit"
+         and getattr(node.func.value, "id", None) == "os")
+        or getattr(node.func, "id", None) == "_exit"))
+
+
+def _is_fork(node) -> bool:
+    """`os.fork` or `os.forkpty`, looked up as an attribute, by `getattr(os,
+    ...)` or imported from os."""
+    names = ("fork", "forkpty")
+    if isinstance(node, ast.Attribute):
+        return node.attr in names and getattr(node.value, "id", None) == "os"
+    if (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"):
+        return (len(node.args) >= 2
+                and getattr(node.args[0], "id", None) == "os"
+                and getattr(node.args[1], "value", None) in names)
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(a.name in names for a in node.names)
+    return False
+
+
+def _makes_forked(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_Forked")
 
 
 def test_the_checker_sees_a_hard_exit():
@@ -361,6 +387,30 @@ def test_only_the_cli_ends_a_process_by_os_exit():
              for p in PACKAGE}
     assert {name: f for name, f in found.items() if f} == {
         "cli.py": ["_Forked.__enter__", "run"]}
+
+
+def test_the_checker_sees_a_fork():
+    src = ("import os\nfrom os import fork\n"
+           "class F:\n    def __enter__(self):\n"
+           "        return getattr(os, 'fork', None)\n"
+           "def g():\n    with _Forked(iter(()), 'g'):\n        os.fork()\n"
+           "h = os.forkpty\nos.getpid()\ngetattr(os, 'getpid')\n")
+    assert _scoped(src, _is_fork) == [(2, "<module>"), (5, "F.__enter__"),
+                                      (8, "g"), (9, "<module>")]
+    assert _scoped(src, _makes_forked) == [(7, "g")]
+
+
+def test_one_place_forks():
+    # `_Forked` is the only code that starts a process, and the stage runner
+    # the only code that makes one, so every forked stage is run, settled
+    # and stopped in one place
+    def scopes(matches):
+        found = {p.name: sorted({scope for _, scope
+                                 in _scoped(p.read_text(), matches)})
+                 for p in PACKAGE}
+        return {name: f for name, f in found.items() if f}
+    assert scopes(_is_fork) == {"cli.py": ["_Forked.__enter__"]}
+    assert scopes(_makes_forked) == {"cli.py": ["_run_stages"]}
 
 
 def test_every_entry_point_ends_through_run():
