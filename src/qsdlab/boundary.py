@@ -33,7 +33,7 @@ from .model import DiffusionModel
 from .numerics import (_LOG_CLIP, DIVERGENCE_THRESHOLD,
                        IndeterminateIntegralError, IntegralVerdict,
                        LevelAccumulator, QsdlabError, _gauss, _level_verdict,
-                       _log_integral, _richardson, improper_integral,
+                       _log_integral, _Record, _richardson, improper_integral,
                        tail_integral)
 
 REGULAR, EXIT, ENTRANCE, NATURAL = "Regular", "Exit", "Entrance", "Natural"
@@ -56,32 +56,28 @@ class ClassificationError(QsdlabError):
 
 
 @dataclass(frozen=True)
-class BoundaryKind:
+class BoundaryKind(_Record):
     kind: str
     evidence: tuple               # (access verdict, second verdict)
 
-    def to_json(self):
-        return {"kind": self.kind,
-                "evidence": [v.to_json() for v in self.evidence]}
-
 
 @dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(_Record):
     left: BoundaryKind
     right: BoundaryKind
     absorption_certain: Optional[bool]
     scale_tail: Optional[IntegralVerdict] = None
 
     def to_json(self):
-        out = {"left": self.left.to_json(), "right": self.right.to_json(),
-               "absorption_certain": self.absorption_certain,
-               "integrals": {
-                   "left_access": self.left.evidence[0].to_json(),
-                   "left_second": self.left.evidence[1].to_json(),
-                   "right_access": self.right.evidence[0].to_json(),
-                   "right_second": self.right.evidence[1].to_json()}}
-        if self.scale_tail is not None:
-            out["integrals"]["scale_tail"] = self.scale_tail.to_json()
+        """The fields, with each end's evidence and the scale tail (where
+        there is one) also listed by name under "integrals"."""
+        out = super().to_json()
+        tail = out.pop("scale_tail")
+        (la, ls), (ra, rs) = out["left"]["evidence"], out["right"]["evidence"]
+        out["integrals"] = {"left_access": la, "left_second": ls,
+                            "right_access": ra, "right_second": rs}
+        if tail is not None:
+            out["integrals"]["scale_tail"] = tail
         return out
 
 
@@ -150,19 +146,13 @@ def classify(model: DiffusionModel, tol: float = 1e-9) -> ClassificationResult:
 
 
 @dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(_Record):
     A: float                      # may be math.inf
     a: float
     lambda0_lower: float
     lambda0_upper: float
     positive: bool
     argmax: Optional[float] = None
-
-    def to_json(self):
-        return {"A": self.A if math.isfinite(self.A) else "inf", "a": self.a,
-                "lambda0_lower": self.lambda0_lower,
-                "lambda0_upper": self.lambda0_upper,
-                "positive": self.positive, "argmax": self.argmax}
 
 
 def positivity_criterion(model: DiffusionModel, a: float) -> PositivityReport:

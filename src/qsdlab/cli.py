@@ -33,7 +33,7 @@ from .model import (CONVENTION_NOTE, DiffusionModel, model_from_json,
                     reduce_unit_diffusion)
 from .montecarlo import (SimConfig, dichotomy_probe, histogram_masses,
                          run_ensemble, survival_curve, tv_distance)
-from .numerics import QsdlabError, _quantiles
+from .numerics import QsdlabError, _jsonable, _quantiles
 from .spectral import (eigen_fd_oracle, eigen_schrodinger, eigen_shoot,
                        qsd_density, shooting_ladder)
 from .zoo import ZOO, zoo_build
@@ -45,36 +45,16 @@ def _env_settings() -> dict:
     return {"qsdlab": __version__, "numpy": np.__version__}
 
 
-def _emit_json(doc: dict, out: str | None) -> None:
+def _emit_json(doc: dict, path: str | None) -> None:
+    """Write `doc` as sorted, indented strict JSON to the file `path`, or to
+    stdout where `path` is None."""
     text = json.dumps(_jsonable(doc), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if path is None:
         sys.stdout.write(text)
-
-
-def _jsonable(x):
-    """`x` with numpy values as Python ones and nonfinite floats as the
-    strings "nan", "inf" and "-inf", so that strict JSON can hold it."""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(x, np.floating):
-        return _jsonable(float(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+    else:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -91,10 +71,10 @@ def _usage(message: str):
 
 
 def _check_ranges(args) -> None:
-    """Refuse a size or tolerance option that no route can use, before any
-    work is done."""
+    """Refuse a size, step or tolerance option that no route can use,
+    before any work is done."""
     for opt, least in (("points", 1), ("bins", 1), ("grid_size", 4),
-                       ("seed", 0)):
+                       ("seed", 0), ("n", 2)):
         val = getattr(args, opt, None)
         if val is not None and val < least:
             _usage(f"--{opt.replace('_', '-')} must be at least {least}, "
@@ -102,6 +82,15 @@ def _check_ranges(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         _usage(f"--tol must be a positive finite number, got {tol}")
+    dt = getattr(args, "dt", None)
+    if dt is not None:                  # the Monte Carlo commands
+        if not dt > 0:
+            _usage(f"--dt must be positive, got {dt}")
+        if not math.isfinite(args.t_max):
+            _usage(f"--t-max must be finite, got {args.t_max}")
+        if args.t_max < dt:
+            _usage(f"--t-max {args.t_max:g} is shorter than one step "
+                   f"(--dt {dt:g})")
 
 
 def _parse_params(pairs) -> dict:
@@ -607,15 +596,11 @@ def main(argv=None) -> int:
         diag = {"command": args.command, "error": type(exc).__name__,
                 "message": str(exc), "settings": _env_settings(),
                 "partial": doc}
-        try:
-            with open(args.diagnostic, "w", newline="\n") as fh:
-                json.dump(_jsonable(diag), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            _emit_json(diag, args.diagnostic)
         print(f"qsdlab: numerical failure: {exc}", file=sys.stderr)
         return 3
-    _emit_json(doc, args.out)
+    _emit_json(doc, args.out or None)      # `--out ""` is stdout
     return 0
 
 

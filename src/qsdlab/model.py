@@ -33,7 +33,8 @@ import numpy as np
 
 from .expressions import compile_expression
 from .numerics import (IndeterminateIntegralError, QsdlabError,
-                       TabulatedAntiderivative, _richardson, improper_integral)
+                       TabulatedAntiderivative, _jsonable, _richardson,
+                       improper_integral)
 
 CONVENTION_NOTE = (
     "drift convention: models store the SDE drift mu of dX = mu dt + dW; "
@@ -349,12 +350,6 @@ def schrodinger_potential(model: DiffusionModel) -> SchrodingerPotential:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _endpoint_to_json(v):
-    if math.isinf(v):
-        return "-inf" if v < 0 else "inf"
-    return v
-
-
 def _endpoint_from_json(v):
     if v == "-inf":
         return -math.inf
@@ -370,8 +365,7 @@ def _endpoint_from_json(v):
 def model_to_json(model: DiffusionModel) -> dict:
     if model.name != "custom":
         return {"name": model.name, "params": dict(model.params),
-                "domain": [_endpoint_to_json(model.domain[0]),
-                           _endpoint_to_json(model.domain[1])],
+                "domain": _jsonable(model.domain),
                 "x_ref": model.x_ref}
     if model.drift.expr is None:
         raise ModelValidationError(
@@ -380,8 +374,7 @@ def model_to_json(model: DiffusionModel) -> dict:
             "params": {},
             "drift_expr": model.drift.expr,
             "killing_expr": model.killing.expr if model.killing is not None else None,
-            "domain": [_endpoint_to_json(model.domain[0]),
-                       _endpoint_to_json(model.domain[1])],
+            "domain": _jsonable(model.domain),
             "x_ref": model.x_ref}
 
 

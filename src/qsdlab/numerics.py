@@ -46,7 +46,7 @@ overflow.  The level rules:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -87,11 +87,50 @@ class StepUnderflowError(QsdlabError):
 
 
 # ---------------------------------------------------------------------------
+# JSON forms
+# ---------------------------------------------------------------------------
+
+def _jsonable(x):
+    """`x` as a JSON value: a record as its `to_json()`, numpy values as
+    Python ones, tuples as lists, and nonfinite floats as the strings "nan",
+    "inf" and "-inf", so that strict JSON can hold it."""
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    if isinstance(x, np.floating):
+        return _jsonable(float(x))
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, _Record):
+        return x.to_json()
+    if isinstance(x, np.ndarray):
+        return [_jsonable(v) for v in x.tolist()]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return x
+
+
+class _Record:
+    """A dataclass whose JSON form is its fields, less the names in
+    `_json_omit`, each through `_jsonable`."""
+    _json_omit: tuple = ()
+
+    def to_json(self) -> dict:
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)
+                if f.name not in self._json_omit}
+
+
+# ---------------------------------------------------------------------------
 # improper integrals
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntegralVerdict:
+class IntegralVerdict(_Record):
     """Finite/Divergent verdict of an improper integral (undecided ones
     raise).  A divergent `improper_integral` is named after the side that
     diverged, "lower" or "upper"."""
@@ -104,10 +143,6 @@ class IntegralVerdict:
     @property
     def finite(self) -> bool:
         return self.verdict == "finite"
-
-    def to_json(self):
-        return {"name": self.name, "verdict": self.verdict,
-                "value": self.value, "levels": self.levels, "rule": self.rule}
 
 
 class LevelAccumulator:
@@ -232,7 +267,15 @@ def _log_integral(logf, lo: float, hi: float) -> float:
     moving endpoint, and far out along a level march those layers get orders
     of magnitude thinner than the interval, so a fixed depth would step
     right over them and silently drop the panel's mass.  The uniform panels
-    catch an interior peak."""
+    catch an interior peak.
+    A panel whose log-integrand reaches +inf holds infinite mass, so the
+    integral is +inf; a NaN log-integrand (such as inf - inf, from terms
+    that overflow) is an IndeterminateIntegralError.  These two rules read
+    the integrand's overflow, so it is evaluated with numpy's warnings off."""
+    def quiet(x):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return logf(x)
+
     if hi <= lo:
         return -math.inf
     span = hi - lo
@@ -240,7 +283,7 @@ def _log_integral(logf, lo: float, hi: float) -> float:
     h = span * 1e-6
     if lo + 2.0 * h < hi - 2.0 * h:
         for a, b in ((lo + h, lo + 2.0 * h), (hi - 2.0 * h, hi - h)):
-            va, vb = float(logf(a)), float(logf(b))
+            va, vb = float(quiet(a)), float(quiet(b))
             if math.isfinite(va) and math.isfinite(vb):
                 rise = abs(vb - va) / h * span
                 if rise > 2.0:
@@ -255,12 +298,18 @@ def _log_integral(logf, lo: float, hi: float) -> float:
     mid = 0.5 * (breaks[:-1] + breaks[1:])
     half = 0.5 * (breaks[1:] - breaks[:-1])
     nodes = mid[:, None] + half[:, None] * x[None, :]
-    lv = logf(nodes.ravel()).reshape(nodes.shape) + np.log(w)[None, :]
+    lv = quiet(nodes.ravel()).reshape(nodes.shape) + np.log(w)[None, :]
     top = lv.max(axis=1)
+    if np.isnan(top).any():
+        raise IndeterminateIntegralError(
+            f"the log-integrand is nan on [{lo:.6g}, {hi:.6g}]: its terms "
+            "overflow")
+    if top.max() == math.inf:
+        return math.inf
     with np.errstate(invalid="ignore"):
         piece = (top + np.log(np.exp(lv - top[:, None]).sum(axis=1))
                  + np.log(half))
-    piece = np.where(np.isfinite(top), piece, -np.inf)
+    piece = np.where(np.isfinite(top), piece, -np.inf)   # -inf: no mass
     peak = piece.max()
     if not np.isfinite(peak):
         return -math.inf

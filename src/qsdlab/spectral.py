@@ -23,8 +23,8 @@ import numpy as np
 
 from .model import DiffusionModel, ScalarField, schrodinger_potential
 from .numerics import (OdeTrajectory, QsdlabError, TabulatedAntiderivative,
-                       _line_fit, _richardson, _sorted_unique, brent_root,
-                       cumulative_parabolic, improper_integral,
+                       _line_fit, _Record, _richardson, _sorted_unique,
+                       brent_root, cumulative_parabolic, improper_integral,
                        integrate_sl_system, tail_integral, tridiagonal_lowest)
 
 __all__ = [
@@ -92,13 +92,14 @@ def _eigenpair(lam: float, grid: np.ndarray, phi: np.ndarray, w: np.ndarray,
 
 
 @dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(_Record):
     eigenvalues: np.ndarray
     eigenfunctions: list
     truncation: tuple
     extrapolation_error: float
     method: str = "shoot"
     evidence: dict = field(default_factory=dict)
+    _json_omit = ("eigenfunctions", "evidence")
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -120,12 +121,6 @@ class SpectralResult:
         if len(self.eigenvalues) < 2:
             return None
         return float(self.eigenvalues[1] - self.eigenvalues[0])
-
-    def to_json(self):
-        return {"eigenvalues": [float(v) for v in self.eigenvalues],
-                "extrapolation_error": float(self.extrapolation_error),
-                "truncation": list(np.atleast_1d(self.truncation).astype(float)),
-                "method": self.method}
 
 
 @dataclass(frozen=True)

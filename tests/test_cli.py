@@ -939,17 +939,26 @@ def test_unknown_zoo_name_exits_3(tmp_path, capsys):
     assert json.loads(diag.read_text())["error"] == "ModelValidationError"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_expression_in_a_model_file_is_no_crash(tmp_path, capsys):
     # x^10000 overflows at every probe point; numpy rules give -inf there,
-    # where Python float arithmetic raised an uncaught OverflowError
+    # where Python float arithmetic raised an uncaught OverflowError.  The
+    # strong inward pull makes absorption at 0 certain, so an overflowing
+    # integrand may not read as no mass (a finite scale tail): the answer
+    # is certain absorption or exit 3 naming the overflow, and numpy warns
+    # of nothing
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"name": "custom", "drift_expr": "-x^10000",
                                 "domain": [0.0, "inf"]}))
     rc = main(["--diagnostic", str(tmp_path / "diag.json"), "classify",
                "--model-json", str(path)])
-    capsys.readouterr()
-    assert rc in (0, 3)
+    captured = capsys.readouterr()
+    if rc == 0:
+        doc = json.loads(captured.out)
+        assert doc["classification"]["absorption_certain"] is True
+    else:
+        assert rc == 3 and "overflow" in captured.err
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_bad_expression_in_a_model_file_exits_3(tmp_path, capsys):
@@ -1056,12 +1065,24 @@ def test_usage_errors_exit_2(capsys):
     # SeedSequence used to end this in a traceback (exit 1)
     (["simulate", "--zoo", "bessel", "--param", "nu=-1.5", "--seed", "-1"],
      "--seed must be at least 0, got -1"),
+    # SimConfig refused these only once the run began: exit 3 and a
+    # diagnostic.json
+    *[([cmd, "--zoo", "bessel", "--param", "nu=-1.5", *opts], says)
+      for cmd in ("simulate", "compare") for opts, says in (
+          (["--n", "1"], "--n must be at least 2, got 1"),
+          (["--dt", "0"], "--dt must be positive, got 0.0"),
+          (["--dt", "nan"], "--dt must be positive, got nan"),
+          (["--t-max", "nan"], "--t-max must be finite, got nan"),
+          (["--dt", "0.5", "--t-max", "0.25"],
+           "--t-max 0.25 is shorter than one step (--dt 0.5)"))],
 ], ids=["fd-three-truncations", "schrodinger-truncation",
         "compare-truncation", "k-zero", "shoot-grid-size", "fd-oracle",
         "no-model",
         "param-without-value", "param-not-a-number", "record-outside-run",
         "points-negative", "fd-grid-size-2", "schrodinger-grid-size-3",
-        "compare-bins-0", "tol-negative", "tol-nan", "seed-negative"])
+        "compare-bins-0", "tol-negative", "tol-nan", "seed-negative",
+        *[f"{cmd}-{case}" for cmd in ("simulate", "compare") for case in (
+            "n-1", "dt-0", "dt-nan", "t-max-nan", "t-max-below-dt")]])
 def test_dropped_or_malformed_inputs_exit_2(argv, says, monkeypatch, capsys):
     def no_simulation(*args, **kwargs):
         raise AssertionError("the usage check must come before the probe")

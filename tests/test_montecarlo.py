@@ -279,7 +279,20 @@ def test_dichotomy_convergence_for_killed_logistic():
     assert len(doc["tv_steps"]) == len(doc["times"]) - 1
     # the probe keeps its t_max ensemble, outside the report: it is the
     # conditioned sample a resampling run with the same config gives
-    assert set(doc) == {"verdict", "times", "in_window", "tv_steps", "window"}
+    assert set(doc) == {"verdict", "times", "in_window", "tv_steps",
+                        "tv_floor", "window"}
     alone = run_ensemble(m, 0.0, SimConfig(dt=5e-3, n=6000, t_max=8.0,
                                            seed=11, resample=True))
     assert np.array_equal(v.final_positions, alone.final_positions)
+
+
+def test_dichotomy_far_start_too_short_to_settle_is_undecided():
+    # the negative control of "Converges": from x0 = 3 the conditioned law
+    # of the killed logistic line is still moving toward its QSD at t = 2,
+    # so its last rung steps are many noise floors, not a few
+    m = zoo_build("logistic_X_killed", {"mu": 1.0, "c": 1.0, "sigma": 1.0})
+    v = dichotomy_probe(m, 3.0, SimConfig(dt=5e-3, n=6000, t_max=2.0,
+                                          seed=11))
+    assert v.verdict == "Undecided"
+    assert v.in_window[-1] > 0.5                # not for want of mass
+    assert np.all(v.tv_steps[-2:] > 10.0 * v.tv_floor)

@@ -400,17 +400,55 @@ def test_the_checker_sees_a_fork():
     assert _scoped(src, _makes_forked) == [(7, "g")]
 
 
+def _package_scopes(matches) -> dict:
+    """The scopes of the package's nodes that `matches`, by file name, for
+    the files that have any."""
+    found = {p.name: sorted({scope for _, scope
+                             in _scoped(p.read_text(), matches)})
+             for p in PACKAGE}
+    return {name: f for name, f in found.items() if f}
+
+
 def test_one_place_forks():
     # `_Forked` is the only code that starts a process, and the stage runner
     # the only code that makes one, so every forked stage is run, settled
     # and stopped in one place
-    def scopes(matches):
-        found = {p.name: sorted({scope for _, scope
-                                 in _scoped(p.read_text(), matches)})
-                 for p in PACKAGE}
-        return {name: f for name, f in found.items() if f}
-    assert scopes(_is_fork) == {"cli.py": ["_Forked.__enter__"]}
-    assert scopes(_makes_forked) == {"cli.py": ["_run_stages"]}
+    assert _package_scopes(_is_fork) == {"cli.py": ["_Forked.__enter__"]}
+    assert _package_scopes(_makes_forked) == {"cli.py": ["_run_stages"]}
+
+
+def _is_nonfinite_string(node) -> bool:
+    """The string constant "inf", "-inf" or "nan"."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in ("inf", "-inf", "nan"))
+
+
+def _defines_to_json(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "to_json")
+
+
+def test_the_checker_sees_a_nonfinite_string_and_a_to_json():
+    src = ('"""A docstring that says "inf"."""\n'
+           "class R:\n    def to_json(self):\n        return {'A': 'inf'}\n"
+           "def f(x):\n    return 'nan' if x else f'{x} inf'\n"
+           "g = lambda: '-inf'\n")
+    assert _scoped(src, _is_nonfinite_string) == [
+        (4, "R.to_json"), (6, "f"), (7, "<module>")]
+    assert _scoped(src, _defines_to_json) == [(3, "R")]
+
+
+def test_one_rule_writes_every_report():
+    # `numerics._jsonable` alone spells a nonfinite float for JSON, and
+    # model's reader alone parses one; every record's JSON form is its
+    # fields through the shared `_Record.to_json`, which three records
+    # extend or reshape, so a new field reaches its report by itself
+    assert _package_scopes(_is_nonfinite_string) == {
+        "numerics.py": ["_jsonable"],
+        "model.py": ["_endpoint_from_json", "model_from_json"]}
+    assert _package_scopes(_defines_to_json) == {
+        "numerics.py": ["_Record"], "boundary.py": ["ClassificationResult"],
+        "montecarlo.py": ["EnsembleResult", "SimConfig"]}
 
 
 def test_every_entry_point_ends_through_run():
