@@ -11,17 +11,23 @@ and a blow-up guard.  Two operating modes:
   at the position of a uniformly chosen survivor, so the ensemble tracks the
   conditioned-on-survival law with every particle alive (O(1/n) bias).
 
-All random draws go through one counter-based generator keyed from the
-config seed, so runs are bit-reproducible for a given (model, config).  The
-state is compacted to live particles and each step draws normals (and
-bridge uniforms) for those only: a plain run gets cheaper as its particles
-die, while a resampling run, whose ensemble stays full, draws exactly what
-a full-ensemble loop would and gives the same bits.
+A run draws from two SFC64 streams keyed from the config seed, so runs are
+bit-reproducible for a given (model, config).  The noise stream holds the
+Gaussian increments sqrt(dt) Z, read as one flat sequence: step s takes the
+next m values, m its live particles, wherever the blocks of `_Noise` end.
+One thread fills those blocks ahead of the loop, on another core where
+there is one, and the values depend on neither its timing nor the block
+size.  The event stream holds the Exp(1) killing thresholds, the bridge
+uniforms and the resampling donors.  The state is compacted to live
+particles and each step draws for those only: a plain run gets cheaper as
+its particles die, while a resampling run, whose ensemble stays full, draws
+exactly what a full-ensemble loop would and gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -51,8 +57,88 @@ _N_RUNGS, _N_BINS, _ESCAPE_TOL = 5, 24, 0.01
 _TV_FLOOR_MULT = 3.0
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+def _rng(seed) -> np.random.Generator:
+    """An SFC64 generator keyed from `seed`, an int or a SeedSequence."""
+    return np.random.Generator(np.random.SFC64(seed))
+
+
+def _noise_block(n: int) -> int:
+    """Values per noise block for n particles: four full steps, and at least
+    2^15, so the filler hands a block over every few steps, not every one."""
+    return max(2 ** 15, 4 * n)
+
+
+class _Noise:
+    """The increments sqrt(dt) Z of one run, one flat stream for `take`.
+
+    A thread started on entering the block fills two preallocated blocks
+    ahead of the reader by `standard_normal(out=...)` and an in-place scale,
+    which allocate nothing and release the GIL; leaving the block stops and
+    joins it, however the block is left.  The thread alone draws from `rng`,
+    and a block's values are the next ones of the stream whatever its size,
+    so what `take` gives depends on neither the thread's timing nor the
+    block size."""
+
+    def __init__(self, rng: np.random.Generator, scale: float, n: int):
+        self._rng, self._scale = rng, scale
+        self._blocks = (np.empty(_noise_block(n)), np.empty(_noise_block(n)))
+        self._spill = np.empty(n)          # a take that crosses a block end
+        # the reader holds block 1, used up, so its first take frees block 1
+        # and waits for block 0, the filler's first
+        self._free = (threading.Semaphore(1), threading.Semaphore(0))
+        self._full = (threading.Semaphore(0), threading.Semaphore(0))
+        self._k, self._pos = 1, len(self._blocks[1])
+        self._stop = False
+
+    def _fill(self) -> None:
+        k = 0
+        while True:
+            self._free[k].acquire()
+            if self._stop:
+                return
+            block = self._blocks[k]
+            self._rng.standard_normal(out=block)
+            np.multiply(block, self._scale, out=block)
+            self._full[k].release()
+            k ^= 1
+
+    def _next_block(self) -> np.ndarray:
+        """Hand the used-up block back to the filler; wait for the other."""
+        self._free[self._k].release()
+        self._k ^= 1
+        self._full[self._k].acquire()
+        self._pos = 0
+        return self._blocks[self._k]
+
+    def take(self, m: int) -> np.ndarray:
+        """The next m values (m at most n), valid until the next take."""
+        block = self._blocks[self._k]
+        if self._pos == len(block):
+            block = self._next_block()
+        if self._pos + m <= len(block):
+            self._pos += m
+            return block[self._pos - m:self._pos]
+        out, got = self._spill[:m], 0
+        while got < m:
+            if self._pos == len(block):
+                block = self._next_block()
+            step = min(m - got, len(block) - self._pos)
+            out[got:got + step] = block[self._pos:self._pos + step]
+            got += step
+            self._pos += step
+        return out
+
+    def __enter__(self):
+        self._thread = threading.Thread(target=self._fill,
+                                        name="qsdlab-noise")
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stop = True
+        for free in self._free:
+            free.release()
+        self._thread.join()
 
 
 @dataclass(frozen=True)
@@ -120,8 +206,8 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
     l, r = model.domain
     fin_l, fin_r = math.isfinite(l), math.isfinite(r)
     n, dt = config.n, config.dt
-    sqrt_dt = math.sqrt(dt)
-    rng = _rng(config.seed)
+    noise_rng, events = map(_rng, np.random.SeedSequence(
+        int(config.seed)).spawn(2))
     kappa = model.killing
 
     x = np.full(n, float(x0)) if np.ndim(x0) == 0 else np.asarray(x0, float).copy()
@@ -134,7 +220,7 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
     ids = np.arange(n)
     death = np.full(n, np.inf)
     clock = np.zeros(n) if kappa is not None else None
-    thresh = rng.standard_exponential(n) if kappa is not None else None
+    thresh = events.standard_exponential(n) if kappa is not None else None
     kap_x = kappa(x) if kappa is not None else None
     # killing is evaluated at endpoint-clipped positions: a proposal past a
     # finite end is absorbed, but kappa may be undefined there
@@ -160,102 +246,108 @@ def run_ensemble(model: DiffusionModel, x0, config: SimConfig,
             snaps.append(x.copy())
             rec_ptr += 1
 
-    for s in range(1, n_steps + 1):
-        m = len(x)
-        z = rng.standard_normal(m)
-        u = rng.random(m) if use_bridge else None
-        with np.errstate(invalid="ignore"):       # a NaN drift is read below
-            prop = x + model.drift(x) * dt + sqrt_dt * z
+    with _Noise(noise_rng, math.sqrt(dt), n) as noise:
+        for s in range(1, n_steps + 1):
+            m = len(x)
+            u = events.random(m) if use_bridge else None
+            with np.errstate(invalid="ignore"):   # a NaN drift is read below
+                prop = x + model.drift(x) * dt + noise.take(m)
 
-        hit = None
-        if fin_l or fin_r:
-            hit = np.zeros(m, dtype=bool)
-            # Brownian-bridge crossing probabilities; where the proposal is
-            # already past the end the exponent is positive and may overflow,
-            # but those particles are hit anyway.  Exponents are clipped at
-            # -700: np.exp is 10-100x slower where its result is subnormal or
-            # flushes to 0, and far from the end almost every one is; the
-            # clip changes a decision only for a uniform of exactly 0.0
-            with np.errstate(over="ignore"):
-                if fin_l:
-                    hit |= prop <= l
-                    if use_bridge:
-                        hit |= u < np.exp(np.maximum(
-                            -2.0 * (x - l) * (prop - l) / dt, -700.0))
-                if fin_r:
-                    hit |= prop >= r
-                    if use_bridge:
-                        hit |= u < np.exp(np.maximum(
-                            -2.0 * (r - x) * (r - prop) / dt, -700.0))
+            hit = None
+            if fin_l or fin_r:
+                hit = np.zeros(m, dtype=bool)
+                # Brownian-bridge crossing probabilities; where the proposal
+                # is already past the end the exponent is positive and may
+                # overflow, but those particles are hit anyway.  Exponents
+                # are clipped at -700: np.exp is 10-100x slower where its
+                # result is subnormal or flushes to 0, and far from the end
+                # almost every one is; the clip changes a decision only for a
+                # uniform of exactly 0.0
+                with np.errstate(over="ignore"):
+                    if fin_l:
+                        hit |= prop <= l
+                        if use_bridge:
+                            hit |= u < np.exp(np.maximum(
+                                -2.0 * (x - l) * (prop - l) / dt, -700.0))
+                    if fin_r:
+                        hit |= prop >= r
+                        if use_bridge:
+                            hit |= u < np.exp(np.maximum(
+                                -2.0 * (r - x) * (r - prop) / dt, -700.0))
 
-        dead = ~(np.abs(prop) <= _BLOW_UP)          # NaN included
-        if hit is not None:
-            dead |= hit
-        if kappa is not None:
-            prop_in = np.clip(prop, lo_c, hi_c) if fin_l or fin_r else prop
-            # a NaN rate makes a clock that never fires, so a live particle
-            # reading a non-finite rate ends the run; one reduction per step
-            with np.errstate(invalid="ignore"):
-                kap_new = kappa(prop_in)
-                bad = (() if math.isfinite(np.sum(kap_new))
-                       else np.flatnonzero(~(np.isfinite(kap_new) | dead)))
-            if len(bad):
-                raise QsdlabError(
-                    f"non-finite killing rate {kap_new[bad[0]]} read by a live "
-                    f"particle at x = {prop_in[bad[0]]}, t = {s * dt:.6g}")
-            clock += 0.5 * dt * (kap_x + kap_new)
-            kap_x = kap_new
-            dead |= clock > thresh
-
-        # a death counts as absorbed before killed before blown up
-        slots = np.flatnonzero(dead)
-        n_dead = len(slots)
-        if n_dead:
-            nan = slots[np.isnan(prop[slots])]
-            if len(nan):
-                raise QsdlabError(f"drift reads nan at x = {x[nan[0]]}, "
-                                  f"t = {(s - 1) * dt:.6g}")
-            absorbed = (hit[slots] if hit is not None
-                        else np.zeros(n_dead, dtype=bool))
-            n_hit = int(np.count_nonzero(absorbed))
-            n_kill = (int(np.count_nonzero((clock[slots] > thresh[slots])
-                                           & ~absorbed))
-                      if kappa is not None else 0)
-            n_absorbed += n_hit
-            n_killed += n_kill
-            n_blown += n_dead - n_hit - n_kill
-
-        if config.resample:
-            if n_dead:
-                if n_dead == m:
-                    raise QsdlabError(
-                        f"entire ensemble died in one step at t = {s * dt:.4g}; "
-                        "dt too coarse for this killing rate")
-                # donor k is the k-th live slot: k plus the number of dead
-                # slots before it, i.e. of dead j with slots[j] - j <= k
-                donors = rng.integers(0, m - n_dead, size=n_dead)
-                src = donors + np.searchsorted(slots - np.arange(n_dead),
-                                               donors, side="right")
-                prop[slots] = prop[src]
-                if kappa is not None:
-                    # exponential thresholds are memoryless: reset the clock
-                    # and redraw, which leaves the residual law unchanged
-                    clock[slots] = 0.0
-                    thresh[slots] = rng.standard_exponential(n_dead)
-                    kap_x[slots] = kap_x[src]
-            x = prop
-        elif n_dead:
-            death[ids[slots]] = s * dt
-            keep = ~dead
-            x, ids = prop[keep], ids[keep]
+            dead = ~(np.abs(prop) <= _BLOW_UP)          # NaN included
+            if hit is not None:
+                dead |= hit
             if kappa is not None:
-                clock, thresh, kap_x = clock[keep], thresh[keep], kap_x[keep]
-        else:
-            x = prop
+                prop_in = np.clip(prop, lo_c, hi_c) if fin_l or fin_r else prop
+                # a NaN rate makes a clock that never fires, so a live
+                # particle reading a non-finite rate ends the run; one
+                # reduction per step
+                with np.errstate(invalid="ignore"):
+                    kap_new = kappa(prop_in)
+                    bad = (() if math.isfinite(np.sum(kap_new))
+                           else np.flatnonzero(~(np.isfinite(kap_new) | dead)))
+                if len(bad):
+                    raise QsdlabError(
+                        f"non-finite killing rate {kap_new[bad[0]]} read by "
+                        f"a live particle at x = {prop_in[bad[0]]}, "
+                        f"t = {s * dt:.6g}")
+                clock += 0.5 * dt * (kap_x + kap_new)
+                kap_x = kap_new
+                dead |= clock > thresh
 
-        record_through(s)
-        if len(x) == 0:
-            break
+            # a death counts as absorbed before killed before blown up
+            slots = np.flatnonzero(dead)
+            n_dead = len(slots)
+            if n_dead:
+                nan = slots[np.isnan(prop[slots])]
+                if len(nan):
+                    raise QsdlabError(f"drift reads nan at x = {x[nan[0]]}, "
+                                      f"t = {(s - 1) * dt:.6g}")
+                absorbed = (hit[slots] if hit is not None
+                            else np.zeros(n_dead, dtype=bool))
+                n_hit = int(np.count_nonzero(absorbed))
+                n_kill = (int(np.count_nonzero((clock[slots] > thresh[slots])
+                                               & ~absorbed))
+                          if kappa is not None else 0)
+                n_absorbed += n_hit
+                n_killed += n_kill
+                n_blown += n_dead - n_hit - n_kill
+
+            if config.resample:
+                if n_dead:
+                    if n_dead == m:
+                        raise QsdlabError(
+                            f"entire ensemble died in one step at "
+                            f"t = {s * dt:.4g}; dt too coarse for this "
+                            "killing rate")
+                    # donor k is the k-th live slot: k plus the number of dead
+                    # slots before it, i.e. of dead j with slots[j] - j <= k
+                    donors = events.integers(0, m - n_dead, size=n_dead)
+                    src = donors + np.searchsorted(slots - np.arange(n_dead),
+                                                   donors, side="right")
+                    prop[slots] = prop[src]
+                    if kappa is not None:
+                        # exponential thresholds are memoryless: reset the
+                        # clock and redraw, which leaves the residual law
+                        # unchanged
+                        clock[slots] = 0.0
+                        thresh[slots] = events.standard_exponential(n_dead)
+                        kap_x[slots] = kap_x[src]
+                x = prop
+            elif n_dead:
+                death[ids[slots]] = s * dt
+                keep = ~dead
+                x, ids = prop[keep], ids[keep]
+                if kappa is not None:
+                    clock, thresh, kap_x = (clock[keep], thresh[keep],
+                                            kap_x[keep])
+            else:
+                x = prop
+
+            record_through(s)
+            if len(x) == 0:
+                break
     record_through(n_steps)
 
     return EnsembleResult(model_name=model.name, config=config,
@@ -280,10 +372,6 @@ class SurvivalCurve(_Record):
     fit_window: tuple
 
 
-def _counts_at(sorted_death: np.ndarray, t_grid: np.ndarray, n: int) -> np.ndarray:
-    return n - np.searchsorted(sorted_death, t_grid, side="right")
-
-
 def _fit_rate(t: np.ndarray, frac: np.ndarray) -> tuple:
     y = np.log(frac)
     slope, intercept = _line_fit(t, y)
@@ -298,13 +386,16 @@ def survival_curve(result: EnsembleResult) -> SurvivalCurve:
 
     The window keeps times past `_FIT_START_FRAC * t_max` while at least
     `_MIN_SURVIVORS` particles remain; the rate uncertainty is a percentile
-    bootstrap over particles (needs a plain, non-resampled run)."""
+    bootstrap over particles (needs a plain, non-resampled run).  Resampling
+    the n death times puts a multinomial number of them in each interval
+    between the window's times, with the sample's interval frequencies, so
+    a replicate draws those counts, not n death times."""
     if result.config.resample:
         raise QsdlabError("survival_curve needs a plain run (resample=False)")
     n = result.config.n
-    sorted_death = np.sort(result.death_times)
     t_grid = np.linspace(0.0, result.config.t_max, _N_GRID + 1)[1:]
-    counts = _counts_at(sorted_death, t_grid, n)
+    counts = n - np.searchsorted(np.sort(result.death_times), t_grid,
+                                 side="right")
 
     sel = ((t_grid >= _FIT_START_FRAC * result.config.t_max)
            & (counts >= _MIN_SURVIVORS))
@@ -317,10 +408,9 @@ def survival_curve(result: EnsembleResult) -> SurvivalCurve:
     rate, intercept, r2 = _fit_rate(tw, cw / n)
 
     rng = _rng(result.config.seed + _BOOT_SEED)
+    deaths = rng.multinomial(n, -np.diff(np.r_[n, cw, 0]) / n, size=_N_BOOT)
     rates = np.empty(_N_BOOT)
-    for b in range(_N_BOOT):
-        resampled = np.sort(result.death_times[rng.integers(0, n, size=n)])
-        cb = _counts_at(resampled, tw, n)
+    for b, cb in enumerate(n - np.cumsum(deaths[:, :-1], axis=1)):
         good = cb > 0
         if np.sum(good) < 4:
             rates[b] = np.nan

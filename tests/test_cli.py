@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -219,11 +220,11 @@ def test_simulate_is_deterministic(tmp_path, capsys):
     assert h1.read_bytes() == h2.read_bytes()
 
     res = d1["result"]
-    assert res["n_survivors"] == 169
-    assert res["n_absorbed"] == 231
+    assert res["n_survivors"] == 178
+    assert res["n_absorbed"] == 222
     assert res["n_killed"] == 0
     assert res["recorded_times"] == [0.25, 0.5]
-    assert res["n_alive"] == [309, 169]
+    assert res["n_alive"] == [314, 178]
     assert d1["settings"]["x0"] == 1.0        # defaulted to x_ref
 
 
@@ -431,6 +432,23 @@ def test_report_is_the_same_forked_and_in_process(
     forked_child = "survival" if argv[0] == "compare" else "oracle"
     assert forked[0] == 0 and forked_child in json.loads(forked[1])
     assert forked == in_process
+
+
+def test_compare_forks_a_single_threaded_process(monkeypatch, capsys):
+    # run_ensemble joins its noise thread before it returns, and the probe
+    # runs after the fork, so no thread of qsdlab's is copied into the child
+    threads_at_fork, fork = [], os.fork
+
+    def spy():
+        threads_at_fork.append(threading.active_count())
+        return fork()
+    before = threading.active_count()
+    monkeypatch.setattr(os, "fork", spy)
+    rc, doc = run_cli(capsys, ["compare", "--zoo", "logistic_X_killed",
+                               *LOGISTIC, *SMALL])
+    assert rc == 0 and "survival" in doc
+    assert threads_at_fork == [before]
+    assert threading.active_count() == before
 
 
 def _raise_probe_error(*args, **kwargs):
@@ -860,8 +878,8 @@ def test_compare_sample_outside_the_qsd_support_exits_3(tmp_path, capsys):
     assert rc == 3 and captured.out == ""
     saved = json.loads(diag.read_text())
     assert saved["message"] == (
-        "the probe's sample (its 1e-4 to 1 - 1e-4 quantiles, [48.5656, "
-        "49.5793]) does not overlap the QSD support [3.75e-09, 7.54703]")
+        "the probe's sample (its 1e-4 to 1 - 1e-4 quantiles, [48.5008, "
+        "49.5506]) does not overlap the QSD support [3.75e-09, 7.54703]")
     assert captured.err == f"qsdlab: numerical failure: {saved['message']}\n"
     assert {"dichotomy", "spectrum", "survival"} <= set(saved["partial"])
     assert "tv_distance" not in saved["partial"]

@@ -417,6 +417,36 @@ def test_one_place_forks():
     assert _package_scopes(_makes_forked) == {"cli.py": ["_run_stages"]}
 
 
+def _is_thread(node) -> bool:
+    """`threading.Thread`, `threading.Timer` or `_thread.start_new_thread`,
+    looked up as an attribute or imported from its module."""
+    names = {"threading": ("Thread", "Timer"),
+             "_thread": ("start_new_thread",)}
+    if isinstance(node, ast.Attribute):
+        return node.attr in names.get(getattr(node.value, "id", None), ())
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name in names.get(node.module, ()) for a in node.names)
+    return False
+
+
+def test_the_checker_sees_a_thread():
+    src = ("import threading\nfrom threading import Thread, Event\n"
+           "class N:\n    def __enter__(self):\n"
+           "        threading.Thread(target=f).start()\n"
+           "def g():\n    threading.Event().wait()\n"
+           "    return threading.Timer(1.0, f)\n"
+           "import _thread\n_thread.start_new_thread(f, ())\n")
+    assert _scoped(src, _is_thread) == [(2, "<module>"), (5, "N.__enter__"),
+                                        (8, "g"), (10, "<module>")]
+
+
+def test_one_place_starts_a_thread():
+    # run_ensemble's noise filler is the only thread qsdlab starts, and it
+    # is joined before run_ensemble returns, so no thread is running when
+    # the stage runner forks
+    assert _package_scopes(_is_thread) == {"montecarlo.py": ["_Noise.__enter__"]}
+
+
 def _is_nonfinite_string(node) -> bool:
     """The string constant "inf", "-inf" or "nan"."""
     return (isinstance(node, ast.Constant) and isinstance(node.value, str)
